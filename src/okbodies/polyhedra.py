@@ -1,8 +1,9 @@
 """Exact rational polytope engine.
 
-Everything here is Fraction arithmetic; no floats.  Vertex enumeration is
-an incremental double description over a rigorously large starting
-simplex, so unboundedness is detected rather than silently truncated.
+Everything here is exact integer or Fraction arithmetic; no floats.
+Vertex enumeration is a fraction-free double description of the
+homogenised cone: its primitive integer extreme rays give the vertices,
+and emptiness and unboundedness are read off them exactly.
 Volumes come from a pulling triangulation of the tight-set face lattice,
 lattice points from a pruned box sweep.  The Gelfand-Tsetlin polytope, its
 pattern-counting oracle and the unimodular change of variables that
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .partitions import (
@@ -156,92 +158,75 @@ def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
     return rows
 
 
+def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through s*u - t*v (nonzero)."""
+    z = [s * x - t * y for x, y in zip(u, v)]
+    g = gcd(*z)
+    return tuple(x // g for x in z)
+
+
 def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
     """All vertices of a bounded H-polytope, deterministic lex order.
 
-    Starts from a simplex provably containing every vertex (Cramer bound on
-    the integer-cleared system), then cuts with each inequality, tracking
-    exact tight sets as bitmasks; a surviving artificial facet at the end
-    certifies a recession direction and raises.
+    Fraction-free homogeneous double description (Fukuda & Prodon 1996):
+    the integer-cleared rows b*x0 + a.x >= 0, after x0 >= 0, cut out a
+    cone whose extreme rays are kept as primitive integer vectors, with
+    their tight sets as bitmasks, while the rows are added one at a time.
+    Rays with x0 > 0 are the vertices.  Without such a ray the region is
+    empty and the result is ().  With one, a ray with x0 = 0 or a line in
+    the cone is a recession direction and raises UnboundedError.
     """
     d = H.dim
-    rows = _integer_rows(H.ineqs)
-    amax = max((abs(x) for a, _ in rows for x in a), default=1) or 1
-    bmax = max((abs(b) for _, b in rows), default=1) or 1
-    B = factorial(d) * amax ** d * (bmax + 1) + 1
-
-    # artificial bits 0..d: coordinate floors then the ceiling sum bound
-    nart = d + 1
-    verts: list[tuple[Vec, int]] = []
-    base = tuple(Fraction(-B) for _ in range(d))
-    verts.append((base, (1 << d) - 1))
-    for j in range(d):
-        pt = list(base)
-        pt[j] = Fraction((2 * d - 1) * B)
-        mask = ((1 << d) - 1) ^ (1 << j) | (1 << d)
-        verts.append((tuple(pt), mask))
-
-    for idx, (a, b) in enumerate(rows):
-        bit = 1 << (nart + idx)
-        vals = [sum(Fraction(x) * y for x, y in zip(a, v)) + b for v, _ in verts]
-        keep: list[tuple[Vec, int]] = []
-        pos: list[int] = []
-        neg: list[int] = []
-        for t, ((v, mask), s) in enumerate(zip(verts, vals)):
-            if s > 0:
-                pos.append(t)
-            elif s < 0:
-                neg.append(t)
-            else:
-                keep.append((v, mask | bit))
-        kept_pos = [(verts[t][0], verts[t][1]) for t in pos]
-        keep.extend(kept_pos)
-        if neg and pos:
-            masks = [m for _, m in verts]
-            new_pts: dict[Vec, int] = {}
-            for u in pos:
-                mu = masks[u]
+    rows = [(1,) + (0,) * d] + [(b,) + a for a, b in _integer_rows(H.ineqs)]
+    # The cone cut out so far is span(lines) + cone(rays).  A row that is
+    # nonzero on a line turns that line, oriented into the row's half-space,
+    # into a ray, and moves the other lines and rays along it onto the row's
+    # hyperplane.  After the first row every line lies in x0 = 0.
+    lines = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    added = 0  # bitmask of the rows added so far
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        vals = [sum(map(mul, row, y)) for y, _ in rays]
+        lvals = [sum(map(mul, row, v)) for v in lines]
+        k = next((k for k, s in enumerate(lvals) if s), None)
+        if k is not None:
+            line, s = lines.pop(k), lvals.pop(k)
+            if s < 0:
+                line, s = tuple(-x for x in line), -s
+            lines = [_combine(s, v, t, line) for v, t in zip(lines, lvals)]
+            rays = [(_combine(s, y, t, line), m | bit) for (y, m), t in zip(rays, vals)]
+            rays.append((line, added))
+        else:
+            rank = d + 1 - len(lines)
+            masks = [m for _, m in rays]
+            nxt = [(y, m | bit if t == 0 else m) for (y, m), t in zip(rays, vals) if t >= 0]
+            neg = [w for w, t in enumerate(vals) if t < 0]
+            for u, su in enumerate(vals):
+                if su <= 0:
+                    continue
+                yu, mu = rays[u]
                 for w in neg:
                     common = mu & masks[w]
-                    if bin(common).count("1") < d - 1:
-                        continue
-                    # combinatorial adjacency: no third vertex dominates
-                    if any(
-                        t != u and t != w and common & masks[t] == common
-                        for t in range(len(verts))
+                    # combinatorial adjacency: no third ray's tight set holds common
+                    if common.bit_count() < rank - 2 or any(
+                        common & m == common for t, m in enumerate(masks) if t != u and t != w
                     ):
                         continue
-                    su, sw = vals[u], vals[w]
-                    pt = tuple(
-                        (su * yw - sw * yu) / (su - sw)
-                        for yu, yw in zip(verts[u][0], verts[w][0])
-                    )
-                    new_pts[pt] = common | bit
-            keep.extend(new_pts.items())
-        verts = keep
-        if not verts:
+                    nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
+            rays = nxt
+        added |= bit
+        if not any(y[0] for y, _ in rays):
             return ()
 
-    art = (1 << nart) - 1
-    if any(mask & art for _, mask in verts):
+    verts = [y for y, _ in rays if y[0]]
+    if lines or len(verts) < len(rays):
         raise UnboundedError("region is unbounded")
-    return tuple(sorted(v for v, _ in verts))
-
-
-def vertices(H: HPolytope) -> tuple[Vec, ...]:
-    return enumerate_vertices(H)
+    return tuple(sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in verts))
 
 
 def qpolytope(H: HPolytope) -> QPolytope:
     return QPolytope(H, enumerate_vertices(H))
-
-
-def scale(P: QPolytope, r) -> QPolytope:
-    return P.scaled(r)
-
-
-def translate(P: QPolytope, t: Sequence[Fraction]) -> QPolytope:
-    return P.translated(t)
 
 
 def hull_of_points(coords: tuple, points: Iterable[Sequence[Fraction]]) -> QPolytope:

@@ -128,3 +128,51 @@ def _det_fraction(mat):
             for c in range(col, d):
                 mat[r][c] -= f * mat[col][c]
     return det
+
+
+def _solve_square(A, rhs):
+    """Unique exact solution of A x = rhs by Gauss-Jordan, or None if A is singular."""
+    d = len(A)
+    mat = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(A, rhs)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if mat[r][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        p = mat[col][col]
+        mat[col] = [x / p for x in mat[col]]
+        for r in range(d):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return tuple(row[d] for row in mat)
+
+
+def rank(rows):
+    """Rank over Q by exact forward elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col] / mat[r][col]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def vertices_by_subsets(rows, d):
+    """Vertices of {v : a.v + b >= 0 for every (a, b) in rows}, brute force.
+
+    Every d-subset of rows is solved exactly as equalities; a unique
+    solution that satisfies every row is a vertex.  Sorted, no duplicates.
+    """
+    out = set()
+    for sub in combinations(rows, d):
+        v = _solve_square([a for a, _ in sub], [-b for _, b in sub])
+        if v is not None and all(sum(x * y for x, y in zip(a, v)) + b >= 0 for a, b in rows):
+            out.add(v)
+    return sorted(out)

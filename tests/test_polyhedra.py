@@ -34,7 +34,6 @@ from okbodies.polyhedra import (
     parse_frac,
     qpolytope,
     same_hrep,
-    scale,
     volume,
     volume_formula,
 )
@@ -81,8 +80,8 @@ def test_cube_lattice_counts():
     P = cube(3)
     for r in (1, 2, 3):
         assert len(lattice_points(P, r)) == (r + 1) ** 3
-    assert lattice_points(P, 1) == lattice_points(scale(P, 1), 1)
-    assert lattice_points(P, 2) == lattice_points(scale(P, 2), 1)
+    assert lattice_points(P, 1) == lattice_points(P.scaled(1), 1)
+    assert lattice_points(P, 2) == lattice_points(P.scaled(2), 1)
 
 
 def test_simplex_volume_and_points():
@@ -104,6 +103,64 @@ def test_unbounded_region_raises():
     H = HPolytope(axis_coords(2), (((F(1), F(0)), F(0)), ((F(0), F(1)), F(0))))
     with pytest.raises(UnboundedError):
         enumerate_vertices(H)
+
+
+@pytest.mark.parametrize(
+    "ineqs",
+    [
+        # x >= 1, x <= 0, y >= 0: empty, though y is unbounded above
+        (((F(1), F(0)), F(-1)), ((F(-1), F(0)), F(0)), ((F(0), F(1)), F(0))),
+        # x >= 1, x <= 0 with y free: empty and the system has rank 1 < 2
+        (((F(1), F(0)), F(-1)), ((F(-1), F(0)), F(0))),
+    ],
+)
+def test_empty_region_with_recession_directions_has_no_vertices(ineqs):
+    assert enumerate_vertices(HPolytope(axis_coords(2), ineqs)) == ()
+
+
+def test_region_containing_a_line_raises():
+    # 0 <= x <= 1 with y free: the strip holds every vertical line
+    H = HPolytope(axis_coords(2), (((F(1), F(0)), F(0)), ((F(-1), F(0)), F(1))))
+    with pytest.raises(UnboundedError):
+        enumerate_vertices(H)
+
+
+@pytest.mark.parametrize(
+    "bs, expected",
+    [((), ((),)), ((F(2), F(0)), ((),)), ((F(1), F(-1)), ())],
+)
+def test_zero_dimensional_region_is_a_point_or_empty(bs, expected):
+    assert enumerate_vertices(HPolytope((), tuple(((), b) for b in bs))) == expected
+
+
+def bounded_integer_systems():
+    """(d, rows): up to 10 random integer rows plus the box -3 <= x_i <= 3."""
+
+    def with_box(d):
+        row = st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-6, 6))
+        box = [
+            (tuple(s * int(i == j) for j in range(d)), 3)
+            for i in range(d)
+            for s in (1, -1)
+        ]
+        return st.lists(row, max_size=10).map(lambda rows: (d, rows + box))
+
+    return st.integers(1, 4).flatmap(with_box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_integer_systems())
+def test_vertices_match_subset_oracle(system):
+    d, rows = system
+    H = HPolytope(
+        axis_coords(d), tuple((tuple(F(x) for x in a), F(b)) for a, b in rows)
+    )
+    got = enumerate_vertices(H)
+    assert list(got) == oracles.vertices_by_subsets(rows, d)
+    for v in got:
+        assert H.contains(v)
+        tight = [a for a, b in rows if sum(x * y for x, y in zip(a, v)) + b == 0]
+        assert oracles.rank(tight) == d
 
 
 def test_redundant_rows_are_not_facets():
@@ -145,7 +202,7 @@ def test_translate_and_scale_track_vertices():
     Q = P.translated(t)
     assert sorted(Q.vertices) == sorted(tuple(x + y for x, y in zip(v, t)) for v in P.vertices)
     assert volume(Q) == volume(P)
-    R = scale(P, F(3, 2))
+    R = P.scaled(F(3, 2))
     assert volume(R) == F(27, 8) * volume(P)
 
 
