@@ -13,7 +13,7 @@ the second dilation's lattice points are swept inside it, and a point
 counts as a vertex when its tight rows have full rank.  The result is
 compared against the recorded fractional vertex list per class.
 
-    python3 scripts/run_census.py --shapes 3,7 --deep --out g37.json
+    okbodies census --k 3 --n 7 --deep --out g37.json
     python3 scripts/deep_census_audit.py g37.json
 """
 

@@ -4,33 +4,29 @@ A breadth-first search over square moves, rooted at the rectangles chart,
 visits every chart class once (keyed by its face-label set).  Each class
 gets the full polytope pipeline: matching expansion, tropical polytope,
 vertex enumeration, integrality verdict and degree-one lattice points.
-The command line interface lives here too.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .charts import NetworkChart, flow_polynomial, maxdiag_valuation, val_max, val_min
 from .mirror import (
+    SuperpotentialExpansion,
     as_vector,
     gamma_qpolytope,
-    gamma_system,
     marsh_scott_expansion,
     rectangles_superpotential,
     relabel_point,
     standard_r_vec,
     trop_mutate_point,
-    trop_system_to_json,
 )
 from .partitions import (
     GridShape,
@@ -49,14 +45,7 @@ from .plabic import (
     quiver_of,
     square_move,
 )
-from .polyhedra import (
-    QPolytope,
-    frac_str,
-    gamma_coords,
-    lattice_points,
-    volume,
-    volume_formula,
-)
+from .polyhedra import QPolytope, frac_str, lattice_points, volume, volume_formula
 
 DEFAULT_SEED = 0x0B0D1E5
 CENSUS_SCHEMA = "okbodies.census/1"
@@ -167,11 +156,12 @@ class CensusReport:
     def nonintegral_count(self) -> int:
         return self.class_count - self.integral_count
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[Partition, ...], ClassRecord]:
+        return {c.key: c for c in self.classes}
+
     def record(self, key: tuple[Partition, ...]) -> ClassRecord:
-        for c in self.classes:
-            if c.key == key:
-                return c
-        raise KeyError(f"no class with key {key}")
+        return self._by_key[key]
 
     def to_json(self) -> dict:
         return {
@@ -206,8 +196,8 @@ def _same_quiver(a: Quiver, b: Quiver) -> bool:
     return set(a.labels) == set(b.labels) and a.frozen == b.frozen and a.b == b.b
 
 
-def _pipeline(shape: GridShape, chart: NetworkChart) -> dict:
-    P = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(shape, 1))
+def _pipeline(shape: GridShape, expansion: SuperpotentialExpansion) -> dict:
+    P = gamma_qpolytope(expansion, standard_r_vec(shape, 1))
     return {
         "vertices": P.vertices,
         "lattice": lattice_points(P, 1),
@@ -221,17 +211,8 @@ def _degenerate_census(shape: GridShape, seed: int, t0: float) -> CensusReport:
     # no disk picture below three marked points; the closed form still makes
     # sense and there is a single chart
     exp = rectangles_superpotential(shape)
-    P = gamma_qpolytope(exp, standard_r_vec(shape, 1))
     rec = ClassRecord(
-        key=class_key(exp.labels),
-        graph=None,
-        path=(),
-        parent=None,
-        vertices=P.vertices,
-        lattice=lattice_points(P, 1),
-        integral=P.is_integral(),
-        nonintegral_vertices=tuple(P.nonintegral_vertices()),
-        polytope=P,
+        key=class_key(exp.labels), graph=None, path=(), parent=None, **_pipeline(shape, exp)
     )
     return CensusReport(shape, (rec,), seed, time.time() - t0)
 
@@ -241,7 +222,6 @@ def census(
     deep: bool = False,
     force: bool = False,
     seed: int = DEFAULT_SEED,
-    check_exchange: bool = True,
 ) -> CensusReport:
     """Breadth-first enumeration of all square-move classes with the full
     per-class polytope pipeline.
@@ -265,7 +245,6 @@ def census(
         return _degenerate_census(shape, seed, t0)
 
     rng = random.Random(seed)
-    move_rng = rng if check_exchange else None
     G0 = normalize(build_rectangles(shape))
     chart0 = NetworkChart.of(G0)
     root = class_key(chart0.labels)
@@ -276,13 +255,12 @@ def census(
     base_quiver = quiver_of(G0)
     while queue:
         key, G, chart, path, parent = queue.popleft()
-        data = _pipeline(shape, chart)
         records[key] = ClassRecord(
             key=key,
             graph=G,
             path=path,
             parent=parent,
-            **data,
+            **_pipeline(shape, marsh_scott_expansion(chart)),
         )
         # replay the exchange-matrix mutations along the path; a mismatch
         # would mean the square move and the quiver disagree
@@ -291,8 +269,8 @@ def census(
             replay = replay.mutate(old).relabel(old, new)
         if not _same_quiver(replay, quiver_of(G)):
             raise AssertionError(f"quiver replay failed for class {key}")
-        for nu in sorted(movable_faces(G), key=label_sort_key):
-            res = square_move(G, nu, move_rng)
+        for nu in movable_faces(G):
+            res = square_move(G, nu, rng)
             chart2 = NetworkChart.of(res.graph)
             key2 = class_key(chart2.labels)
             if key2 in seen:
@@ -435,8 +413,8 @@ def verify_core(
     else:
         _check(checks, "census-counts", True, f"{report.class_count} classes (no pin)")
 
-    if shape.n >= 3:
-        chart0 = NetworkChart.of(normalize(build_rectangles(shape)))
+    chart0 = NetworkChart.of(normalize(build_rectangles(shape))) if shape.n >= 3 else None
+    if chart0 is not None:
         closed_ok = all(
             val_min(chart0, lam) == maxdiag_valuation(lam, shape, chart0.labels)
             for lam in all_partitions(shape)
@@ -503,8 +481,7 @@ def verify_core(
     if suite == "full":
         transport_ok, transport_detail = _check_transport(shape, report, seed)
         _check(checks, "move-transport", transport_ok, transport_detail)
-        if shape.n >= 3:
-            chart0 = NetworkChart.of(normalize(build_rectangles(shape)))
+        if chart0 is not None:
             rec = report.record(class_key(chart0.labels))
             scan2 = degree_r_valuation_scan(chart0, 2, rec.polytope)
             _check(
@@ -558,214 +535,3 @@ def _check_transport(
         if movedA != latticeB:
             return False, f"lattice transport at {c.key_str}"
     return True, ""
-
-
-# ---------------------------------------------------------------------------
-# command line
-# ---------------------------------------------------------------------------
-
-def _shape_from_args(args) -> GridShape:
-    return GridShape(k=args.k, n=args.n)
-
-
-def _resolve_class(report: CensusReport, key: str) -> ClassRecord:
-    if key in ("rec", "rectangles"):
-        return report.record(class_key(gamma_coords(report.shape)))
-    try:
-        idx = int(key)
-    except ValueError:
-        parts = tuple(sorted((parse_partition(s) for s in key.split("|")), key=label_sort_key))
-        for c in report.classes:
-            if c.key == parts:
-                return c
-        raise KeyError(key)
-    return report.classes[idx]
-
-
-def _valuation_text(chart_labels, rows: dict[Partition, dict]) -> str:
-    cols = list(chart_labels)
-    head = ["P"] + [partition_str(c) for c in cols]
-    body = [
-        [partition_str(lam)] + [str(rows[lam].get(c, 0)) for c in cols]
-        for lam in sorted(rows, key=label_sort_key)
-    ]
-    widths = [max(len(r[i]) for r in [head] + body) for i in range(len(head))]
-    lines = ["  ".join(s.rjust(w) for s, w in zip(r, widths)) for r in [head] + body]
-    return "\n".join(lines)
-
-
-def _cmd_census(args) -> int:
-    shape = _shape_from_args(args)
-    try:
-        report = census(shape, deep=args.deep, force=args.force, seed=args.seed)
-    except CensusGuardError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
-    print(
-        f"shape ({shape.k},{shape.n}): {report.class_count} classes, "
-        f"{report.integral_count} integral, {report.nonintegral_count} non-integral "
-        f"({report.elapsed:.1f}s, seed {report.seed})"
-    )
-    for t, c in enumerate(report.classes):
-        flag = "integral" if c.integral else "NON-INTEGRAL"
-        print(f"  [{t:3d}] {c.key_str}  vertices={len(c.vertices)}  {flag}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=1)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _class_graph(shape: GridShape, cls: str, deep: bool, seed: int) -> Optional[PlabicGraph]:
-    """Representative graph for a class name; None means the degenerate
-    closed-form chart.  The rectangles class skips the census."""
-    if shape.n < 3:
-        return None
-    if cls in ("rec", "rectangles"):
-        return normalize(build_rectangles(shape))
-    report = census(shape, deep=deep, seed=seed)
-    return _resolve_class(report, cls).graph
-
-
-def _cmd_polytope(args) -> int:
-    shape = _shape_from_args(args)
-    try:
-        G = _class_graph(shape, args.cls, args.deep, args.seed)
-    except (CensusGuardError, KeyError, IndexError) as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
-    if G is not None:
-        expansion = marsh_scott_expansion(NetworkChart.of(G))
-    else:
-        expansion = rectangles_superpotential(shape)
-    if args.rvec:
-        try:
-            r_vec = tuple(Fraction(s) for s in args.rvec.split(","))
-        except (ValueError, ZeroDivisionError):
-            print("refused: malformed rvec", file=sys.stderr)
-            return 2
-        if len(r_vec) != shape.n:
-            print(f"refused: rvec needs {shape.n} entries", file=sys.stderr)
-            return 2
-    else:
-        try:
-            r_vec = standard_r_vec(shape, Fraction(args.r))
-        except (ValueError, ZeroDivisionError):
-            print(f"refused: malformed dilation {args.r!r}", file=sys.stderr)
-            return 2
-    system = gamma_system(expansion, r_vec)
-    P = gamma_qpolytope(expansion, r_vec)
-    doc = P.to_json()
-    doc["lattice"] = [list(p) for p in lattice_points(P, 1)] if not P.is_empty() else []
-    doc["trop_system"] = trop_system_to_json(system)
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_valuations(args) -> int:
-    shape = _shape_from_args(args)
-    try:
-        G = _class_graph(shape, args.cls, args.deep, args.seed)
-    except (CensusGuardError, KeyError, IndexError) as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
-    if G is None:
-        labels = gamma_coords(shape)
-        rows = {
-            lam: maxdiag_valuation(lam, shape, labels) for lam in all_partitions(shape)
-        }
-    else:
-        chart = NetworkChart.of(G)
-        labels = tuple(chart.labels)
-        fn = val_max if args.use_max else val_min
-        rows = {lam: fn(chart, lam) for lam in all_partitions(shape)}
-    print(_valuation_text(labels, rows))
-    if args.out:
-        doc = {
-            "schema": "okbodies.valuations/1",
-            "k": shape.k,
-            "n": shape.n,
-            "class": "|".join(partition_str(p) for p in class_key(labels)),
-            "variant": "max" if args.use_max else "min",
-            "coords": [partition_str(c) for c in labels],
-            "rows": {
-                partition_str(lam): [int(rows[lam].get(c, 0)) for c in labels]
-                for lam in sorted(rows, key=label_sort_key)
-            },
-        }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    shape = _shape_from_args(args)
-    try:
-        rep = verify_core(shape, suite=args.suite, deep=args.deep, seed=args.seed)
-    except CensusGuardError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
-    print(rep.render())
-    return 0 if rep.ok else 1
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="okbodies",
-        description="plabic chart census and superpotential polytopes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--deep", action="store_true", help="admit larger shapes")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = sub.add_parser("census", help="enumerate square-move classes")
-    common(p)
-    p.add_argument("--force", action="store_true", help="lift the hard size guard")
-    p.add_argument("--out", help="write the census JSON here")
-    p.set_defaults(fn=_cmd_census)
-
-    p = sub.add_parser("polytope", help="emit one class polytope as JSON")
-    common(p)
-    p.add_argument("--class", dest="cls", default="rec", help="class index, key, or 'rec'")
-    p.add_argument("--r", default="1", help="dilation of the standard weight")
-    p.add_argument("--rvec", help="comma-separated rationals, one per boundary slot")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(fn=_cmd_polytope)
-
-    p = sub.add_parser("valuations", help="print a class valuation table")
-    common(p)
-    p.add_argument("--class", dest="cls", default="rec")
-    p.add_argument("--max", dest="use_max", action="store_true", help="highest-term variant")
-    p.add_argument("--out", help="also write the table as JSON")
-    p.set_defaults(fn=_cmd_valuations)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.add_argument("--suite", choices=("core", "full"), default="core")
-    p.set_defaults(fn=_cmd_verify)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ValueError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

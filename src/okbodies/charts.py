@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -68,6 +69,11 @@ class NetworkChart:
     @property
     def shape(self) -> GridShape:
         return self.graph.shape
+
+    @cached_property
+    def matrix(self) -> list[list[LaurentPoly]]:
+        """The boundary matrix, kept because a census sweep reuses it heavily."""
+        return boundary_matrix(self)
 
     def label_index(self, lam: Partition) -> int:
         return self.labels.index(lam)
@@ -140,29 +146,13 @@ def boundary_matrix(chart: NetworkChart) -> list[list[LaurentPoly]]:
 # flow polynomials
 # ---------------------------------------------------------------------------
 
-class _ChartCache:
-    # boundary matrices are reused heavily during a census sweep
-    def __init__(self):
-        self.matrix: Optional[list[list[LaurentPoly]]] = None
-
-
-def _matrix_of(chart: NetworkChart) -> list[list[LaurentPoly]]:
-    cache = getattr(chart, "_cache", None)
-    if cache is None:
-        cache = _ChartCache()
-        object.__setattr__(chart, "_cache", cache)
-    if cache.matrix is None:
-        cache.matrix = boundary_matrix(chart)
-    return cache.matrix
-
-
 def flow_polynomial(chart: NetworkChart, lam: Partition) -> LaurentPoly:
     """The Pluecker coordinate P_lam in the chart's face variables.
 
     Computed as the maximal minor of the boundary matrix on the south-step
     columns of lam, by a division-free column-subset expansion.
     """
-    M = _matrix_of(chart)
+    M = chart.matrix
     cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
     V = chart.labels
     prev: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(V)}
@@ -227,14 +217,6 @@ def flow_polynomial_direct(chart: NetworkChart, lam: Partition) -> LaurentPoly:
                 exps[t] += e
         total = total + LaurentPoly.monomial(V, exps)
     return total
-
-
-def flow_weight(chart: NetworkChart, flow: list[list[tuple[int, int]]]) -> tuple[int, ...]:
-    exps = [0] * len(chart.labels)
-    for path in flow:
-        for t, e in enumerate(chart.path_weight_exponents(path)):
-            exps[t] += e
-    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +494,7 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
     G = normalize(build_rectangles(shape))
     chart = NetworkChart.of(G)
     Bt = adjusted_exchange(quiver_of(G), G25_TWIST_ADJUSTMENT)
-    M = _matrix_of(chart)
+    M = chart.matrix
     cluster = [(), (1,), (2,), (3,), (1, 1), (2, 2)]
 
     done = 0

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
-from .laurent import LaurentPoly, format_laurent
-from .partitions import GridShape, Partition, label_sort_key, partition_str
+from .laurent import LaurentPoly
+from .partitions import GridShape, Partition, boundary_target_set, label_sort_key, partition_str
 from .plabic import BLACK, Quiver, matchings_with_boundary
 from .polyhedra import (
     HPolytope,
@@ -58,13 +58,24 @@ class SuperpotentialExpansion:
         return len(self.summands)
 
 
-def _check_positive(terms: Mapping[int, LaurentPoly]) -> None:
+def _expansion(
+    shape: GridShape,
+    labels: tuple[Partition, ...],
+    summands: Sequence[tuple[int, tuple[int, ...]]],
+) -> SuperpotentialExpansion:
+    """Merge the summands into the W_i, whose coefficients must all be
+    positive."""
+    terms: dict[int, LaurentPoly] = {}
+    for i, exps in summands:
+        piece = LaurentPoly.monomial(labels, exps)
+        terms[i] = terms[i] + piece if i in terms else piece
     for i, poly in terms.items():
         for exps, coeff in poly.terms.items():
             if not isinstance(coeff, int) or coeff <= 0:
                 raise AssertionError(
                     f"W_{i} has a non-positive coefficient {coeff} at {exps}"
                 )
+    return SuperpotentialExpansion(shape, labels, terms, tuple(summands))
 
 
 def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
@@ -102,25 +113,7 @@ def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
                 (n - j + 1, mono([(i, j), (i - 1, j - 2)], [(i - 1, j - 1), (i, j - 1)]))
             )
 
-    terms: dict[int, LaurentPoly] = {}
-    for i, exps in summands:
-        piece = LaurentPoly.monomial(labels, exps)
-        terms[i] = terms[i] + piece if i in terms else piece
-    _check_positive(terms)
-    return SuperpotentialExpansion(shape, labels, terms, tuple(summands))
-
-
-def boundary_target_set(i: int, shape: GridShape) -> tuple[int, ...]:
-    """Boundary vertices a matching for the i-th summand group must cover:
-    the cyclic run i+k+1 .. i-1 together with i+1."""
-    k, n = shape.k, shape.n
-    out = []
-    t = (i + k) % n + 1
-    while t != i:
-        out.append(t)
-        t = t % n + 1
-    out.append(i % n + 1)
-    return tuple(sorted(set(out)))
+    return _expansion(shape, labels, summands)
 
 
 def frozen_boundary_labels(chart: NetworkChart) -> dict[int, Partition]:
@@ -164,7 +157,9 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
         J = boundary_target_set(i, shape)
         matchings = matchings_with_boundary(G, J)
         if not matchings:
-            raise TypeError(f"no matchings with boundary {J}; chart is not reduced of this type")
+            raise TypeError(
+                f"no matchings with boundary {sorted(J)}; chart is not reduced of this type"
+            )
         frozen_factor = [mu[(i - 2) % n + 1]]
         frozen_factor += [mu[(i + t - 1) % n + 1] for t in range(1, shape.k + 1)]
         for M in matchings:
@@ -183,12 +178,7 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
                         bump(exps, lab.partition_of_face[f], 1)
             summands.append((i, tuple(exps)))
 
-    terms: dict[int, LaurentPoly] = {}
-    for i, exps in summands:
-        piece = LaurentPoly.monomial(labels, exps)
-        terms[i] = terms[i] + piece if i in terms else piece
-    _check_positive(terms)
-    return SuperpotentialExpansion(shape, labels, terms, tuple(summands))
+    return _expansion(shape, labels, summands)
 
 
 def trop_value(poly: LaurentPoly, v: Sequence[Fraction]) -> Fraction:
@@ -393,6 +383,17 @@ def trop_mutate_polytope(
     return Q
 
 
+def _relabel(
+    old_coords: Sequence[Partition], nu: Partition, new_label: Partition
+) -> tuple[tuple[Partition, ...], list[int]]:
+    """The successor chart's canonical coordinate order, with ``nu``
+    renamed to ``new_label``, and for each new slot its old slot."""
+    renamed = [new_label if lab == nu else lab for lab in old_coords]
+    new_coords = tuple(sorted(renamed, key=label_sort_key))
+    pos = {lab: t for t, lab in enumerate(renamed)}
+    return new_coords, [pos[lab] for lab in new_coords]
+
+
 def relabel_point(
     v: Sequence[Fraction],
     old_coords: tuple[Partition, ...],
@@ -401,10 +402,8 @@ def relabel_point(
 ) -> tuple[tuple[Partition, ...], Vec]:
     """Reindex a mutated vector onto the successor chart's canonical
     coordinate order, with the slot of ``nu`` renamed to ``new_label``."""
-    renamed = [new_label if lab == nu else lab for lab in old_coords]
-    new_coords = tuple(sorted(renamed, key=label_sort_key))
-    pos = {lab: t for t, lab in enumerate(renamed)}
-    return new_coords, tuple(Fraction(v[pos[lab]]) for lab in new_coords)
+    new_coords, perm = _relabel(old_coords, nu, new_label)
+    return new_coords, tuple(Fraction(v[s]) for s in perm)
 
 
 def relabel_polytope(
@@ -412,23 +411,10 @@ def relabel_polytope(
     nu: Partition,
     new_label: Partition,
 ) -> QPolytope:
-    old = P.hrep.coords
-    renamed = [new_label if lab == nu else lab for lab in old]
-    new_coords = tuple(sorted(renamed, key=label_sort_key))
-    pos = {lab: t for t, lab in enumerate(renamed)}
-    perm = [pos[lab] for lab in new_coords]
+    new_coords, perm = _relabel(P.hrep.coords, nu, new_label)
     ineqs = tuple(
         (tuple(a[s] for s in perm), b) for a, b in P.hrep.ineqs
     )
     verts = tuple(sorted(tuple(v[s] for s in perm) for v in P.vertices))
     return QPolytope(HPolytope(new_coords, ineqs), verts)
 
-
-def describe_expansion(expansion: SuperpotentialExpansion) -> str:
-    """Human-readable W_i list, q marked on its slot."""
-    lines = []
-    for i in sorted(expansion.terms):
-        body = format_laurent(expansion.terms[i], lambda lab: "p" + partition_str(lab))
-        mark = " (q slot)" if i == expansion.q_index else ""
-        lines.append(f"W_{i}{mark} = {body}")
-    return "\n".join(lines)

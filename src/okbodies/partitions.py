@@ -52,10 +52,6 @@ class GridShape:
         """Area of the box, usually called N."""
         return self.rows * self.cols
 
-    def transpose(self) -> "GridShape":
-        """The shape with the roles of rows and columns swapped."""
-        return GridShape(self.n - self.k, self.n)
-
     def residue(self, x: int) -> int:
         """Representative of x in 1..n."""
         return (x - 1) % self.n + 1

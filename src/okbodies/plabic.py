@@ -19,7 +19,6 @@ indices is the face lying to the left of exactly the trips in S.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -780,7 +779,6 @@ class SquareMoveResult:
     old_label: Partition
     new_label: Partition
     neighbor_labels: tuple[Partition, Partition, Partition, Partition]
-    exchange_checked: bool
 
 
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
@@ -828,6 +826,19 @@ def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random)
             )
 
 
+def _internal_square(
+    H: PlabicGraph, labeling: FaceLabeling, lam: Partition
+) -> Optional[tuple[Dart, ...]]:
+    """The darts around the face labelled ``lam`` of the contracted graph
+    ``H`` when that face is a quadrilateral with no boundary corner, else
+    None."""
+    darts = labeling.faces.darts_of[labeling.face_of_partition[lam]]
+    corners = {d[0] for d in darts}
+    if len(darts) == 4 and len(corners) == 4 and all(H.color[v] != BOUNDARY for v in corners):
+        return darts
+    return None
+
+
 def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = None) -> SquareMoveResult:
     """Apply the square move at the face labelled ``nu``.
 
@@ -838,7 +849,8 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
     restored with degree-2 buffers on the four outer legs, and the result
     is normalized.  The new label is recomputed from scratch via trips and
     double-checked against the exchange relation
-    p_nu p_nu' = p_a p_c + p_b p_d at random points over a prime field.
+    p_nu p_nu' = p_a p_c + p_b p_d at random points over a prime field,
+    drawn from ``rng`` or, when it is None, from a fixed seed.
     """
     H = contract(G)
     labeling = face_labels(H)
@@ -846,13 +858,12 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         raise ValueError(f"no face labelled {partition_str(nu)}")
     if nu in labeling.frozen:
         raise ValueError(f"face {partition_str(nu)} is frozen")
-    f = labeling.face_of_partition[nu]
-    darts = labeling.faces.darts_of[f]
+    darts = _internal_square(H, labeling, nu)
+    if darts is None:
+        raise ValueError(
+            f"face {partition_str(nu)} is not a quadrilateral away from the boundary"
+        )
     corners = [d[0] for d in darts]
-    if len(darts) != 4 or len(set(corners)) != 4:
-        raise ValueError(f"face {partition_str(nu)} is not a quadrilateral")
-    if any(H.color[v] == BOUNDARY for v in corners):
-        raise ValueError(f"face {partition_str(nu)} touches the boundary")
 
     neighbor_faces = tuple(
         labeling.partition_of_face[labeling.faces.of_dart[(v, u)]] for (u, v) in darts
@@ -908,32 +919,18 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         )
     (nu2,) = gained
 
-    checked = False
     if rng is None:
         rng = random.Random(0x5EED)
     a, b, c, d = neighbor_faces
     _check_exchange(G.shape, nu, nu2, (a, c), (b, d), rng)
-    checked = True
 
-    return SquareMoveResult(moved, nu, nu2, neighbor_faces, checked)
+    return SquareMoveResult(moved, nu, nu2, neighbor_faces)
 
 
-def movable_faces(G: PlabicGraph, labeling: Optional[FaceLabeling] = None) -> list[Partition]:
+def movable_faces(G: PlabicGraph) -> list[Partition]:
     """Mutable face labels where the square move applies, decided on the
     contracted graph (quadrilateral faces away from the boundary)."""
     H = contract(G)
     labeling = face_labels(H)
-    out = []
-    for lam in labeling.mutable:
-        f = labeling.face_of_partition[lam]
-        darts = labeling.faces.darts_of[f]
-        corners = [d[0] for d in darts]
-        if len(darts) == 4 and len(set(corners)) == 4 and all(
-            H.color[v] != BOUNDARY for v in corners
-        ):
-            out.append(lam)
+    out = [lam for lam in labeling.mutable if _internal_square(H, labeling, lam) is not None]
     return sorted(out, key=label_sort_key)
-
-
-def graph_to_json_str(G: PlabicGraph) -> str:
-    return json.dumps(G.to_json(), indent=2, sort_keys=True)

@@ -20,9 +20,9 @@ from okbodies.census import (
     verify_core,
 )
 from okbodies.charts import NetworkChart
-from okbodies.cli import main
+from okbodies.cli import _resolve_class, main
 from okbodies.partitions import GridShape, label_sort_key, parse_partition
-from okbodies.plabic import build_rectangles, movable_faces, normalize, square_move
+from okbodies.plabic import build_rectangles, face_labels, movable_faces, normalize, square_move
 
 F = Fraction
 
@@ -117,9 +117,21 @@ def test_census_agrees_with_shuffled_walk(census35):
 
 def test_seed_does_not_change_classes():
     a = census(GridShape(2, 4), seed=1)
-    b = census(GridShape(2, 4), seed=2, check_exchange=False)
+    b = census(GridShape(2, 4), seed=2)
     assert [c.key for c in a.classes] == [c.key for c in b.classes]
     assert [c.vertices for c in a.classes] == [c.vertices for c in b.classes]
+
+
+def test_movable_faces_are_the_accepted_square_moves(census35):
+    for c in census35.classes:
+        accepted = []
+        for lam in face_labels(c.graph).labels:
+            try:
+                square_move(c.graph, lam)
+            except ValueError:
+                continue
+            accepted.append(lam)
+        assert sorted(accepted, key=label_sort_key) == movable_faces(c.graph)
 
 
 def test_move_graph_is_a_pentagon(census35):
@@ -231,6 +243,19 @@ def test_report_record_raises_on_unknown_key(census35):
         census35.record(((9, 9),))
 
 
+def test_report_record_after_json_roundtrip(census35):
+    back = CensusReport.from_json(census35.to_json())
+    for c in census35.classes:
+        assert back.record(c.key).key_str == c.key_str
+        assert back.record(c.key).vertices == c.vertices
+    with pytest.raises(KeyError):
+        back.record(((9, 9),))
+    # the lookup index stays out of equality, repr and the JSON
+    assert back == CensusReport.from_json(census35.to_json())
+    assert "_by_key" not in repr(back)
+    assert back.to_json() == census35.to_json()
+
+
 # -- serialization ----------------------------------------------------------
 
 def test_census_json_roundtrip(census35):
@@ -305,8 +330,21 @@ def test_cli_polytope_usage_errors(capsys):
     assert main(["polytope", "--k", "3", "--n", "5", "--rvec", "1/0,0,0,0,0"]) == 2
     assert main(["polytope", "--k", "3", "--n", "5", "--r", "x"]) == 2
     assert main(["polytope", "--k", "3", "--n", "5", "--class", "99"]) == 2
+    assert main(["polytope", "--k", "3", "--n", "5", "--class", "-1"]) == 2
     assert main(["polytope", "--k", "3", "--n", "5", "--class", "zzz"]) == 2
     capsys.readouterr()
+
+
+def test_cli_class_index_and_key_resolve_through_record(census35, capsys):
+    for t, c in enumerate(census35.classes):
+        assert _resolve_class(census35, str(t)) is census35.record(c.key)
+        assert _resolve_class(census35, c.key_str) is census35.record(c.key)
+    c = census35.classes[3]
+    assert main(["polytope", "--k", "3", "--n", "5", "--class", "3"]) == 0
+    by_index = capsys.readouterr().out
+    assert main(["polytope", "--k", "3", "--n", "5", "--class", c.key_str]) == 0
+    assert capsys.readouterr().out == by_index
+    assert len(json.loads(by_index)["vertices"]) == len(c.vertices)
 
 
 def test_cli_valuations_table(capsys):
@@ -352,6 +390,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "2 classes" in proc.stdout
+
+
+def test_library_does_not_import_the_cli():
+    code = (
+        "import importlib, pkgutil, sys, okbodies\n"
+        "for m in pkgutil.iter_modules(okbodies.__path__):\n"
+        "    if m.name not in ('cli', '__main__'):\n"
+        "        importlib.import_module('okbodies.' + m.name)\n"
+        "print('okbodies.census' in sys.modules, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.deep

@@ -14,7 +14,6 @@ from okbodies.laurent import LaurentPoly
 from okbodies.mirror import (
     SuperpotentialExpansion,
     as_vector,
-    boundary_target_set,
     frozen_boundary_labels,
     gamma_polytope,
     gamma_qpolytope,
@@ -30,7 +29,7 @@ from okbodies.mirror import (
     trop_system_to_json,
     trop_value,
 )
-from okbodies.partitions import GridShape, all_partitions, frozen_mu
+from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
 from okbodies.polyhedra import (
     canonical_hrep,
@@ -93,12 +92,13 @@ def test_term_count_formula():
 
 
 def test_boundary_target_sets_g35():
-    # the cyclic window of size n-k ending just past i
-    assert boundary_target_set(1, G35) == (2, 5)
-    assert boundary_target_set(2, G35) == (1, 3)
-    assert boundary_target_set(3, G35) == (2, 4)
-    assert boundary_target_set(4, G35) == (3, 5)
-    assert boundary_target_set(5, G35) == (1, 4)
+    # the cyclic window of size n-k ending just past i, as the Marsh-Scott
+    # expansion reads it
+    assert boundary_target_set(1, G35) == frozenset({2, 5})
+    assert boundary_target_set(2, G35) == frozenset({1, 3})
+    assert boundary_target_set(3, G35) == frozenset({2, 4})
+    assert boundary_target_set(4, G35) == frozenset({3, 5})
+    assert boundary_target_set(5, G35) == frozenset({1, 4})
 
 
 def test_marsh_scott_matching_counts_g35():

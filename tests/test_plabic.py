@@ -4,6 +4,7 @@ import pytest
 
 from okbodies.partitions import GridShape, all_partitions, frozen_mu
 from okbodies.plabic import (
+    BOUNDARY,
     PlabicGraph,
     build_rectangles,
     contract,
@@ -131,7 +132,7 @@ def test_square_moves_frozen_labels(rec35):
     G = normalize(rec35)
     assert movable_faces(G) == [(1,), (2,)]
     res1 = square_move(G, (1,), rng)
-    assert res1.new_label == (2, 1) and res1.exchange_checked
+    assert res1.new_label == (2, 1)
     res2 = square_move(G, (2,), rng)
     assert res2.new_label == (3, 2)
     back = square_move(res1.graph, (2, 1), rng)
@@ -144,6 +145,27 @@ def test_square_move_refuses_frozen_and_missing(rec35):
         square_move(rec35, (3, 3))
     with pytest.raises(ValueError):
         square_move(rec35, (9, 9, 9))
+
+
+def test_square_move_refuses_boundary_faces_and_hexagons(rec36):
+    G = normalize(rec36)
+    H = contract(G)
+    lab = face_labels(H)
+    touching = {
+        lab.partition_of_face[f]
+        for f, darts in enumerate(lab.faces.darts_of)
+        if any(H.color[d[0]] == BOUNDARY for d in darts)
+    }
+    # the faces at the boundary are the frozen ones
+    assert touching == set(lab.frozen)
+    for lam in touching:
+        with pytest.raises(ValueError, match="frozen"):
+            square_move(G, lam)
+    # (2,2) is the central hexagon of the 3x3 rectangles graph
+    assert len(lab.faces.darts_of[lab.face_of_partition[(2, 2)]]) == 6
+    assert (2, 2) in lab.mutable and (2, 2) not in movable_faces(G)
+    with pytest.raises(ValueError, match="not a quadrilateral"):
+        square_move(G, (2, 2))
 
 
 def test_label_sets_are_class_invariants_under_flips(rec36):
