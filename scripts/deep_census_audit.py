@@ -24,7 +24,6 @@ import time
 from fractions import Fraction
 
 from okbodies.census import CensusReport
-from okbodies.charts import NetworkChart
 from okbodies.mirror import gamma_polytope, gamma_system, marsh_scott_expansion, standard_r_vec
 from okbodies.partitions import cyclic_shift, label_sort_key
 
@@ -219,8 +218,7 @@ def main(argv=None) -> int:
         t0 = time.time()
         bad = 0
         for t, c in enumerate(report.classes):
-            chart = NetworkChart.of(c.graph)
-            H = gamma_polytope(gamma_system(marsh_scott_expansion(chart), standard_r_vec(shape, 1)))
+            H = gamma_polytope(gamma_system(marsh_scott_expansion(c.chart), standard_r_vec(shape, 1)))
             swept = half_integral_vertices(H.ineqs, H.dim)
             if swept != sorted(c.nonintegral_vertices):
                 bad += 1

@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from okbodies.census import census, degree_r_valuation_scan, plucker_binomial_valuation
-from okbodies.charts import NetworkChart
 from okbodies.partitions import GridShape, partition_str
 from okbodies.polyhedra import frac_str
 
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
         f"{len(bad)} with a fractional vertex"
     )
     for c in bad:
-        chart = NetworkChart.of(c.graph)
+        chart = c.chart
         print(f"\nclass {c.key_str}")
         print("  coords  :", "  ".join(partition_str(p) for p in chart.labels))
         for w in c.nonintegral_vertices:

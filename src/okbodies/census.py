@@ -103,6 +103,12 @@ class ClassRecord:
     nonintegral_vertices: tuple
     polytope: Optional[QPolytope] = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def chart(self) -> Optional[NetworkChart]:
+        """The network chart of ``graph``, built on first use and kept out of
+        the JSON; None for the degenerate closed-form record."""
+        return None if self.graph is None else NetworkChart.of(self.graph)
+
     @property
     def key_str(self) -> str:
         return "|".join(partition_str(p) for p in self.key)
@@ -301,22 +307,19 @@ class ScanResult:
         return self.lattice - self.points
 
 
-def degree_r_valuation_scan(
-    chart: NetworkChart, r: int, polytope: Optional[QPolytope] = None
-) -> ScanResult:
+def degree_r_valuation_scan(chart: NetworkChart, r: int, polytope: Optional[QPolytope] = None) -> ScanResult:
     """Valuations of all degree-r monomials in the homogeneous coordinates,
     normalized by the top one, against the lattice of the r-th dilation.
 
     Valuations add across products (strongly minimal terms multiply), so
     the scan is a Minkowski sum of r copies of the degree-one valuation
-    set.
+    set.  Without ``polytope`` (JSON records carry none) it is rebuilt.
     """
-    shape = chart.shape
     if polytope is None:
-        polytope = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(shape, 1))
+        polytope = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(chart.shape, 1))
     vals = [
         tuple(int(x) for x in as_vector(val_min(chart, lam), chart.labels))
-        for lam in all_partitions(shape)
+        for lam in all_partitions(chart.shape)
     ]
     points = set()
     for combo in combinations_with_replacement(vals, r):
@@ -413,7 +416,8 @@ def verify_core(
     else:
         _check(checks, "census-counts", True, f"{report.class_count} classes (no pin)")
 
-    chart0 = NetworkChart.of(normalize(build_rectangles(shape))) if shape.n >= 3 else None
+    root = next(c for c in report.classes if c.parent is None)
+    chart0 = root.chart
     if chart0 is not None:
         closed_ok = all(
             val_min(chart0, lam) == maxdiag_valuation(lam, shape, chart0.labels)
@@ -440,10 +444,9 @@ def verify_core(
     scan_ok = True
     scan_detail = ""
     for c in report.classes:
-        if c.graph is None:
+        if c.chart is None:
             continue
-        chart = NetworkChart.of(c.graph)
-        scan = degree_r_valuation_scan(chart, 1, c.polytope)
+        scan = degree_r_valuation_scan(c.chart, 1, c.polytope)
         if not (scan.contained and not scan.missing and len(scan.points) == binom):
             scan_ok = False
             scan_detail = f"class {c.key_str}"
@@ -454,15 +457,14 @@ def verify_core(
         probe_hits = 0
         single_ok = True
         for c in report.classes:
-            if c.integral or c.graph is None:
+            if c.integral or c.chart is None:
                 continue
             if len(c.nonintegral_vertices) != 1:
                 single_ok = False
                 continue
             w = c.nonintegral_vertices[0]
             doubled = tuple(int(2 * x) for x in w)
-            chart = NetworkChart.of(c.graph)
-            scan = degree_r_valuation_scan(chart, 2, c.polytope)
+            scan = degree_r_valuation_scan(c.chart, 2, c.polytope)
             if scan.missing == {doubled}:
                 probe_hits += 1
         _check(
@@ -479,11 +481,10 @@ def verify_core(
         )
 
     if suite == "full":
-        transport_ok, transport_detail = _check_transport(shape, report, seed)
+        transport_ok, transport_detail = _check_transport(shape, report)
         _check(checks, "move-transport", transport_ok, transport_detail)
         if chart0 is not None:
-            rec = report.record(class_key(chart0.labels))
-            scan2 = degree_r_valuation_scan(chart0, 2, rec.polytope)
+            scan2 = degree_r_valuation_scan(chart0, 2, root.polytope)
             _check(
                 checks,
                 "rectangles-degree-two-scan-is-onto",
@@ -499,21 +500,17 @@ def verify_core(
     return VerifyReport(shape, suite, checks, time.time() - t0)
 
 
-def _check_transport(
-    shape: GridShape, report: CensusReport, seed: int
-) -> tuple[bool, str]:
+def _check_transport(shape: GridShape, report: CensusReport) -> tuple[bool, str]:
     """Replay every BFS tree edge and push valuations and lattice points
     through the piecewise-linear mutation."""
     if shape.n < 3:
         return True, "no moves"
-    rng = random.Random(seed)
     for c in report.classes:
         if c.parent is None:
             continue
         parent = report.record(c.parent)
         nu, new_label = c.path[-1]
-        chartA = NetworkChart.of(parent.graph)
-        chartB = NetworkChart.of(c.graph)
+        chartA, chartB = parent.chart, c.chart
         quiver = quiver_of(parent.graph)
         coordsA = tuple(chartA.labels)
         for variant, fn in (("min", val_min), ("max", val_max)):

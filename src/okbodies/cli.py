@@ -1,13 +1,15 @@
 """Command line interface: ``okbodies census|polytope|valuations|verify``.
 
-Exit status 0 means success, 1 that a verify check failed, and 2 that the
-request was refused (size guard, unknown class, malformed weight).
+Exit status 0 means success, 1 that a verify check failed, 2 that the
+request was refused (size guard, unknown class, malformed weight), and 141
+that standard output was closed early (``| head``), as after SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,7 +40,7 @@ from .partitions import (
     parse_partition,
     partition_str,
 )
-from .plabic import PlabicGraph, build_rectangles, normalize
+from .plabic import build_rectangles, normalize
 from .polyhedra import gamma_coords, lattice_points, qpolytope
 
 
@@ -72,6 +74,11 @@ def _cmd_census(args) -> int:
     except CensusGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
+    # the JSON goes to disk before the listing, so a reader that closes the
+    # pipe early (``| head``) cannot cost the run its output file
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report.to_json(), fh, indent=1)
     print(
         f"shape ({shape.k},{shape.n}): {report.class_count} classes, "
         f"{report.integral_count} integral, {report.nonintegral_count} non-integral "
@@ -81,32 +88,30 @@ def _cmd_census(args) -> int:
         flag = "integral" if c.integral else "NON-INTEGRAL"
         print(f"  [{t:3d}] {c.key_str}  vertices={len(c.vertices)}  {flag}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=1)
         print(f"wrote {args.out}")
     return 0
 
 
-def _class_graph(shape: GridShape, cls: str, deep: bool, seed: int) -> Optional[PlabicGraph]:
-    """Representative graph for a class name; None means the degenerate
+def _class_chart(shape: GridShape, cls: str, deep: bool, seed: int) -> Optional[NetworkChart]:
+    """Network chart of the class named ``cls``; None means the degenerate
     closed-form chart.  The rectangles class skips the census."""
     if shape.n < 3:
         return None
     if cls in ("rec", "rectangles"):
-        return normalize(build_rectangles(shape))
+        return NetworkChart.of(normalize(build_rectangles(shape)))
     report = census(shape, deep=deep, seed=seed)
-    return _resolve_class(report, cls).graph
+    return _resolve_class(report, cls).chart
 
 
 def _cmd_polytope(args) -> int:
     shape = GridShape(k=args.k, n=args.n)
     try:
-        G = _class_graph(shape, args.cls, args.deep, args.seed)
+        chart = _class_chart(shape, args.cls, args.deep, args.seed)
     except (CensusGuardError, KeyError, IndexError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    if G is not None:
-        expansion = marsh_scott_expansion(NetworkChart.of(G))
+    if chart is not None:
+        expansion = marsh_scott_expansion(chart)
     else:
         expansion = rectangles_superpotential(shape)
     if args.rvec:
@@ -142,17 +147,16 @@ def _cmd_polytope(args) -> int:
 def _cmd_valuations(args) -> int:
     shape = GridShape(k=args.k, n=args.n)
     try:
-        G = _class_graph(shape, args.cls, args.deep, args.seed)
+        chart = _class_chart(shape, args.cls, args.deep, args.seed)
     except (CensusGuardError, KeyError, IndexError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    if G is None:
+    if chart is None:
         labels = gamma_coords(shape)
         rows = {
             lam: maxdiag_valuation(lam, shape, labels) for lam in all_partitions(shape)
         }
     else:
-        chart = NetworkChart.of(G)
         labels = tuple(chart.labels)
         rows = valuation_table(chart, "max" if args.use_max else "min")
     print(_valuation_text(labels, rows))
@@ -231,7 +235,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
     except ValueError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # cannot raise again (the recipe in the docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status

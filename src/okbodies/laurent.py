@@ -124,9 +124,6 @@ class LaurentPoly:
     def coeff(self, exps: Iterable[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)})"
 

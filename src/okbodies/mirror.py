@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
 from .laurent import LaurentPoly
@@ -300,7 +300,7 @@ def trop_mutate_point(
     v: Sequence[Fraction],
     quiver: Quiver,
     nu: Partition,
-    coords: Optional[tuple[Partition, ...]] = None,
+    coords: tuple[Partition, ...],
     variant: str = "min",
 ) -> Vec:
     """Piecewise-linear mutation of a valuation vector at a mutable label.
@@ -308,7 +308,6 @@ def trop_mutate_point(
     The slot of ``nu`` afterwards carries the coordinate of the label
     created by the corresponding square move; all other slots are fixed.
     """
-    coords = coords or tuple(lab for lab in quiver.labels if lab)
     into, out = _arrow_sums(quiver, nu, coords)
     s_in = sum(m * Fraction(x) for m, x in zip(into, v))
     s_out = sum(m * Fraction(x) for m, x in zip(out, v))

@@ -413,12 +413,6 @@ class Quiver:
     def entry(self, x: Partition, y: Partition) -> int:
         return self.b.get(x, {}).get(y, 0)
 
-    def arrows_out(self, x: Partition) -> list[tuple[Partition, int]]:
-        return [(y, m) for y, m in sorted(self.b.get(x, {}).items(), key=lambda t: label_sort_key(t[0])) if m > 0]
-
-    def arrows_in(self, x: Partition) -> list[tuple[Partition, int]]:
-        return [(y, -m) for y, m in sorted(self.b.get(x, {}).items(), key=lambda t: label_sort_key(t[0])) if m < 0]
-
     def _set(self, x, y, val):
         if val:
             self.b.setdefault(x, {})[y] = val

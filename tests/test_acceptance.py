@@ -129,7 +129,7 @@ def test_census_g36_counts_and_fractional_vertex():
     assert (rep.class_count, rep.integral_count, rep.nonintegral_count) == (34, 32, 2)
     g1 = next(c for c in rep.classes if c.key_str == G1_KEY)
     (w,) = g1.nonintegral_vertices
-    chart = NetworkChart.of(g1.graph)
+    chart = g1.chart
     assert set(G1_ORDER) == set(chart.labels)
     by_label = dict(zip(chart.labels, w))
     assert tuple(by_label[mu] for mu in G1_ORDER) == G1_VERTEX
@@ -146,7 +146,7 @@ def test_lattice_counts_match_pattern_counts(shaped_census):
     for c in rep.classes:
         for r in (1, 2, 3):
             assert len(lattice_points(c.polytope, r)) == expected[r], (c.key_str, r)
-        chart = NetworkChart.of(c.graph)
+        chart = c.chart
         vals = {
             tuple(int(x) for x in as_vector(maxdiag_valuation(lam, shape, chart.labels), chart.labels))
             for lam in all_partitions(shape)
@@ -166,7 +166,7 @@ def test_valuation_closed_forms_on_every_chart(shaped_census):
     chart by chart."""
     shape, rep = shaped_census
     for c in rep.classes:
-        chart = NetworkChart.of(c.graph)
+        chart = c.chart
         for lam in all_partitions(shape):
             assert val_min(chart, lam) == maxdiag_valuation(lam, shape, chart.labels)
             assert val_max(chart, lam) == highest_valuation(lam, shape, chart.labels)
@@ -198,7 +198,7 @@ def test_matching_polytope_equals_transported_polytope(k, n):
 
 def test_square_moves_transport_valuations_and_lattice():
     rep = small_census(3, 6)
-    ok, detail = _check_transport(GridShape(3, 6), rep, rep.seed)
+    ok, detail = _check_transport(GridShape(3, 6), rep)
     assert ok, detail
 
 
@@ -264,7 +264,7 @@ def test_twist_diagram_closes_over_a_large_prime_field():
 def test_binomial_valuation_halves_to_the_fractional_vertex():
     rep = small_census(3, 6)
     g1 = next(c for c in rep.classes if c.key_str == G1_KEY)
-    chart = NetworkChart.of(g1.graph)
+    chart = g1.chart
     v = plucker_binomial_valuation(
         chart,
         positive=((3, 3, 2), (1,)),

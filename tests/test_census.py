@@ -2,6 +2,7 @@
 the small shapes and the two fractional classes of the 3x3 grid."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -198,7 +199,7 @@ def test_fractional_classes_g36(census36):
 
 def test_degree_one_scan_is_onto_g35(census35):
     for c in census35.classes:
-        scan = degree_r_valuation_scan(NetworkChart.of(c.graph), 1, c.polytope)
+        scan = degree_r_valuation_scan(c.chart, 1, c.polytope)
         assert scan.contained and not scan.missing
         assert len(scan.points) == 10
 
@@ -206,7 +207,7 @@ def test_degree_one_scan_is_onto_g35(census35):
 def test_degree_two_scan_misses_the_doubled_vertex(census36):
     for key, vertex in ((G1_KEY, G1_VERTEX), (G2_KEY, G2_VERTEX)):
         c = census36.record(parse_key(key))
-        scan = degree_r_valuation_scan(NetworkChart.of(c.graph), 2, c.polytope)
+        scan = degree_r_valuation_scan(c.chart, 2, c.polytope)
         assert scan.missing == {tuple(int(2 * x) for x in vertex)}
 
 
@@ -215,8 +216,7 @@ def test_binomial_valuation_halves_to_the_fractional_vertex(census36):
     # its lowest term sees the vertex that no monomial in the homogeneous
     # coordinates can reach
     c = census36.record(parse_key(G1_KEY))
-    chart = NetworkChart.of(c.graph)
-    val = plucker_binomial_valuation(chart, ((3, 3, 2), (1,)), ((3, 3, 3), ()))
+    val = plucker_binomial_valuation(c.chart, ((3, 3, 2), (1,)), ((3, 3, 3), ()))
     assert val == (1, 1, 1, 1, 1, 2, 2, 3, 3)
     assert tuple(F(x, 2) for x in val) == G1_VERTEX
 
@@ -236,6 +236,37 @@ def test_verify_core_g36(census36):
     assert rep.ok, rep.render()
     names = [c.name for c in rep.checks]
     assert "degree-two-scan-misses-only-the-doubled-vertex" in names
+
+
+def test_verify_builds_one_chart_per_class(monkeypatch):
+    # verify reads every chart off its census record; only the records'
+    # own first use builds one
+    rep = census(GridShape(3, 5))
+    real = NetworkChart.of
+    built = []
+
+    def counting(G):
+        built.append(G)
+        return real(G)
+
+    monkeypatch.setattr(NetworkChart, "of", staticmethod(counting))
+    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+    assert len(built) == rep.class_count == 5
+
+
+def test_verify_core_on_a_report_read_back_from_json(census35):
+    # records read back from JSON carry no polytope; the scans rebuild it
+    rep = CensusReport.from_json(census35.to_json())
+    assert all(c.polytope is None for c in rep.classes)
+    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+
+
+def test_record_chart_is_cached_and_matches_its_key(census35):
+    for rep in (census35, CensusReport.from_json(census35.to_json())):
+        for rec in rep.classes:
+            assert rec.chart is rec.chart
+            assert class_key(rec.chart.labels) == rec.key
+    assert census(GridShape(1, 2)).classes[0].chart is None
 
 
 def test_report_record_raises_on_unknown_key(census35):
@@ -390,6 +421,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "2 classes" in proc.stdout
+
+
+def test_cli_closed_stdout_keeps_the_json_and_exits_141(tmp_path):
+    # the child starts on a pipe whose reader is already gone, so its
+    # first line breaks the pipe; the JSON is written all the same
+    out = tmp_path / "census.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "okbodies", "census", "--k", "3", "--n", "5", "--out", str(out)],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert "Traceback" not in err
+    assert CensusReport.from_json(json.loads(out.read_text())).class_count == 5
 
 
 def test_library_does_not_import_the_cli():

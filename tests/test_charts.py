@@ -32,7 +32,6 @@ from okbodies.partitions import (
     all_partitions,
     frozen_mu,
     max_diag,
-    partition_to_south_steps,
     south_steps_to_partition,
 )
 from okbodies.plabic import build_rectangles, normalize, quiver_of, square_move

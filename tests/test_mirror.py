@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from okbodies.charts import NetworkChart, maxdiag_valuation, valuation_table
 from okbodies.laurent import LaurentPoly
 from okbodies.mirror import (
-    SuperpotentialExpansion,
     as_vector,
     frozen_boundary_labels,
     gamma_polytope,
@@ -32,9 +31,7 @@ from okbodies.mirror import (
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
 from okbodies.polyhedra import (
-    canonical_hrep,
     lattice_points,
-    qpolytope,
     same_hrep,
     same_vertex_set,
     volume,

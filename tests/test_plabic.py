@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from okbodies.partitions import GridShape, all_partitions, frozen_mu
+from okbodies.partitions import GridShape, frozen_mu
 from okbodies.plabic import (
     BOUNDARY,
     PlabicGraph,

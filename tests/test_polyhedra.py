@@ -14,7 +14,6 @@ import oracles
 from okbodies.partitions import GridShape
 from okbodies.polyhedra import (
     HPolytope,
-    QPolytope,
     UnboundedError,
     affine_rank,
     canonical_hrep,
@@ -27,7 +26,6 @@ from okbodies.polyhedra import (
     gt_patterns,
     gt_polytope,
     gt_transform_matrices,
-    gt_transform_polytope,
     hull_of_points,
     idp_r,
     lattice_points,
