@@ -307,16 +307,15 @@ class ScanResult:
         return self.lattice - self.points
 
 
-def degree_r_valuation_scan(chart: NetworkChart, r: int, polytope: Optional[QPolytope] = None) -> ScanResult:
+def degree_r_valuation_scan(chart: NetworkChart, r: int, polytope: QPolytope) -> ScanResult:
     """Valuations of all degree-r monomials in the homogeneous coordinates,
-    normalized by the top one, against the lattice of the r-th dilation.
+    normalized by the top one, against the lattice of the r-th dilation of
+    the chart's degree-one ``polytope``.
 
     Valuations add across products (strongly minimal terms multiply), so
     the scan is a Minkowski sum of r copies of the degree-one valuation
-    set.  Without ``polytope`` (JSON records carry none) it is rebuilt.
+    set.
     """
-    if polytope is None:
-        polytope = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(chart.shape, 1))
     vals = [
         tuple(int(x) for x in as_vector(val_min(chart, lam), chart.labels))
         for lam in all_partitions(chart.shape)
@@ -385,6 +384,14 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _record_polytope(c: ClassRecord) -> QPolytope:
+    """The record's degree-one polytope.  A record read back from JSON
+    carries none; it is then built from the record's chart and stored."""
+    if c.polytope is None:
+        c.polytope = gamma_qpolytope(marsh_scott_expansion(c.chart), standard_r_vec(c.chart.shape, 1))
+    return c.polytope
+
+
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
     checks.append(CheckResult(name, bool(ok), detail))
 
@@ -446,7 +453,7 @@ def verify_core(
     for c in report.classes:
         if c.chart is None:
             continue
-        scan = degree_r_valuation_scan(c.chart, 1, c.polytope)
+        scan = degree_r_valuation_scan(c.chart, 1, _record_polytope(c))
         if not (scan.contained and not scan.missing and len(scan.points) == binom):
             scan_ok = False
             scan_detail = f"class {c.key_str}"
@@ -464,7 +471,7 @@ def verify_core(
                 continue
             w = c.nonintegral_vertices[0]
             doubled = tuple(int(2 * x) for x in w)
-            scan = degree_r_valuation_scan(c.chart, 2, c.polytope)
+            scan = degree_r_valuation_scan(c.chart, 2, _record_polytope(c))
             if scan.missing == {doubled}:
                 probe_hits += 1
         _check(
@@ -484,17 +491,13 @@ def verify_core(
         transport_ok, transport_detail = _check_transport(shape, report)
         _check(checks, "move-transport", transport_ok, transport_detail)
         if chart0 is not None:
-            scan2 = degree_r_valuation_scan(chart0, 2, root.polytope)
+            scan2 = degree_r_valuation_scan(chart0, 2, _record_polytope(root))
             _check(
                 checks,
                 "rectangles-degree-two-scan-is-onto",
                 scan2.contained and not scan2.missing,
             )
-            vol_ok = all(
-                volume(c.polytope) == volume_formula(shape)
-                for c in report.classes
-                if c.polytope is not None
-            )
+            vol_ok = all(volume(_record_polytope(c)) == volume_formula(shape) for c in report.classes)
             _check(checks, "volume-formula-per-class", vol_ok)
 
     return VerifyReport(shape, suite, checks, time.time() - t0)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .laurent import LaurentPoly
@@ -36,10 +37,15 @@ from .plabic import (
     FaceLabeling,
     Orientation,
     PlabicGraph,
+    build_rectangles,
     face_labels,
+    normalize,
     perfect_orientation,
+    pluecker_mod_p,
+    quiver_of,
     region_left,
 )
+from .polyhedra import rank_det
 
 
 @dataclass
@@ -103,7 +109,7 @@ class NetworkChart:
 
     def path_weight_exponents(self, darts: Sequence[tuple[int, int]]) -> tuple[int, ...]:
         """Exponent vector of the path weight over ``labels``."""
-        region = region_left(self.graph, darts, self.labeling.faces)
+        region = region_left(darts, self.labeling.faces)
         exps = [0] * len(self.labels)
         for f in region:
             lam = self.labeling.partition_of_face[f]
@@ -395,42 +401,36 @@ def left_twist(A: Sequence[Sequence], p: Optional[int] = None) -> list[list]:
 
     Column i of the result pairs to 1 with column i of A and to 0 with the
     n-k-1 columns cyclically preceding it.  Entries are Fractions unless a
-    prime p is given, in which case everything happens in F_p.  Raises
-    ZeroDivisionError when a cyclic window of A is singular, which means A
-    is outside the open cell.
+    prime p is given, in which case everything happens in F_p.  Each
+    column solves its window by Cramer's rule on exact integer
+    determinants.  Raises ZeroDivisionError when a cyclic window of A is
+    singular, which means A is outside the open cell.
     """
     d = len(A)
     n = len(A[0])
     out_cols: list[list] = []
     for i in range(n):
-        window = [(i - t) % n for t in range(d)]
-        rows = [[A[r][c] for r in range(d)] for c in window]
-        rhs = [1] + [0] * (d - 1)
-        out_cols.append(_solve_linear(rows, rhs, p))
-    return [[out_cols[c][r] for c in range(n)] for r in range(d)]
-
-
-def _solve_linear(M: list[list], rhs: list, p: Optional[int]):
-    d = len(M)
-    if p is None:
-        mat = [[Fraction(x) for x in row] + [Fraction(rhs[r])] for r, row in enumerate(M)]
-    else:
-        mat = [[x % p for x in row] + [rhs[r] % p] for r, row in enumerate(M)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if mat[r][c]), None)
-        if piv is None:
+        rows = [[A[r][c] for r in range(d)] for c in ((i - t) % n for t in range(d))]
+        if p is None:
+            L = lcm(*(Fraction(x).denominator for row in rows for x in row))
+            M = [[int(Fraction(x) * L) for x in row] for row in rows]
+        else:
+            L = 1
+            M = [[x % p for x in row] for row in rows]
+        det = rank_det(M)[1]
+        if (det % p if p else det) == 0:
             raise ZeroDivisionError("singular window; the point is not in the open cell")
-        mat[c], mat[piv] = mat[piv], mat[c]
-        inv = pow(mat[c][c], p - 2, p) if p else 1 / mat[c][c]
-        mat[c] = [x * inv % p if p else x * inv for x in mat[c]]
-        for r in range(d):
-            if r != c and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [
-                    (x - f * y) % p if p else x - f * y
-                    for x, y in zip(mat[r], mat[c])
-                ]
-    return [mat[r][d] for r in range(d)]
+        # Cramer's rule for M x = L e_1, which has the window's solution
+        minors = [
+            rank_det([row[:r] + [L if t == 0 else 0] + row[r + 1:] for t, row in enumerate(M)])[1]
+            for r in range(d)
+        ]
+        if p is None:
+            out_cols.append([Fraction(x, det) for x in minors])
+        else:
+            inv = pow(det, -1, p)
+            out_cols.append([x * inv % p for x in minors])
+    return [[out_cols[c][r] for c in range(n)] for r in range(d)]
 
 
 # Frozen-by-frozen adjustment M for the k=3, n=5 rectangles seed, so that
@@ -488,8 +488,6 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
     resulting Pluecker vectors must agree projectively.  Raises on any
     mismatch; sampling outside the open cell just resamples.
     """
-    from .plabic import build_rectangles, normalize, quiver_of
-
     shape = GridShape(3, 5)
     G = normalize(build_rectangles(shape))
     chart = NetworkChart.of(G)
@@ -538,13 +536,7 @@ def _monomial_eval(P: dict[Partition, int], row: dict[Partition, int], p: int) -
 
 def pluecker_vector_mod_p(A: Sequence[Sequence[int]], shape: GridShape, p: int) -> dict[Partition, int]:
     """All Pluecker coordinates of a mod-p matrix, keyed by partitions."""
-    from .plabic import _pluecker_mod_p
-
-    out = {}
-    for lam in all_partitions(shape):
-        cols = sorted(j - 1 for j in partition_to_south_steps(lam, shape))
-        out[lam] = _pluecker_mod_p([list(r) for r in A], cols, p)
-    return out
+    return {lam: pluecker_mod_p(A, lam, shape, p) for lam in all_partitions(shape)}
 
 
 def random_open_cell_point(shape: GridShape, p: int, rng) -> list[list[int]]:

@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .partitions import (
     GridShape,
     Partition,
     label_sort_key,
     partition_str,
+    partition_to_south_steps,
     south_steps_to_partition,
 )
+from .polyhedra import rank_det
 
 BLACK = "black"
 WHITE = "white"
@@ -130,7 +132,7 @@ class PlabicGraph:
     def __hash__(self):
         return hash(self.canonical_form())
 
-    def to_json(self, with_labels: bool = True) -> dict:
+    def to_json(self) -> dict:
         doc = {
             "schema": "okbodies.plabic/1",
             "k": self.shape.k,
@@ -145,14 +147,11 @@ class PlabicGraph:
                 for v in self.vertices()
             ],
         }
-        if with_labels:
-            labeling = face_labels(self)
-            doc["face_labels"] = {
-                partition_str(lam): sorted(
-                    {d[0] for d in labeling.faces.darts_of[fi]}
-                )
-                for lam, fi in labeling.face_of_partition.items()
-            }
+        labeling = face_labels(self)
+        doc["face_labels"] = {
+            partition_str(lam): sorted({d[0] for d in labeling.faces.darts_of[fi]})
+            for lam, fi in labeling.face_of_partition.items()
+        }
         return doc
 
     @classmethod
@@ -301,15 +300,13 @@ def faces_of(G: PlabicGraph) -> Faces:
     return Faces(orbits, of_dart, frozenset(boundary), arc_face, adj)
 
 
-def region_left(G: PlabicGraph, darts: Iterable[Dart], faces: Optional[Faces] = None) -> frozenset[int]:
+def region_left(darts: Iterable[Dart], faces: Faces) -> frozenset[int]:
     """Faces to the left of a boundary-to-boundary walk.
 
     The walk's own edges act as walls; the region is the union of the faces
     seeded by the walk's darts, flooded across all non-wall edges.  The rim
     is an implicit wall because face adjacency only crosses real edges.
     """
-    if faces is None:
-        faces = faces_of(G)
     darts = list(darts)
     walls = {frozenset(d) for d in darts}
     frontier = {faces.of_dart[d] for d in darts}
@@ -376,7 +373,7 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
     faces = faces_of(G)
     members: list[set[int]] = [set() for _ in range(len(faces))]
     for i in range(1, shape.n + 1):
-        for f in region_left(G, trip(G, i), faces):
+        for f in region_left(trip(G, i), faces):
             members[f].add(i)
 
     subsets = [frozenset(m) for m in members]
@@ -722,9 +719,8 @@ def _face_edge_cycle(G: PlabicGraph, faces: Faces, f: int) -> Optional[list[Dart
     return list(darts)
 
 
-def matching_lattice(G: PlabicGraph, J: Iterable[int], labeling: Optional[FaceLabeling] = None) -> MatchingLattice:
-    if labeling is None:
-        labeling = face_labels(G)
+def matching_lattice(G: PlabicGraph, J: Iterable[int]) -> MatchingLattice:
+    labeling = face_labels(G)
     faces = labeling.faces
     ms = matchings_with_boundary(G, J)
     index = {m: m for m in ms}
@@ -778,39 +774,21 @@ class SquareMoveResult:
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 
 
-def _pluecker_mod_p(matrix: list[list[int]], cols: list[int], p: int) -> int:
-    rows = len(matrix)
-    sub = [[matrix[r][c] % p for c in cols] for r in range(rows)]
-    det = 1
-    for c in range(rows):
-        piv = next((r for r in range(c, rows) if sub[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            sub[c], sub[piv] = sub[piv], sub[c]
-            det = -det
-        det = det * sub[c][c] % p
-        inv = pow(sub[c][c], p - 2, p)
-        for r in range(c + 1, rows):
-            f = sub[r][c] * inv % p
-            for cc in range(c, rows):
-                sub[r][cc] = (sub[r][cc] - f * sub[c][cc]) % p
-    return det % p
+def pluecker_mod_p(A: Sequence[Sequence[int]], lam: Partition, shape: GridShape, p: int) -> int:
+    """The Pluecker coordinate p_lam of the (n-k) x n matrix ``A`` over F_p:
+    the exact integer minor of ``A`` reduced mod p on the columns of lam's
+    south steps, reduced mod p."""
+    cols = sorted(j - 1 for j in partition_to_south_steps(lam, shape))
+    return rank_det([[row[c] % p for c in cols] for row in A])[1] % p
 
 
 def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random) -> None:
     """Verify p_nu p_nu' = p_a p_c + p_b p_d at random points of the
     Grassmannian over a large prime field."""
-    from .partitions import partition_to_south_steps
-
     p = _SQUARE_PRIME
-    cols = {
-        lam: sorted(j - 1 for j in partition_to_south_steps(lam, shape))
-        for lam in (nu, nu2, *diag1, *diag2)
-    }
     for _ in range(3):
         mat = [[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)]
-        vals = {lam: _pluecker_mod_p(mat, c, p) for lam, c in cols.items()}
+        vals = {lam: pluecker_mod_p(mat, lam, shape, p) for lam in (nu, nu2, *diag1, *diag2)}
         lhs = vals[nu] * vals[nu2] % p
         rhs = (vals[diag1[0]] * vals[diag1[1]] + vals[diag2[0]] * vals[diag2[1]]) % p
         if lhs != rhs:

@@ -5,7 +5,9 @@ Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
 and emptiness and unboundedness are read off them exactly.
 Volumes come from a pulling triangulation of the tight-set face lattice,
-lattice points from a pruned box sweep.  The Gelfand-Tsetlin polytope, its
+lattice points from a pruned box sweep.  Ranks and determinants, here and
+in the rest of the package, come from one fraction-free integer
+elimination, ``rank_det`` (Bareiss).  The Gelfand-Tsetlin polytope, its
 pattern-counting oracle and the unimodular change of variables that
 relates it to the rectangles-cluster polytope live here too.
 """
@@ -16,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -141,19 +143,20 @@ def parse_frac(s: str) -> Fraction:
 # vertex enumeration
 # ---------------------------------------------------------------------------
 
+def _primitive(xs: Iterable[Fraction]) -> list[int]:
+    """The primitive integer vector on the ray through ``xs``; zeros stay
+    zeros."""
+    xs = list(xs)
+    denom = lcm(*(x.denominator for x in xs))
+    ints = [int(x * denom) for x in xs]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
     rows = []
     for a, b in ineqs:
-        terms = list(a) + [b]
-        denom = 1
-        for x in terms:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in terms]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
+        ints = _primitive([*a, b])
         rows.append((tuple(ints[:-1]), ints[-1]))
     return rows
 
@@ -252,47 +255,37 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     if not points:
         return -1
     p0 = points[0]
-    mat = [[Fraction(x) - Fraction(y) for x, y in zip(p, p0)] for p in points[1:]]
-    return _rank(mat)
+    return rank_det([_primitive(Fraction(x) - Fraction(y) for x, y in zip(p, p0)) for p in points[1:]])[0]
 
 
-def _rank(mat: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in mat]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
+    """Rank of an integer matrix and, when it is square, its determinant
+    (None otherwise).
+
+    Bareiss's fraction-free elimination (Bareiss 1968): after each pivot
+    every remaining entry is a minor of ``mat`` (rows permuted), so the
+    division by the previous pivot is exact and the integers stay as small
+    as the minors themselves.  A column with no pivot is skipped.
+    """
+    m = [list(row) for row in mat]
+    rank, sign, prev = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
         rank += 1
-    return rank
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    mat = [[Fraction(x) for x in row] for row in mat]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if mat[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c]:
-                f = mat[r][c] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return det
+    if any(len(row) != len(m) for row in m):
+        return rank, None
+    return rank, sign * prev if rank == len(m) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +353,29 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 def volume(P: QPolytope) -> Fraction:
-    """Exact Lebesgue volume; 0 (with a warning) for lower-dimensional P."""
-    verts = list(P.vertices)
+    """Exact Lebesgue volume; 0 (with a warning) for lower-dimensional P.
+
+    The vertices are scaled by the common denominator L of their
+    coordinates, so tight sets and the simplex determinants of the
+    triangulation are exact integer computations; the volume is their sum
+    over L**d * d!.
+    """
     d = P.hrep.dim
+    L = lcm(*(x.denominator for v in P.vertices for x in v))
+    verts = [[int(x * L) for x in v] for v in P.vertices]
     if len(verts) <= d or affine_rank(verts) < d:
         warnings.warn("polytope is not full-dimensional; volume is 0")
         return Fraction(0)
+    rows = _integer_rows(P.hrep.ineqs)
     tight = [
-        frozenset(i for i, q in enumerate(P.hrep.ineqs) if P.hrep.evaluate(q, v) == 0)
+        frozenset(i for i, (a, b) in enumerate(rows) if sum(map(mul, a, v)) + b * L == 0)
         for v in verts
     ]
 
     def faces_of(sub: frozenset) -> list[frozenset]:
         shared = frozenset.intersection(*(tight[t] for t in sub))
         groups = {}
-        for i in range(len(P.hrep.ineqs)):
+        for i in range(len(rows)):
             if i in shared:
                 continue
             g = frozenset(t for t in sub if i in tight[t])
@@ -399,14 +400,13 @@ def volume(P: QPolytope) -> Fraction:
                 out.append((v0,) + simplex)
         return tuple(out)
 
-    total = Fraction(0)
+    total = 0
     for simplex in triangulate(frozenset(range(len(verts)))):
         if len(simplex) != d + 1:
             raise AssertionError("triangulation produced a degenerate cell")
         p0 = verts[simplex[0]]
-        mat = [[verts[t][i] - p0[i] for i in range(d)] for t in simplex[1:]]
-        total += abs(_det(mat))
-    return total / factorial(d)
+        total += abs(rank_det([[x - y for x, y in zip(verts[t], p0)] for t in simplex[1:]])[1])
+    return Fraction(total, L**d * factorial(d))
 
 
 # ---------------------------------------------------------------------------

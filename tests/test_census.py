@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from okbodies import census as census_module
 from okbodies.census import (
     CensusGuardError,
     CensusReport,
@@ -24,6 +25,7 @@ from okbodies.charts import NetworkChart
 from okbodies.cli import _resolve_class, main
 from okbodies.partitions import GridShape, label_sort_key, parse_partition
 from okbodies.plabic import build_rectangles, face_labels, movable_faces, normalize, square_move
+from okbodies.polyhedra import volume_formula
 
 F = Fraction
 
@@ -259,6 +261,21 @@ def test_verify_core_on_a_report_read_back_from_json(census35):
     rep = CensusReport.from_json(census35.to_json())
     assert all(c.polytope is None for c in rep.classes)
     assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+
+
+def test_verify_checks_every_volume_of_a_report_read_back_from_json(census35, monkeypatch):
+    # the volume check must not pass vacuously on records without a polytope
+    rep = CensusReport.from_json(census35.to_json())
+    real = census_module.volume
+    measured = []
+
+    def counting(P):
+        measured.append(real(P))
+        return measured[-1]
+
+    monkeypatch.setattr(census_module, "volume", counting)
+    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+    assert measured == [volume_formula(GridShape(3, 5))] * rep.class_count == [F(1, 144)] * 5
 
 
 def test_record_chart_is_cached_and_matches_its_key(census35):

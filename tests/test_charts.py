@@ -6,7 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from okbodies.charts import (
     G25_TWIST_ADJUSTMENT,
     NetworkChart,
@@ -263,6 +266,59 @@ def test_left_twist_window_pairings():
                 j = (i - t) % n
                 dot = sum(tau[r][i] * A[r][j] for r in range(d))
                 assert dot == (1 if t == 0 else 0)
+
+
+def twist_inputs(entry):
+    """A (d, n, A): a d x n matrix with 1 <= d < n <= 6."""
+    return st.integers(2, 6).flatmap(
+        lambda n: st.integers(1, n - 1).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.just(n),
+                st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d),
+            )
+        )
+    )
+
+
+def twist_by_oracle(A, d, n):
+    """Column i solves the window system by the oracle's Gauss-Jordan; None
+    when some window is singular."""
+    cols = []
+    for i in range(n):
+        window = [(i - t) % n for t in range(d)]
+        x = oracles._solve_square([[A[r][c] for r in range(d)] for c in window], [1] + [0] * (d - 1))
+        if x is None:
+            return None
+        cols.append(x)
+    return [[cols[c][r] for c in range(n)] for r in range(d)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(twist_inputs(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))))
+def test_left_twist_matches_oracle_over_q(case):
+    d, n, A = case
+    want = twist_by_oracle(A, d, n)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            left_twist(A)
+    else:
+        assert left_twist(A) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(twist_inputs(st.integers(-50, 50)))
+def test_left_twist_matches_oracle_over_fp(case):
+    # every window determinant is below PRIME in size, so it vanishes mod
+    # PRIME exactly when it vanishes over Q
+    d, n, A = case
+    want = twist_by_oracle(A, d, n)
+    if want is None:
+        with pytest.raises(ZeroDivisionError):
+            left_twist(A, PRIME)
+    else:
+        reduced = [[x.numerator * pow(x.denominator, -1, PRIME) % PRIME for x in row] for row in want]
+        assert left_twist(A, PRIME) == reduced
 
 
 def test_left_twist_rejects_degenerate_point():

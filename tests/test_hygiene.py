@@ -1,5 +1,6 @@
 """Source hygiene: every name the package, the tests and the scripts import
-is used by the module that imports it."""
+is used by the module that imports it, and the package imports only at
+module level."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,19 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read - exported)
 
 
+def function_local_imports(source: str) -> list[str]:
+    """``name:line`` of every import statement inside a function body."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.extend(
+                f"{fn.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(set(out))
+
+
 def test_scanner_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -54,3 +68,30 @@ def test_no_unused_imports():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
+
+
+def test_scanner_flags_only_function_local_imports():
+    source = (
+        "import os\n"
+        "class C:\n"
+        "    import json\n"
+        "    def m(self):\n"
+        "        from fractions import Fraction\n"
+        "        return Fraction(1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        import random\n"
+        "    return g\n"
+    )
+    assert function_local_imports(source) == ["f:9", "g:9", "m:5"]
+
+
+def test_package_imports_only_at_module_level():
+    files = sorted((ROOT / "src/okbodies").rglob("*.py"))
+    assert len(files) > 5
+    local = {}
+    for path in files:
+        found = function_local_imports(path.read_text())
+        if found:
+            local[path.name] = found
+    assert local == {}

@@ -183,7 +183,7 @@ def test_region_left_of_trip_sizes(rec35):
     lab = face_labels(rec35)
     counts = [0] * len(lab.faces)
     for i in range(1, 6):
-        for f in region_left(rec35, trip(rec35, i), lab.faces):
+        for f in region_left(trip(rec35, i), lab.faces):
             counts[f] += 1
     assert all(c == G35.rows for c in counts)
 

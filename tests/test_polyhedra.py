@@ -31,6 +31,7 @@ from okbodies.polyhedra import (
     lattice_points,
     parse_frac,
     qpolytope,
+    rank_det,
     same_hrep,
     volume,
     volume_formula,
@@ -220,6 +221,77 @@ def test_degenerate_volume_warns():
         assert volume(P) == 0
 
 
+# -- the fraction-free elimination ------------------------------------------
+
+def _matrix(rows, cols, entry):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def integer_matrices(draw, square=False):
+    """Integer matrices up to 5 x 5: small or up-to-2^61 entries of either
+    sign, half of them a product of two thin factors (so of low rank), with
+    a random set of columns zeroed out (columns with no pivot)."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([3, 2**61]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(m, n)))
+        B, C = draw(_matrix(m, r, entry)), draw(_matrix(r, n, entry))
+        mat = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+    else:
+        mat = draw(_matrix(m, n, entry))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [[0 if j in zero else x for j, x in enumerate(row)] for row in mat]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_oracle(mat):
+    rank, det = rank_det(mat)
+    assert rank == oracles.rank(mat)
+    assert (det is None) == (len(mat) != len(mat[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(square=True))
+def test_determinant_matches_oracles(mat):
+    d = len(mat)
+    rank, det = rank_det(mat)
+    assert det == oracles._det_fraction([[F(x) for x in row] for row in mat])
+    assert det == oracles.minor(mat, range(d), range(d))
+    assert (det != 0) == (rank == d)
+
+
+def test_rank_det_of_empty_and_zero_matrices():
+    assert rank_det([]) == (0, 1)
+    assert rank_det([[]]) == (0, None)
+    assert rank_det([[0, 0], [0, 0]]) == (0, 0)
+    assert rank_det([[0, 0, 0], [0, 0, 0]]) == (0, None)
+    # the pivot of the first column sits in the last row
+    assert rank_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == (3, 5 * (1 * 4 - 2 * 3))
+
+
+def rational_simplices():
+    """d + 1 points of Q^d, d <= 4, with denominators up to 6."""
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    return st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_simplices())
+def test_simplex_volume_matches_oracle(pts):
+    d = len(pts[0])
+    if affine_rank(pts) < d:
+        return
+    P = hull_of_points(axis_coords(d), pts)
+    assert sorted(P.vertices) == sorted(pts)
+    assert volume(P) == oracles.simplex_volume(pts)
+
+
 # -- interlacing patterns ---------------------------------------------------
 
 SHAPES = [GridShape(k=2, n=4), GridShape(k=3, n=5), GridShape(k=2, n=5), GridShape(k=3, n=6)]
@@ -261,8 +333,6 @@ def test_gt_polytope_lattice_equals_pattern_count():
 
 
 def test_gt_transform_is_unimodular():
-    from okbodies.polyhedra import _det
-
     for shape in SHAPES:
         Fm, Finv = gt_transform_matrices(shape)
         d = len(Fm)
@@ -271,7 +341,7 @@ def test_gt_transform_is_unimodular():
             for i in range(d)
         ]
         assert prod == [[F(int(i == j)) for j in range(d)] for i in range(d)]
-        assert abs(_det(Fm)) == 1
+        assert abs(rank_det([[int(x) for x in row] for row in Fm])[1]) == 1
 
 
 @settings(max_examples=30, deadline=None)
