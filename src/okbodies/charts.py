@@ -178,53 +178,6 @@ def flow_polynomial(chart: NetworkChart, lam: Partition) -> LaurentPoly:
     return prev[tuple(cols)]
 
 
-def enumerate_flows(chart: NetworkChart, lam: Partition) -> list[list[list[tuple[int, int]]]]:
-    """All vertex-disjoint path systems realizing P_lam.
-
-    The sources not in the south-step set are paired with the sinks in it,
-    largest remaining source to smallest remaining sink; planarity then
-    rules out any other pairing.
-    """
-    shape = chart.shape
-    J = set(partition_to_south_steps(lam, shape))
-    srcs = sorted((i for i in range(1, shape.rows + 1) if i not in J), reverse=True)
-    sinks = sorted(j for j in J if j > shape.rows)
-    if len(srcs) != len(sinks):
-        raise AssertionError("source/sink mismatch")
-
-    pairs = list(zip(srcs, sinks))
-    flows: list[list[list[tuple[int, int]]]] = []
-
-    def place(idx: int, used: set[int], system: list[list[tuple[int, int]]]) -> None:
-        if idx == len(pairs):
-            flows.append([list(p) for p in system])
-            return
-        i, j = pairs[idx]
-        for path in chart.paths_between(i, j):
-            verts = {v for d in path for v in d}
-            if verts & used:
-                continue
-            system.append(path)
-            place(idx + 1, used | verts, system)
-            system.pop()
-
-    place(0, set(), [])
-    return flows
-
-
-def flow_polynomial_direct(chart: NetworkChart, lam: Partition) -> LaurentPoly:
-    """Same Pluecker coordinate, by explicit flow enumeration."""
-    V = chart.labels
-    total = LaurentPoly.zero(V)
-    for flow in enumerate_flows(chart, lam):
-        exps = [0] * len(V)
-        for path in flow:
-            for t, e in enumerate(chart.path_weight_exponents(path)):
-                exps[t] += e
-        total = total + LaurentPoly.monomial(V, exps)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # valuations
 # ---------------------------------------------------------------------------
@@ -537,17 +490,3 @@ def _monomial_eval(P: dict[Partition, int], row: dict[Partition, int], p: int) -
 def pluecker_vector_mod_p(A: Sequence[Sequence[int]], shape: GridShape, p: int) -> dict[Partition, int]:
     """All Pluecker coordinates of a mod-p matrix, keyed by partitions."""
     return {lam: pluecker_mod_p(A, lam, shape, p) for lam in all_partitions(shape)}
-
-
-def random_open_cell_point(shape: GridShape, p: int, rng) -> list[list[int]]:
-    """Row-reduced random mod-p matrix with every Pluecker nonzero.
-
-    Columns 1..n-k form the identity, so the top Pluecker is 1.
-    """
-    d, n = shape.rows, shape.n
-    while True:
-        A = [[1 if c == r else 0 for c in range(d)] + [rng.randrange(1, p) for _ in range(n - d)]
-             for r in range(d)]
-        vals = pluecker_vector_mod_p(A, shape, p)
-        if all(v for v in vals.values()):
-            return A

@@ -12,7 +12,7 @@ downstream is division-free.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 Exponent = tuple[int, ...]
 
@@ -48,12 +48,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, vars: tuple, exps: Iterable[int], coeff: int = 1) -> "LaurentPoly":
         return cls(vars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, vars: tuple, key: Hashable) -> "LaurentPoly":
-        i = tuple(vars).index(key)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {exps: 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -113,16 +107,7 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- inspection --------------------------------------------------------
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms)
-
-    def coeff(self, exps: Iterable[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
+    # -- text form ---------------------------------------------------------
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)})"
@@ -171,16 +156,6 @@ class LaurentPoly:
             return None
         m = tuple(max(e[i] for e in self.terms) for i in range(len(self.vars)))
         return (m, self.terms[m]) if m in self.terms else None
-
-    def tropicalize(self) -> tuple[Exponent, ...]:
-        """Support of the polynomial, for use as a min-plus expression.
-
-        Requires every coefficient positive: tropicalization only tracks
-        exponents, so a subtraction would be silently discarded otherwise.
-        """
-        if any(c <= 0 for c in self.terms.values()):
-            raise ValueError("tropicalization requires positive coefficients")
-        return tuple(sorted(self.terms))
 
 
 def format_laurent(p: LaurentPoly, key_str: Optional[Callable] = None) -> str:

@@ -47,13 +47,6 @@ class SuperpotentialExpansion:
     terms: Mapping[int, LaurentPoly]
     summands: tuple[tuple[int, tuple[int, ...]], ...]
 
-    @property
-    def q_index(self) -> int:
-        return self.shape.rows
-
-    def term(self, i: int) -> LaurentPoly:
-        return self.terms[i]
-
     def total_terms(self) -> int:
         return len(self.summands)
 
@@ -179,15 +172,6 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
             summands.append((i, tuple(exps)))
 
     return _expansion(shape, labels, summands)
-
-
-def trop_value(poly: LaurentPoly, v: Sequence[Fraction]) -> Fraction:
-    """Min-convention tropicalization of a positive Laurent polynomial,
-    evaluated at a point of the exponent space."""
-    return min(
-        sum(e * Fraction(x) for e, x in zip(exps, v))
-        for exps in poly.terms
-    )
 
 
 # ---------------------------------------------------------------------------

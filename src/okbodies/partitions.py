@@ -226,18 +226,6 @@ def frozen_mu(i: int, shape: GridShape) -> Partition:
     return west_steps_to_partition(west, shape)
 
 
-def mu_box(i: int, shape: GridShape) -> Partition:
-    """Boundary rectangle with one step promoted: west steps
-    {i+1, ..., i+k-1} together with {i+k+1}.
-
-    Adds a single box to ``frozen_mu(i)`` except at i = n-k, where it is the
-    (n-k-1) x (k-1) rectangle (the full box with its rim hook removed).
-    """
-    west = {shape.residue(i + j) for j in range(1, shape.k)}
-    west.add(shape.residue(i + shape.k + 1))
-    return west_steps_to_partition(west, shape)
-
-
 def boundary_target_set(i: int, shape: GridShape) -> frozenset[int]:
     """The (n-k)-subset {i+k+1, ..., i-1} together with {i+1}, cyclically.
 

@@ -54,18 +54,24 @@ class PlabicGraph:
 
     def _validate(self) -> None:
         n = self.shape.n
+        if self.color.keys() != self.rot.keys():
+            raise ValueError("the colour and rotation tables name different vertices")
         for i in range(1, n + 1):
             if self.color.get(i) != BOUNDARY:
                 raise ValueError(f"vertex {i} must be the boundary vertex with index {i}")
             if len(self.rot[i]) != 1:
                 raise ValueError(f"boundary vertex {i} must have degree 1")
         for v, nbrs in self.rot.items():
+            cv = self.color[v]
+            if cv not in (BLACK, WHITE, BOUNDARY):
+                raise ValueError(f"vertex {v} has unknown colour {cv!r}")
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"parallel edges at vertex {v}")
             for u in nbrs:
+                if u not in self.rot:
+                    raise ValueError(f"rotation at {v} names unknown vertex {u}")
                 if v not in self.rot[u]:
                     raise ValueError(f"rotation system is not symmetric at {u}-{v}")
-            cv = self.color[v]
             if cv == BOUNDARY:
                 if self.color[nbrs[0]] != WHITE:
                     raise ValueError(f"boundary vertex {v} must attach to a white vertex")
@@ -82,9 +88,6 @@ class PlabicGraph:
 
     def internal_vertices(self) -> list[int]:
         return [v for v in sorted(self.rot) if self.color[v] != BOUNDARY]
-
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
 
     def edges(self) -> list[Edge]:
         out = set()
@@ -340,14 +343,9 @@ def trip(G: PlabicGraph, i: int) -> list[Dart]:
         u, v = v, (G.cw_prev(v, u) if G.color[v] == BLACK else G.cw_next(v, u))
 
 
-def trip_permutation(G: PlabicGraph) -> dict[int, int]:
-    return {i: trip(G, i)[-1][1] for i in range(1, G.shape.n + 1)}
-
-
 @dataclass
 class FaceLabeling:
     faces: Faces
-    subsets: list[frozenset[int]]
     partition_of_face: list[Partition]
     face_of_partition: dict[Partition, int]
     frozen: frozenset[Partition]
@@ -376,13 +374,12 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
         for f in region_left(trip(G, i), faces):
             members[f].add(i)
 
-    subsets = [frozenset(m) for m in members]
-    for s in subsets:
+    for s in members:
         if len(s) != shape.rows:
             raise AssertionError(
                 f"face label {sorted(s)} has size {len(s)}, expected {shape.rows}"
             )
-    partitions = [south_steps_to_partition(s, shape) for s in subsets]
+    partitions = [south_steps_to_partition(s, shape) for s in members]
     if len(set(partitions)) != len(partitions):
         raise AssertionError("face labels are not distinct; graph is not reduced")
     if len(partitions) != shape.num_boxes + 1:
@@ -391,7 +388,7 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
         )
     face_of = {lam: idx for idx, lam in enumerate(partitions)}
     frozen = frozenset(partitions[f] for f in faces.boundary)
-    return FaceLabeling(faces, subsets, partitions, face_of, frozen)
+    return FaceLabeling(faces, partitions, face_of, frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +520,23 @@ def contract(G: PlabicGraph) -> PlabicGraph:
     return PlabicGraph(G.shape, color, {v: tuple(r) for v, r in rot.items()})
 
 
+def _split_vertex(color: dict[int, str], rot: dict[int, list[int]], v: int, j: int, twin: int) -> None:
+    """Keep arcs j and j+1 of v's rotation on v and hand the others, in
+    clockwise order, to a new vertex ``twin`` of v's colour behind a buffer
+    ``twin + 1`` of the opposite colour."""
+    arcs = rot[v]
+    d = len(arcs)
+    buf = twin + 1
+    rest = [arcs[(j + t) % d] for t in range(2, d)]
+    color[twin] = color[v]
+    color[buf] = WHITE if color[v] == BLACK else BLACK
+    rot[twin] = [buf] + rest
+    rot[buf] = [v, twin]
+    rot[v] = [arcs[j], arcs[(j + 1) % d], buf]
+    for u in rest:
+        rot[u][rot[u].index(v)] = twin
+
+
 def expand_to_trivalent(G: PlabicGraph) -> PlabicGraph:
     """Split internal vertices of degree > 3 with degree-2 buffers, keeping
     the rotation system planar.  Deterministic given the stored rotations."""
@@ -535,18 +549,9 @@ def expand_to_trivalent(G: PlabicGraph) -> PlabicGraph:
         v = work.pop(0)
         while len(rot[v]) > 3:
             # keep the first two arcs on v, hand the rest to a twin vertex
-            # behind an opposite-coloured buffer
-            twin, buf = fresh, fresh + 1
+            _split_vertex(color, rot, v, 0, fresh)
+            v = fresh
             fresh += 2
-            color[twin] = color[v]
-            color[buf] = WHITE if color[v] == BLACK else BLACK
-            rest = rot[v][2:]
-            rot[twin] = [buf] + rest
-            rot[buf] = [v, twin]
-            rot[v] = rot[v][:2] + [buf]
-            for u in rest:
-                rot[u][rot[u].index(v)] = twin
-            v = twin
 
     return PlabicGraph(G.shape, color, {v: tuple(r) for v, r in rot.items()})
 
@@ -700,65 +705,6 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
     return Orientation(G, head, matching, srcs, tuple(topo))
 
 
-# -- the matching lattice ---------------------------------------------------
-
-@dataclass
-class MatchingLattice:
-    """Matchings with a fixed boundary trace, ordered by upward face flips."""
-
-    matchings: list[frozenset]
-    covers: dict[frozenset, list[tuple[frozenset, Partition]]]
-    minimum: frozenset
-    maximum: frozenset
-
-
-def _face_edge_cycle(G: PlabicGraph, faces: Faces, f: int) -> Optional[list[Dart]]:
-    darts = faces.darts_of[f]
-    if any(u <= G.shape.n or v <= G.shape.n for u, v in darts):
-        return None  # touches the boundary, not flippable
-    return list(darts)
-
-
-def matching_lattice(G: PlabicGraph, J: Iterable[int]) -> MatchingLattice:
-    labeling = face_labels(G)
-    faces = labeling.faces
-    ms = matchings_with_boundary(G, J)
-    index = {m: m for m in ms}
-    covers: dict[frozenset, list[tuple[frozenset, Partition]]] = {m: [] for m in ms}
-    above: dict[frozenset, int] = {m: 0 for m in ms}
-
-    for m in ms:
-        for f in range(len(faces)):
-            cycle = _face_edge_cycle(G, faces, f)
-            if cycle is None:
-                continue
-            edges = [frozenset(d) for d in cycle]
-            inside = [e in m for e in edges]
-            if sum(inside) * 2 != len(edges):
-                continue
-            if not all(inside[t] != inside[(t + 1) % len(edges)] for t in range(len(edges))):
-                continue
-            flipped = index.get(m.symmetric_difference(edges))
-            if flipped is None:
-                continue
-            # walking the orbit keeps the face on the left; clockwise is the
-            # reverse walk, so a matched dart (u, v) crossed clockwise runs
-            # v -> u and the flip raises the matching when every matched v
-            # is white
-            up = all(
-                G.color[v] == WHITE for (u, v), e_in in zip(cycle, inside) if e_in
-            )
-            if up:
-                covers[m].append((flipped, labeling.partition_of_face[f]))
-                above[flipped] += 1
-
-    minima = [m for m in ms if above[m] == 0]
-    maxima = [m for m in ms if not covers[m]]
-    if len(minima) != 1 or len(maxima) != 1:
-        raise AssertionError("matchings with fixed boundary must form a lattice")
-    return MatchingLattice(ms, covers, minima[0], maxima[0])
-
-
 # ---------------------------------------------------------------------------
 # the square move
 # ---------------------------------------------------------------------------
@@ -850,21 +796,12 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
     for v in corners:
         u, w = side[v]
         if len(rot[v]) > 3:
-            # split off everything except the two face edges, behind a buffer
-            d = len(rot[v])
+            # split off everything except the two face edges
             ju = rot[v].index(u)
-            if rot[v][(ju + 1) % d] != w:
+            if rot[v][(ju + 1) % len(rot[v])] != w:
                 raise AssertionError("face edges not adjacent in the rotation")
-            twin, buf = fresh, fresh + 1
+            _split_vertex(color, rot, v, ju, fresh)
             fresh += 2
-            color[twin] = color[v]
-            color[buf] = WHITE if color[v] == BLACK else BLACK
-            rest = [rot[v][(ju + 1 + t) % d] for t in range(1, d - 1)]
-            rot[twin] = [buf] + rest
-            rot[buf] = [v, twin]
-            rot[v] = [u, w, buf]
-            for x in rest:
-                rot[x][rot[x].index(v)] = twin
 
     for v in corners:
         old = color[v]

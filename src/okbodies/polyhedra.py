@@ -26,7 +26,6 @@ from .partitions import (
     GridShape,
     Partition,
     label_sort_key,
-    parse_partition,
     partition_str,
     rectangles,
 )
@@ -74,22 +73,6 @@ class HPolytope:
     def with_ineqs(self, extra: Iterable[Ineq]) -> "HPolytope":
         return HPolytope(self.coords, self.ineqs + tuple(extra))
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "okbodies.hpolytope/1",
-            "coords": [partition_str(c) for c in self.coords],
-            "ineqs": [[frac_str(x) for x in a] + [frac_str(b)] for a, b in self.ineqs],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "HPolytope":
-        coords = tuple(parse_partition(s) for s in doc["coords"])
-        ineqs = tuple(
-            (tuple(parse_frac(x) for x in row[:-1]), parse_frac(row[-1]))
-            for row in doc["ineqs"]
-        )
-        return cls(coords, ineqs)
-
 
 @dataclass
 class QPolytope:
@@ -123,9 +106,12 @@ class QPolytope:
         )
 
     def to_json(self) -> dict:
-        doc = self.hrep.to_json()
-        doc["schema"] = "okbodies.qpolytope/1"
-        doc["vertices"] = [[frac_str(x) for x in v] for v in self.vertices]
+        doc = {
+            "schema": "okbodies.qpolytope/1",
+            "coords": [partition_str(c) for c in self.coords],
+            "ineqs": [[frac_str(x) for x in a] + [frac_str(b)] for a, b in self.hrep.ineqs],
+            "vertices": [[frac_str(x) for x in v] for v in self.vertices],
+        }
         if 1 in self._lattice:
             doc["lattice"] = [list(p) for p in self._lattice[1]]
         return doc
@@ -133,10 +119,6 @@ class QPolytope:
 
 def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -525,39 +507,9 @@ def gt_transform_matrices(shape: GridShape) -> tuple[list[list[Fraction]], list[
     return F, Finv
 
 
-def gt_map_F(v: Sequence[Fraction], shape: GridShape) -> Vec:
-    """Pointwise change of variables f_{i x j} = v_{i x j} - v_{(i-1) x (j-1)}."""
-    F, _ = gt_transform_matrices(shape)
-    d = len(F)
-    return tuple(sum(F[r][c] * Fraction(v[c]) for c in range(d)) for r in range(d))
-
-
-def gt_map_F_inv(f: Sequence[Fraction], shape: GridShape) -> Vec:
-    _, Finv = gt_transform_matrices(shape)
-    d = len(Finv)
-    return tuple(sum(Finv[r][c] * Fraction(f[c]) for c in range(d)) for r in range(d))
-
-
 def gt_transform_polytope(P: QPolytope, shape: GridShape) -> QPolytope:
     F, Finv = gt_transform_matrices(shape)
     return apply_linear(P, F, Finv)
-
-
-def gt_patterns(shape: GridShape, r: int):
-    """All integral interlacing triangles with top row (0^k, r^{rows}),
-    yielded as tuples of rows of decreasing length."""
-    top = tuple([0] * shape.k + [r] * shape.rows)
-
-    def descend(rows: list[tuple[int, ...]]):
-        if len(rows[-1]) == 1:
-            yield tuple(rows)
-            return
-        for nxt in _interlacing(rows[-1]):
-            rows.append(nxt)
-            yield from descend(rows)
-            rows.pop()
-
-    yield from descend([top])
 
 
 def gt_pattern_count(shape: GridShape, r: int) -> int:
@@ -605,26 +557,3 @@ def volume_formula(shape: GridShape) -> Fraction:
     for i in range(1, shape.k + 1):
         out *= Fraction(factorial(shape.k - i), factorial(shape.n - i))
     return out
-
-
-# ---------------------------------------------------------------------------
-# integer decomposition property
-# ---------------------------------------------------------------------------
-
-def idp_r(P: QPolytope, r_max: int = 4, s_max: int = 3) -> Optional[int]:
-    """Smallest r <= r_max such that rP is integrally closed (checking
-    s-fold decompositions for s <= s_max), or None."""
-    for r in range(1, r_max + 1):
-        L1 = set(lattice_points(P, r))
-        if not L1:
-            continue
-        good = True
-        sums = L1
-        for s in range(2, s_max + 1):
-            sums = {tuple(x + y for x, y in zip(a, b)) for a in sums for b in L1}
-            if sums != set(lattice_points(P, r * s)):
-                good = False
-                break
-        if good:
-            return r
-    return None

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Fixed draws: every run tries the same examples, so a slow or failing
+# example shows up on every run, and Tier-1 time is reproducible.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def pytest_addoption(parser):

@@ -1,12 +1,39 @@
 """Source hygiene: every name the package, the tests and the scripts import
-is used by the module that imports it, and the package imports only at
-module level."""
+is used by the module that imports it, they import only at module level,
+and the package holds no code that only the tests call."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/okbodies", "tests", "scripts")
+# code outside the package that may call into it (the tests may not)
+CALLERS = ("scripts", "bench")
+
+# Paper claims that the acceptance tests check directly.  They stay in the
+# package although nothing else in it, and no script, calls them.
+PAPER_FACING = frozenset(
+    {
+        "charts.check_twist_diagram",  # the twist diagram
+        "charts.puiseux_witness",  # Puiseux witnesses
+        "charts.PuiseuxWitness.valuation",
+        "charts.highest_valuation",  # the highest-term valuation
+        "mirror.translation_vector",  # the translation identity
+        "polyhedra.QPolytope.translated",
+        "partitions.frozen_mu",  # the boundary rectangles
+    }
+)
+
+
+def sources(dirs) -> dict[str, str]:
+    """Path relative to the repository root -> source, for every ``.py``
+    file under ``dirs``."""
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for d in dirs
+        for path in sorted((ROOT / d).rglob("*.py"))
+    }
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,14 +87,10 @@ def test_scanner_flags_only_unused_names():
 
 
 def test_no_unused_imports():
-    files = [p for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
+    files = sources(SCANNED)
     assert len(files) > 20
-    unused = {}
-    for path in files:
-        names = unused_imports(path.read_text())
-        if names:
-            unused[str(path.relative_to(ROOT))] = names
-    assert unused == {}
+    unused = {path: unused_imports(src) for path, src in files.items()}
+    assert {path: names for path, names in unused.items() if names} == {}
 
 
 def test_scanner_flags_only_function_local_imports():
@@ -86,12 +109,116 @@ def test_scanner_flags_only_function_local_imports():
     assert function_local_imports(source) == ["f:9", "g:9", "m:5"]
 
 
+def local_imports_under(dirs) -> dict[str, list[str]]:
+    found = {path: function_local_imports(src) for path, src in sources(dirs).items()}
+    return {path: names for path, names in found.items() if names}
+
+
 def test_package_imports_only_at_module_level():
-    files = sorted((ROOT / "src/okbodies").rglob("*.py"))
-    assert len(files) > 5
-    local = {}
-    for path in files:
-        found = function_local_imports(path.read_text())
-        if found:
-            local[path.name] = found
-    assert local == {}
+    assert local_imports_under(["src/okbodies"]) == {}
+
+
+def test_tests_and_scripts_import_only_at_module_level():
+    assert local_imports_under(["tests", "scripts"]) == {}
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:
+    """``(qualified name, node, is_method)`` for every public module-level
+    function or class and every public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out.append((node.name, node, False))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{node.name}.{m.name}", m, True)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            )
+    return out
+
+
+def references(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name (``Name`` nodes and import aliases) and each
+    attribute is read under ``node``."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            attrs[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in n.names)
+    return names, attrs
+
+
+def unreachable(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.qualname`` of every public definition of ``package`` (module
+    name -> source) that neither the rest of the package nor ``callers``
+    reference.
+
+    A function or class counts as referenced when its name is read as a
+    ``Name``, an ``Attribute`` or an import alias outside its own body; a
+    method only when its name is read as an ``Attribute`` outside its own
+    body.
+    """
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    names, attrs = Counter(), Counter()
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        n, a = references(tree)
+        names.update(n)
+        attrs.update(a)
+    out = []
+    for mod, tree in trees.items():
+        for qual, node, is_method in public_definitions(tree):
+            name = qual.rsplit(".", 1)[-1]
+            own_names, own_attrs = references(node)
+            if attrs[name] > own_attrs[name]:
+                continue
+            if not is_method and names[name] > own_names[name]:
+                continue
+            out.append(f"{mod}.{qual}")
+    return sorted(out)
+
+
+def test_reachability_scanner_flags_only_unreferenced_definitions():
+    package = {
+        "core": (
+            "def by_name():\n"
+            "    pass\n"
+            "def by_script():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def read(self):\n"
+            "        return self.read()\n"
+            "    def write(self):\n"
+            "        return 1\n"
+            "    def _hidden(self):\n"
+            "        pass\n"
+        ),
+        "other": (
+            "from .core import by_name\n"
+            "def helper():\n"
+            "    return by_name() + Box().write()\n"
+        ),
+    }
+    callers = ["from okbodies.core import by_script\nread = None\n"]
+    assert unreachable(package, callers) == ["core.Box.read", "core.recursive", "other.helper"]
+
+
+def test_package_holds_no_test_only_code():
+    package = {Path(path).stem: src for path, src in sources(["src/okbodies"]).items()}
+    defined = {
+        f"{mod}.{qual}"
+        for mod, src in package.items()
+        for qual, _, _ in public_definitions(ast.parse(src))
+    }
+    assert PAPER_FACING <= defined
+    flagged = unreachable(package, list(sources(CALLERS).values()))
+    assert sorted(set(flagged) - PAPER_FACING) == []

@@ -74,13 +74,6 @@ def test_strongly_min_and_max():
     assert LaurentPoly.zero(V).strongly_min_term() is None
 
 
-def test_tropicalize_positivity_guard():
-    p = poly_of({(1, 0, 0): 1, (0, 1, 0): 2})
-    assert p.tropicalize() == ((0, 1, 0), (1, 0, 0))
-    with pytest.raises(ValueError):
-        (p - poly_of({(0, 0, 1): 1})).tropicalize()
-
-
 def test_format_is_stable():
     p = poly_of({(1, 0, 0): 1, (0, 0, 0): -2, (0, 2, -1): 1})
     assert format_laurent(p) == "- 2 + b^2*c^-1 + a"

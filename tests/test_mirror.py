@@ -26,7 +26,6 @@ from okbodies.mirror import (
     trop_mutate_point,
     trop_mutate_polytope,
     trop_system_to_json,
-    trop_value,
 )
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
@@ -75,7 +74,6 @@ def test_rectangles_superpotential_g35_golden():
     assert exp.terms[3] == mono([(3,)], [(2,)]) + mono([(3, 3), (1,)], [(2,), (2, 2)])
     assert exp.terms[4] == mono([(2,)], [(1,)]) + mono([(2, 2)], [(1,), (1, 1)])
     assert exp.terms[5] == mono([(1,)], [])
-    assert exp.q_index == 2
     assert exp.total_terms() == 9
 
 
@@ -206,6 +204,12 @@ def test_dilation_scales_the_hrep():
     P1 = gamma_qpolytope(exp, standard_r_vec(G35, 1))
     P3 = gamma_qpolytope(exp, standard_r_vec(G35, 3))
     assert same_hrep(P3, P1.scaled(3))
+
+
+def trop_value(poly, v):
+    """Min-convention tropicalization of a positive Laurent polynomial,
+    evaluated at a point of the exponent space."""
+    return min(sum(e * Fraction(x) for e, x in zip(exps, v)) for exps in poly.terms)
 
 
 def test_frozen_ratio_trop_identity():

@@ -16,7 +16,6 @@ from okbodies.partitions import (
     frozen_mu,
     label_sort_key,
     max_diag,
-    mu_box,
     parse_partition,
     partition_str,
     partition_to_south_steps,
@@ -30,6 +29,14 @@ from okbodies.partitions import (
 from oracles import max_diag_bruteforce, walk_border
 
 G35 = GridShape(3, 5)
+
+
+def mu_box(i, shape):
+    """Boundary rectangle with its last west step moved one step later:
+    west steps {i+1, ..., i+k-1} together with {i+k+1}, cyclically."""
+    west = {shape.residue(i + j) for j in range(1, shape.k)}
+    west.add(shape.residue(i + shape.k + 1))
+    return west_steps_to_partition(west, shape)
 
 
 # --- frozen examples ------------------------------------------------------

@@ -10,7 +10,6 @@ from okbodies.plabic import (
     contract,
     face_labels,
     faces_of,
-    matching_lattice,
     matchings_with_boundary,
     movable_faces,
     normalize,
@@ -19,7 +18,6 @@ from okbodies.plabic import (
     region_left,
     square_move,
     trip,
-    trip_permutation,
 )
 
 G35 = GridShape(3, 5)
@@ -54,7 +52,9 @@ def test_boundary_faces_are_the_frozen_rectangles(rec35, rec36):
 def test_trip_permutation_is_the_shift(rec35, rec36):
     for G in (rec35, rec36):
         n, d = G.shape.n, G.shape.rows
-        assert trip_permutation(G) == {i: (i + d - 1) % n + 1 for i in range(1, n + 1)}
+        assert {i: trip(G, i)[-1][1] for i in range(1, n + 1)} == {
+            i: (i + d - 1) % n + 1 for i in range(1, n + 1)
+        }
 
 
 def test_trips_end_to_end(rec35):
@@ -91,7 +91,7 @@ def test_normalize_idempotent_and_label_preserving(rec35, rec36):
         assert normalize(H) == H
         assert set(face_labels(H).labels) == set(face_labels(G).labels)
         assert set(face_labels(contract(G)).labels) == set(face_labels(G).labels)
-        assert all(H.degree(v) <= 3 for v in H.internal_vertices())
+        assert all(len(H.rot[v]) <= 3 for v in H.internal_vertices())
 
 
 def test_perfect_orientation(rec35):
@@ -114,17 +114,6 @@ def test_matching_counts_match_flow_counts(rec35):
     # superpotential, cross-checked by hand against the flow polynomials
     for J, want in [((2, 5), 3), ((1, 3), 1), ((2, 4), 2), ((3, 5), 2), ((1, 4), 1)]:
         assert len(matchings_with_boundary(rec35, J)) == want
-
-
-def test_matching_lattice_chain(rec35):
-    lat = matching_lattice(rec35, (2, 5))
-    assert len(lat.matchings) == 3
-    m, chain = lat.minimum, []
-    while lat.covers[m]:
-        ((m, lab),) = lat.covers[m]
-        chain.append(lab)
-    assert m == lat.maximum
-    assert chain == [(2,), (1,)]
 
 
 def test_square_moves_frozen_labels(rec35):
@@ -194,6 +183,36 @@ def test_json_roundtrip(rec35):
     H = PlabicGraph.from_json(doc)
     assert H == rec35
     assert set(face_labels(H).labels) == set(face_labels(rec35).labels)
+
+
+def _append_to_a_rotation(doc):
+    doc["vertices"][-1]["rotation"].append(999)
+
+
+def _paint_a_black_vertex_red(doc):
+    next(rec for rec in doc["vertices"] if rec["color"] == "black")["color"] = "red"
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_append_to_a_rotation, "unknown vertex 999"),
+        (_paint_a_black_vertex_red, "unknown colour 'red'"),
+    ],
+    ids=["unknown-vertex", "unknown-colour"],
+)
+def test_from_json_refuses_malformed_graphs(rec35, spoil, message):
+    doc = rec35.to_json()
+    spoil(doc)
+    with pytest.raises(ValueError, match=message):
+        PlabicGraph.from_json(doc)
+
+
+def test_graph_refuses_a_vertex_without_a_colour(rec35):
+    color = dict(rec35.color)
+    del color[max(color)]
+    with pytest.raises(ValueError, match="name different vertices"):
+        PlabicGraph(rec35.shape, color, rec35.rot)
 
 
 def test_rectangles_graph_other_shapes():

@@ -2,7 +2,6 @@
 the interlacing-pattern machinery, pinned on cubes, simplices and the
 frozen pattern counts."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -18,18 +17,12 @@ from okbodies.polyhedra import (
     affine_rank,
     canonical_hrep,
     enumerate_vertices,
-    frac_str,
     gamma_coords,
-    gt_map_F,
-    gt_map_F_inv,
     gt_pattern_count,
-    gt_patterns,
     gt_polytope,
     gt_transform_matrices,
     hull_of_points,
-    idp_r,
     lattice_points,
-    parse_frac,
     qpolytope,
     rank_det,
     same_hrep,
@@ -314,17 +307,6 @@ def test_gt_pattern_count_matches_oracle():
         assert gt_pattern_count(shape, 0) == 1
 
 
-def test_gt_patterns_enumerator_agrees():
-    shape = GridShape(k=3, n=5)
-    pats = list(gt_patterns(shape, 1))
-    assert len(pats) == 10
-    for rows in pats:
-        assert rows[0] == (0, 0, 0, 1, 1)
-        assert [len(r) for r in rows] == [5, 4, 3, 2, 1]
-        for top, bot in zip(rows, rows[1:]):
-            assert all(top[i] <= bot[i] <= top[i + 1] for i in range(len(bot)))
-
-
 def test_gt_polytope_lattice_equals_pattern_count():
     for shape in SHAPES:
         for r in (1, 2):
@@ -344,31 +326,10 @@ def test_gt_transform_is_unimodular():
         assert abs(rank_det([[int(x) for x in row] for row in Fm])[1]) == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=6, max_size=6))
-def test_gt_map_roundtrip(vals):
-    shape = GridShape(k=3, n=5)
-    v = tuple(F(x) for x in vals)
-    assert gt_map_F_inv(gt_map_F(v, shape), shape) == v
-
-
 def test_volume_formula_values():
     assert volume_formula(GridShape(k=3, n=5)) == F(1, 144)
     assert volume_formula(GridShape(k=2, n=4)) == F(1, 12)
     assert volume_formula(GridShape(k=3, n=6)) == F(1, 8640)
-
-
-def test_idp_of_unit_cube():
-    assert idp_r(cube(3)) == 1
-
-
-def test_json_roundtrip():
-    P = simplex(2)
-    doc = P.hrep.to_json()
-    text = json.dumps(doc)
-    back = HPolytope.from_json(json.loads(text))
-    assert back == P.hrep
-    assert parse_frac(frac_str(F(-7, 3))) == F(-7, 3)
 
 
 def test_gamma_coords_are_rectangles_in_canonical_order():
