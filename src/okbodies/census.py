@@ -17,16 +17,14 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .charts import NetworkChart, flow_polynomial, maxdiag_valuation, val_max, val_min
+from .charts import NetworkChart, flow_polynomial, maxdiag_valuation
 from .mirror import (
     SuperpotentialExpansion,
-    as_vector,
+    TropMutation,
     gamma_qpolytope,
     marsh_scott_expansion,
     rectangles_superpotential,
-    relabel_point,
     standard_r_vec,
-    trop_mutate_point,
 )
 from .partitions import (
     GridShape,
@@ -127,6 +125,8 @@ class ClassRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClassRecord":
+        if not isinstance(doc["integral"], bool):
+            raise ValueError(f"class {doc['key']}: integral is {doc['integral']!r}, not a boolean")
         return cls(
             key=tuple(parse_partition(s) for s in doc["key"]),
             graph=None if doc["graph"] is None else PlabicGraph.from_json(doc["graph"]),
@@ -184,11 +184,26 @@ class CensusReport:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CensusReport":
+        """Read a census back, refusing one that ``census`` could not have
+        written: a key that is not its graph's face-label set, a repeated
+        key, or a parent that names no class.  Checking the keys builds
+        every record's chart."""
         if doc.get("schema") != CENSUS_SCHEMA:
             raise ValueError(f"unsupported census schema {doc.get('schema')!r}")
+        classes = tuple(ClassRecord.from_json(c) for c in doc["classes"])
+        keys = set()
+        for rec in classes:
+            if rec.key in keys:
+                raise ValueError(f"two classes share the key {rec.key_str}")
+            keys.add(rec.key)
+            if rec.chart is not None and class_key(rec.chart.labels) != rec.key:
+                raise ValueError(f"class {rec.key_str}: the key is not its graph's face labels")
+        for rec in classes:
+            if rec.parent is not None and rec.parent not in keys:
+                raise ValueError(f"class {rec.key_str}: its parent names no class")
         return cls(
             shape=GridShape(k=doc["k"], n=doc["n"]),
-            classes=tuple(ClassRecord.from_json(c) for c in doc["classes"]),
+            classes=classes,
             seed=doc["seed"],
             elapsed=doc["elapsed_seconds"],
         )
@@ -316,10 +331,7 @@ def degree_r_valuation_scan(chart: NetworkChart, r: int, polytope: QPolytope) ->
     the scan is a Minkowski sum of r copies of the degree-one valuation
     set.
     """
-    vals = [
-        tuple(int(x) for x in as_vector(val_min(chart, lam), chart.labels))
-        for lam in all_partitions(chart.shape)
-    ]
+    vals = list(chart.min_valuations.values())
     points = set()
     for combo in combinations_with_replacement(vals, r):
         points.add(tuple(sum(col) for col in zip(*combo)))
@@ -427,16 +439,13 @@ def verify_core(
     chart0 = root.chart
     if chart0 is not None:
         closed_ok = all(
-            val_min(chart0, lam) == maxdiag_valuation(lam, shape, chart0.labels)
-            for lam in all_partitions(shape)
+            v == tuple(maxdiag_valuation(lam, shape, chart0.labels).values())
+            for lam, v in chart0.min_valuations.items()
         )
         _check(checks, "closed-form-valuations", closed_ok)
         if (k, n) == (3, 5):
-            rows = {
-                tuple(int(x) for x in as_vector(val_min(chart0, lam), chart0.labels))
-                for lam in all_partitions(shape)
-            }
-            _check(checks, "golden-valuation-table", rows == set(G35_GOLDEN_ROWS))
+            rows = set(chart0.min_valuations.values())
+            _check(checks, "golden-valuation-table", rows == G35_GOLDEN_ROWS)
 
     lattice_ok = all(len(c.lattice) == binom for c in report.classes)
     _check(checks, "lattice-count-per-class", lattice_ok, f"expected {binom} per class")
@@ -505,7 +514,7 @@ def verify_core(
 
 def _check_transport(shape: GridShape, report: CensusReport) -> tuple[bool, str]:
     """Replay every BFS tree edge and push valuations and lattice points
-    through the piecewise-linear mutation."""
+    through the piecewise-linear mutation, in integers."""
     if shape.n < 3:
         return True, "no moves"
     for c in report.classes:
@@ -514,24 +523,15 @@ def _check_transport(shape: GridShape, report: CensusReport) -> tuple[bool, str]
         parent = report.record(c.parent)
         nu, new_label = c.path[-1]
         chartA, chartB = parent.chart, c.chart
-        quiver = quiver_of(parent.graph)
-        coordsA = tuple(chartA.labels)
-        for variant, fn in (("min", val_min), ("max", val_max)):
-            for lam in all_partitions(shape):
-                v = as_vector(fn(chartA, lam), coordsA)
-                w = trop_mutate_point(v, quiver, nu, coordsA, variant)
-                nc, moved = relabel_point(w, coordsA, nu, new_label)
-                if nc != tuple(chartB.labels):
-                    return False, f"label mismatch at {c.key_str}"
-                if moved != as_vector(fn(chartB, lam), chartB.labels):
-                    return False, f"{variant}-valuation transport at {c.key_str}"
-        movedA = {
-            relabel_point(
-                trop_mutate_point(tuple(map(Fraction, p)), quiver, nu, coordsA), coordsA, nu, new_label
-            )[1]
-            for p in parent.lattice
-        }
-        latticeB = {tuple(map(Fraction, p)) for p in c.lattice}
-        if movedA != latticeB:
+        move = TropMutation.of(quiver_of(parent.graph), nu, chartA.labels, new_label)
+        if move.new_coords != chartB.labels:
+            return False, f"label mismatch at {c.key_str}"
+        for variant, valsA, valsB in (
+            ("min", chartA.min_valuations, chartB.min_valuations),
+            ("max", chartA.max_valuations, chartB.max_valuations),
+        ):
+            if any(move(v, variant) != valsB[lam] for lam, v in valsA.items()):
+                return False, f"{variant}-valuation transport at {c.key_str}"
+        if {move(p) for p in parent.lattice} != set(c.lattice):
             return False, f"lattice transport at {c.key_str}"
     return True, ""

@@ -81,6 +81,22 @@ class NetworkChart:
         """The boundary matrix, kept because a census sweep reuses it heavily."""
         return boundary_matrix(self)
 
+    @cached_property
+    def plueckers(self) -> dict[Partition, LaurentPoly]:
+        """Every Pluecker coordinate P_lam in the face variables, keyed by
+        lam; built on first use and never serialized."""
+        return pluecker_table(self)
+
+    @cached_property
+    def min_valuations(self) -> dict[Partition, tuple[int, ...]]:
+        """``val_min`` of every P_lam as an integer vector over ``labels``."""
+        return {lam: tuple(val_min(self, lam).values()) for lam in self.plueckers}
+
+    @cached_property
+    def max_valuations(self) -> dict[Partition, tuple[int, ...]]:
+        """``val_max`` of every P_lam as an integer vector over ``labels``."""
+        return {lam: tuple(val_max(self, lam).values()) for lam in self.plueckers}
+
     def label_index(self, lam: Partition) -> int:
         return self.labels.index(lam)
 
@@ -152,30 +168,41 @@ def boundary_matrix(chart: NetworkChart) -> list[list[LaurentPoly]]:
 # flow polynomials
 # ---------------------------------------------------------------------------
 
-def flow_polynomial(chart: NetworkChart, lam: Partition) -> LaurentPoly:
-    """The Pluecker coordinate P_lam in the chart's face variables.
+def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
+    """All maximal minors of the boundary matrix, keyed by partition.
 
-    Computed as the maximal minor of the boundary matrix on the south-step
-    columns of lam, by a division-free column-subset expansion.
+    One division-free Laplace expansion along the rows: level r holds the
+    minor on the first r rows of every r-subset of columns, each built
+    from the level below, so a smaller minor is computed once however many
+    maximal minors contain it.  The maximal minor on the south-step
+    columns of lam is P_lam.
     """
     M = chart.matrix
-    cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
+    shape = chart.shape
     V = chart.labels
     prev: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(V)}
-    for r in range(len(cols)):
+    for r in range(shape.rows):
         cur: dict[tuple[int, ...], LaurentPoly] = {}
-        for S in combinations(cols, r + 1):
+        for S in combinations(range(shape.n), r + 1):
             acc = LaurentPoly.zero(V)
             for t, c in enumerate(S):
                 entry = M[r][c]
                 if not entry:
                     continue
-                sub = prev[S[:t] + S[t + 1 :]]
-                term = entry * sub
+                term = entry * prev[S[:t] + S[t + 1 :]]
                 acc = acc + (term if (r + t) % 2 == 0 else -term)
             cur[S] = acc
         prev = cur
-    return prev[tuple(cols)]
+    return {
+        lam: prev[tuple(sorted(j - 1 for j in partition_to_south_steps(lam, shape)))]
+        for lam in all_partitions(shape)
+    }
+
+
+def flow_polynomial(chart: NetworkChart, lam: Partition) -> LaurentPoly:
+    """The Pluecker coordinate P_lam in the chart's face variables, read
+    from the chart's table of maximal minors."""
+    return chart.plueckers[lam]
 
 
 # ---------------------------------------------------------------------------

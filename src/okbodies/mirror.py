@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
@@ -280,28 +281,6 @@ def _arrow_sums(quiver: Quiver, nu: Partition, coords: tuple[Partition, ...]):
     return into, out
 
 
-def trop_mutate_point(
-    v: Sequence[Fraction],
-    quiver: Quiver,
-    nu: Partition,
-    coords: tuple[Partition, ...],
-    variant: str = "min",
-) -> Vec:
-    """Piecewise-linear mutation of a valuation vector at a mutable label.
-
-    The slot of ``nu`` afterwards carries the coordinate of the label
-    created by the corresponding square move; all other slots are fixed.
-    """
-    into, out = _arrow_sums(quiver, nu, coords)
-    s_in = sum(m * Fraction(x) for m, x in zip(into, v))
-    s_out = sum(m * Fraction(x) for m, x in zip(out, v))
-    bend = min(s_in, s_out) if variant == "min" else max(s_in, s_out)
-    t = coords.index(nu)
-    w = list(Fraction(x) for x in v)
-    w[t] = bend - w[t]
-    return tuple(w)
-
-
 def trop_mutate_polytope(
     P: QPolytope,
     quiver: Quiver,
@@ -377,16 +356,47 @@ def _relabel(
     return new_coords, [pos[lab] for lab in new_coords]
 
 
-def relabel_point(
-    v: Sequence[Fraction],
-    old_coords: tuple[Partition, ...],
-    nu: Partition,
-    new_label: Partition,
-) -> tuple[tuple[Partition, ...], Vec]:
-    """Reindex a mutated vector onto the successor chart's canonical
-    coordinate order, with the slot of ``nu`` renamed to ``new_label``."""
-    new_coords, perm = _relabel(old_coords, nu, new_label)
-    return new_coords, tuple(Fraction(v[s]) for s in perm)
+@dataclass(frozen=True)
+class TropMutation:
+    """The piecewise-linear mutation at a mutable label ``nu``, followed by
+    the relabelling onto the successor chart, prepared once per square
+    move from the quiver and the source coordinates ``coords``.
+
+    ``into`` and ``out`` are the arrow multiplicities into and out of
+    ``nu``, slot by slot of ``coords``.  The mutation replaces the value at
+    ``slot`` (that of ``nu``) by the min (or max) of the two pairings with
+    the point, minus the old value; all other slots are fixed.  ``perm``
+    gives, for each coordinate of ``new_coords`` (``coords`` with ``nu``
+    renamed to ``new_label``, in canonical order), its slot in ``coords``.
+    Integer points stay integer points: nothing is converted to Fractions.
+    """
+
+    new_coords: tuple[Partition, ...]
+    into: tuple[int, ...]
+    out: tuple[int, ...]
+    slot: int
+    perm: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls, quiver: Quiver, nu: Partition, coords: Sequence[Partition], new_label: Partition
+    ) -> "TropMutation":
+        into, out = _arrow_sums(quiver, nu, coords)
+        new_coords, perm = _relabel(coords, nu, new_label)
+        return cls(new_coords, tuple(into), tuple(out), coords.index(nu), tuple(perm))
+
+    def mutate(self, v: Sequence, variant: str = "min") -> tuple:
+        """The mutated point, still in the source coordinates."""
+        s_in = sum(map(mul, self.into, v))
+        s_out = sum(map(mul, self.out, v))
+        w = list(v)
+        w[self.slot] = (min(s_in, s_out) if variant == "min" else max(s_in, s_out)) - v[self.slot]
+        return tuple(w)
+
+    def __call__(self, v: Sequence, variant: str = "min") -> tuple:
+        """The mutated point over ``new_coords``."""
+        w = self.mutate(v, variant)
+        return tuple(w[s] for s in self.perm)
 
 
 def relabel_polytope(

@@ -162,6 +162,10 @@ class PlabicGraph:
         if doc.get("schema") != "okbodies.plabic/1":
             raise ValueError(f"unexpected schema {doc.get('schema')!r}")
         shape = GridShape(doc["k"], doc["n"])
+        for rec in doc["vertices"]:
+            missing = [f for f in ("id", "color", "rotation") if f not in rec]
+            if missing:
+                raise ValueError(f"vertex record {rec.get('id', '?')} lacks {', '.join(missing)}")
         color = {rec["id"]: rec["color"] for rec in doc["vertices"]}
         rot = {rec["id"]: tuple(rec["rotation"]) for rec in doc["vertices"]}
         return cls(shape, color, rot)

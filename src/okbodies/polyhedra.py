@@ -5,7 +5,8 @@ Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
 and emptiness and unboundedness are read off them exactly.
 Volumes come from a pulling triangulation of the tight-set face lattice,
-lattice points from a pruned box sweep.  Ranks and determinants, here and
+lattice points from a box sweep that bounds each coordinate to an integer
+interval before it branches.  Ranks and determinants, here and
 in the rest of the package, come from one fraction-free integer
 elimination, ``rank_det`` (Bareiss).  The Gelfand-Tsetlin polytope, its
 pattern-counting oracle and the unimodular change of variables that
@@ -295,36 +296,39 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     hi = [int(x) if x.denominator == 1 else int(x) - (1 if x < 0 else 0) for x in hi]
     rows = _integer_rows(Q.hrep.ineqs)
 
-    # best achievable contribution of coordinates c.. for each inequality
-    suffix = []
-    for a, _ in rows:
-        best = [0] * (d + 1)
-        for c in range(d - 1, -1, -1):
-            best[c] = best[c + 1] + max(a[c] * lo[c], a[c] * hi[c])
-        suffix.append(best)
+    cols = [[a[c] for a, _ in rows] for c in range(d)]
+    # slack[c][t]: the most the coordinates after c can add to row t inside
+    # the box
+    slack = [[0] * len(rows) for _ in range(d)]
+    for c in range(d - 1, 0, -1):
+        slack[c - 1] = [s + max(a * lo[c], a * hi[c]) for a, s in zip(cols[c], slack[c])]
 
     out: list[tuple[int, ...]] = []
-    partial = [b for _, b in rows]
     point = [0] * d
 
-    def sweep(c: int) -> None:
-        if c == d:
-            out.append(tuple(point))
-            return
-        for val in range(lo[c], hi[c] + 1):
-            ok = True
-            for t, (a, _) in enumerate(rows):
-                partial[t] += a[c] * val
-                if partial[t] + suffix[t][c + 1] < 0:
-                    ok = False
-            if ok:
-                point[c] = val
-                sweep(c + 1)
-            for t, (a, _) in enumerate(rows):
-                partial[t] -= a[c] * val
-        point[c] = 0
+    def sweep(c: int, partial: list[int]) -> None:
+        # every row t needs a*x_c + partial[t] + slack[c][t] >= 0, which
+        # bounds x_c to one integer interval
+        low, high = lo[c], hi[c]
+        for a, p, s in zip(cols[c], partial, slack[c]):
+            room = p + s
+            if a > 0:
+                low = max(low, -(room // a))
+            elif a < 0:
+                high = min(high, room // -a)
+            elif room < 0:
+                return
+        for val in range(low, high + 1):
+            point[c] = val
+            if c + 1 == d:
+                out.append(tuple(point))
+            else:
+                sweep(c + 1, [p + a * val for a, p in zip(cols[c], partial)])
 
-    sweep(0)
+    if d:
+        sweep(0, [b for _, b in rows])
+    else:
+        out.append(())
     pts = tuple(sorted(out))
     P._lattice[r] = pts
     return pts

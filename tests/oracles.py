@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, lcm
 
 
 def walk_border(J, k, n):
@@ -176,3 +177,54 @@ def vertices_by_subsets(rows, d):
         if v is not None and all(sum(x * y for x, y in zip(a, v)) + b >= 0 for a, b in rows):
             out.add(v)
     return sorted(out)
+
+
+def lattice_points_by_box_sweep(ineqs, vertices, r):
+    """Integer points of the r-th dilation of {v : a.v + b >= 0}, sorted.
+
+    The pruned box sweep: each coordinate runs over the bounding box of the
+    dilated ``vertices`` (those of the undilated region; none means empty),
+    and every candidate value is tested against every row, dropping it as
+    soon as some row cannot be met by any completion inside the box.
+    """
+    if not vertices:
+        return ()
+    d = len(vertices[0])
+    lo = [ceil(min(Fraction(v[i]) * r for v in vertices)) for i in range(d)]
+    hi = [floor(max(Fraction(v[i]) * r for v in vertices)) for i in range(d)]
+    rows = []
+    for a, b in ineqs:
+        row = [Fraction(x) for x in a] + [Fraction(b) * r]
+        den = lcm(*(x.denominator for x in row))
+        row = [int(x * den) for x in row]
+        rows.append((row[:-1], row[-1]))
+    # best achievable contribution of coordinates c.. for each row
+    suffix = []
+    for a, _ in rows:
+        best = [0] * (d + 1)
+        for c in range(d - 1, -1, -1):
+            best[c] = best[c + 1] + max(a[c] * lo[c], a[c] * hi[c])
+        suffix.append(best)
+
+    out = []
+    partial = [b for _, b in rows]
+    point = [0] * d
+
+    def sweep(c):
+        if c == d:
+            out.append(tuple(point))
+            return
+        for val in range(lo[c], hi[c] + 1):
+            ok = True
+            for t, (a, _) in enumerate(rows):
+                partial[t] += a[c] * val
+                if partial[t] + suffix[t][c + 1] < 0:
+                    ok = False
+            if ok:
+                point[c] = val
+                sweep(c + 1)
+            for t, (a, _) in enumerate(rows):
+                partial[t] -= a[c] * val
+
+    sweep(0)
+    return tuple(sorted(out))

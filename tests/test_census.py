@@ -1,20 +1,25 @@
 """Square-move census, verification suites and the command line, pinned on
 the small shapes and the two fractional classes of the 3x3 grid."""
 
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from okbodies import census as census_module
+from okbodies import charts as charts_module
 from okbodies.census import (
     CensusGuardError,
     CensusReport,
     EXPECTED_COUNTS,
+    _check_transport,
     census,
     class_key,
     degree_r_valuation_scan,
@@ -25,7 +30,7 @@ from okbodies.charts import NetworkChart
 from okbodies.cli import _resolve_class, main
 from okbodies.partitions import GridShape, label_sort_key, parse_partition
 from okbodies.plabic import build_rectangles, face_labels, movable_faces, normalize, square_move
-from okbodies.polyhedra import volume_formula
+from okbodies.polyhedra import lattice_points, volume_formula
 
 F = Fraction
 
@@ -256,6 +261,79 @@ def test_verify_builds_one_chart_per_class(monkeypatch):
     assert len(built) == rep.class_count == 5
 
 
+def test_verify_builds_each_chart_table_once(monkeypatch):
+    # the Pluecker table and both valuation tables are built once per
+    # chart, however many checks read them
+    rep = census(GridShape(3, 5))
+    real_table = charts_module.pluecker_table
+    tables = []
+
+    def counting_table(chart):
+        tables.append(chart)
+        return real_table(chart)
+
+    monkeypatch.setattr(charts_module, "pluecker_table", counting_table)
+    valued = Counter()
+    for name in ("val_min", "val_max"):
+        real = getattr(charts_module, name)
+
+        def counting(chart, lam, real=real, name=name):
+            valued[name] += 1
+            return real(chart, lam)
+
+        monkeypatch.setattr(charts_module, name, counting)
+    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+    assert sorted(map(id, tables)) == sorted(id(c.chart) for c in rep.classes)
+    assert valued == {"val_min": 5 * 10, "val_max": 5 * 10}
+
+
+def _with_child(report, **changes):
+    """A copy of ``report`` whose first non-root record has ``changes``,
+    and that record; the copy's records build their own charts."""
+    child = next(c for c in report.classes if c.parent is not None)
+    classes = tuple(
+        dataclasses.replace(c, **changes) if c is child else dataclasses.replace(c)
+        for c in report.classes
+    )
+    new = dataclasses.replace(report, classes=classes)
+    return new, new.record(child.key)
+
+
+def test_transport_catches_a_shifted_lattice_point(census35):
+    child = next(c for c in census35.classes if c.parent is not None)
+    first, *rest = child.lattice
+    shifted = (first[0] + 1,) + first[1:]
+    assert shifted not in child.lattice
+    rep, child = _with_child(census35, lattice=(shifted, *rest))
+    assert _check_transport(GridShape(3, 5), rep) == (False, f"lattice transport at {child.key_str}")
+
+
+@pytest.mark.parametrize("variant", ["min", "max"])
+def test_transport_catches_a_corrupted_valuation_vector(census35, variant):
+    rep, child = _with_child(census35)
+    table = getattr(child.chart, f"{variant}_valuations")
+    lam = next(iter(table))
+    table[lam] = (table[lam][0] + 1,) + table[lam][1:]
+    assert _check_transport(GridShape(3, 5), rep) == (
+        False,
+        f"{variant}-valuation transport at {child.key_str}",
+    )
+
+
+def test_transport_catches_a_label_order_mismatch(census35):
+    child = next(c for c in census35.classes if c.parent is not None)
+    nu, _ = child.path[-1]
+    rep, child = _with_child(census35, path=child.path[:-1] + ((nu, (9,)),))
+    assert _check_transport(GridShape(3, 5), rep) == (False, f"label mismatch at {child.key_str}")
+
+
+def test_lattice_points_match_the_box_sweep_on_every_g36_class(census36):
+    for c in census36.classes:
+        for r in (1, 2):
+            want = oracles.lattice_points_by_box_sweep(c.polytope.hrep.ineqs, c.polytope.vertices, r)
+            assert lattice_points(c.polytope, r) == want, (c.key_str, r)
+
+
 def test_verify_core_on_a_report_read_back_from_json(census35):
     # records read back from JSON carry no polytope; the scans rebuild it
     rep = CensusReport.from_json(census35.to_json())
@@ -319,6 +397,53 @@ def test_census_json_rejects_wrong_schema(census35):
     doc = census35.to_json()
     doc["schema"] = "okbodies.census/999"
     with pytest.raises(ValueError, match="schema"):
+        CensusReport.from_json(doc)
+
+
+def _spoil_key_with_another_class(doc):
+    doc["classes"][1]["key"] = doc["classes"][0]["key"]
+
+
+def _swap_two_keys(doc):
+    a, b = doc["classes"][0], doc["classes"][1]
+    a["key"], b["key"] = b["key"], a["key"]
+
+
+def _spoil_integral(doc):
+    doc["classes"][1]["integral"] = "no"
+
+
+def _spoil_parent(doc):
+    doc["classes"][1]["parent"] = ["9"]
+
+
+def _spoil_key_and_integral(doc):
+    _spoil_key_with_another_class(doc)
+    _spoil_integral(doc)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_spoil_key_with_another_class, "share the key"),
+        (_swap_two_keys, "not its graph's face labels"),
+        (_spoil_integral, "not a boolean"),
+        (_spoil_parent, "parent names no class"),
+        (_spoil_key_and_integral, "not a boolean"),
+    ],
+    ids=["repeated-key", "key-of-another-graph", "integral-string", "unknown-parent", "key-and-integral"],
+)
+def test_census_json_refuses_a_census_it_could_not_have_written(census35, spoil, message):
+    doc = json.loads(json.dumps(census35.to_json()))
+    spoil(doc)
+    with pytest.raises(ValueError, match=message):
+        CensusReport.from_json(doc)
+
+
+def test_census_json_refuses_a_vertex_record_without_rotation(census35):
+    doc = json.loads(json.dumps(census35.to_json()))
+    del doc["classes"][0]["graph"]["vertices"][0]["rotation"]
+    with pytest.raises(ValueError, match="lacks rotation"):
         CensusReport.from_json(doc)
 
 

@@ -4,12 +4,14 @@ the Puiseux witness and the left twist, all pinned on the 2x3 grid."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from okbodies.census import census
 from okbodies.charts import (
     G25_TWIST_ADJUSTMENT,
     NetworkChart,
@@ -117,6 +119,39 @@ def flow_polynomial_direct(chart, lam):
                 exps[t] += e
         total = total + LaurentPoly.monomial(V, exps)
     return total
+
+
+def flow_polynomial_by_columns(chart, lam):
+    """P_lam as the one maximal minor of the boundary matrix on the
+    south-step columns of lam, by a column-subset expansion of that minor
+    alone: the per-partition computation that ``chart.plueckers`` shares
+    across all partitions."""
+    M = chart.matrix
+    cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
+    V = chart.labels
+    prev = {(): LaurentPoly.one(V)}
+    for r in range(len(cols)):
+        cur = {}
+        for S in combinations(cols, r + 1):
+            acc = LaurentPoly.zero(V)
+            for t, c in enumerate(S):
+                term = M[r][c] * prev[S[:t] + S[t + 1 :]]
+                acc = acc + (term if (r + t) % 2 == 0 else -term)
+            cur[S] = acc
+        prev = cur
+    return prev[tuple(cols)]
+
+
+def test_pluecker_table_matches_both_oracles():
+    # every chart of the 2x3 grid, and the rectangles chart of the 3x3 grid
+    charts = [rec.chart for rec in census(GridShape(3, 5)).classes] + [rec_chart(3, 6)]
+    for c in charts:
+        assert list(c.plueckers) == list(all_partitions(c.shape))
+        for lam, P in c.plueckers.items():
+            assert P == flow_polynomial_by_columns(c, lam) == flow_polynomial_direct(c, lam)
+            assert flow_polynomial(c, lam) is P
+            assert c.min_valuations[lam] == tuple(val_min(c, lam)[mu] for mu in c.labels)
+            assert c.max_valuations[lam] == tuple(val_max(c, lam)[mu] for mu in c.labels)
 
 
 @pytest.mark.parametrize("k,n", [(3, 5), (2, 4), (2, 5), (3, 6)])

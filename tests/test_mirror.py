@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from okbodies.charts import NetworkChart, maxdiag_valuation, valuation_table
 from okbodies.laurent import LaurentPoly
 from okbodies.mirror import (
+    TropMutation,
     as_vector,
     frozen_boundary_labels,
     gamma_polytope,
@@ -19,11 +20,9 @@ from okbodies.mirror import (
     gamma_system,
     marsh_scott_expansion,
     rectangles_superpotential,
-    relabel_point,
     relabel_polytope,
     standard_r_vec,
     translation_vector,
-    trop_mutate_point,
     trop_mutate_polytope,
     trop_system_to_json,
 )
@@ -267,9 +266,8 @@ def test_trop_system_json_layout():
 def test_mutation_at_frozen_label_raises():
     chart = rec_chart(3, 5)
     Q = quiver_of(chart.graph)
-    v = (F(0),) * 6
-    with pytest.raises(ValueError):
-        trop_mutate_point(v, Q, (3, 3), chart.labels)
+    with pytest.raises(ValueError, match="frozen"):
+        TropMutation.of(Q, (3, 3), chart.labels, (3, 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,11 +278,14 @@ def test_mutation_is_an_involution(vals):
     coords = tuple(chart.labels)
     v = tuple(F(x) for x in vals)
     for nu in ((1,), (2,)):
+        move = TropMutation.of(Q, nu, coords, nu)
         for variant in ("min", "max"):
-            w = trop_mutate_point(v, Q, nu, coords, variant)
-            assert trop_mutate_point(w, Q, nu, coords, variant) == v
-            # integral points stay integral
+            w = move.mutate(v, variant)
+            assert move.mutate(w, variant) == v
+            # integral points stay integral, and integers stay ints
             assert all(x.denominator == 1 for x in w)
+            w_int = move.mutate(tuple(vals), variant)
+            assert w_int == w and all(type(x) is int for x in w_int)
 
 
 def test_valuation_transport_under_square_moves():
@@ -295,14 +296,13 @@ def test_valuation_transport_under_square_moves():
     for nu in movable_faces(chart.graph):
         res = square_move(chart.graph, nu, rng)
         chart2 = NetworkChart.of(res.graph)
-        for variant, fn in (("min", "min"), ("max", "max")):
+        move = TropMutation.of(Q, nu, coords, res.new_label)
+        assert move.new_coords == tuple(chart2.labels)
+        for variant in ("min", "max"):
             t1 = valuation_table(chart, variant)
             t2 = valuation_table(chart2, variant)
             for lam in all_partitions(G35):
-                w = trop_mutate_point(vec(chart, t1[lam]), Q, nu, coords, variant)
-                nc, moved = relabel_point(w, coords, nu, res.new_label)
-                assert nc == tuple(chart2.labels)
-                assert moved == vec(chart2, t2[lam])
+                assert move(vec(chart, t1[lam]), variant) == vec(chart2, t2[lam])
 
 
 def test_polytope_transport_matches_marsh_scott():

@@ -208,6 +208,14 @@ def test_from_json_refuses_malformed_graphs(rec35, spoil, message):
         PlabicGraph.from_json(doc)
 
 
+@pytest.mark.parametrize("field", ["id", "color", "rotation"])
+def test_from_json_refuses_a_vertex_record_missing_a_field(rec35, field):
+    doc = rec35.to_json()
+    del doc["vertices"][-1][field]
+    with pytest.raises(ValueError, match=f"lacks {field}"):
+        PlabicGraph.from_json(doc)
+
+
 def test_graph_refuses_a_vertex_without_a_colour(rec35):
     color = dict(rec35.color)
     del color[max(color)]

@@ -155,6 +155,42 @@ def test_vertices_match_subset_oracle(system):
         assert oracles.rank(tight) == d
 
 
+def bounded_rational_systems():
+    """(d, rows): the box -l_i <= x_i <= h_i with rational l_i, h_i in
+    [0, 2], cut by up to six random rows with small integer normals and
+    rational offsets; the region may be empty or lower-dimensional."""
+    rational = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    offset = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def with_box(d):
+        box = st.lists(st.tuples(rational, rational), min_size=d, max_size=d).map(
+            lambda widths: [
+                (tuple(F(s * int(i == j)) for j in range(d)), width)
+                for i, pair in enumerate(widths)
+                for s, width in zip((1, -1), pair)
+            ]
+        )
+        cut = st.tuples(st.tuples(*[st.integers(-3, 3).map(F)] * d), offset)
+        return st.tuples(box, st.lists(cut, max_size=6)).map(lambda p: (d, p[0] + p[1]))
+
+    return st.integers(1, 4).flatmap(with_box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_rational_systems())
+def test_lattice_points_match_the_box_sweep_oracle(system):
+    d, rows = system
+    P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
+    for r in (1, 2, 3):
+        assert lattice_points(P, r) == oracles.lattice_points_by_box_sweep(rows, P.vertices, r)
+
+
+def test_lattice_points_of_a_zero_dimensional_region():
+    P = qpolytope(HPolytope((), (((), F(1)),)))
+    assert lattice_points(P, 1) == lattice_points(P, 2) == ((),)
+    assert oracles.lattice_points_by_box_sweep(P.hrep.ineqs, P.vertices, 2) == ((),)
+
+
 def test_redundant_rows_are_not_facets():
     P = cube(2)
     fat = qpolytope(P.hrep.with_ineqs([((F(1), F(0)), F(5)), ((F(1), F(1)), F(7))]))
