@@ -36,7 +36,6 @@ from .partitions import (
 )
 from .plabic import (
     PlabicGraph,
-    Quiver,
     build_rectangles,
     movable_faces,
     normalize,
@@ -213,10 +212,6 @@ def class_key(labels: Sequence[Partition]) -> tuple[Partition, ...]:
     return tuple(sorted((lab for lab in labels if lab), key=label_sort_key))
 
 
-def _same_quiver(a: Quiver, b: Quiver) -> bool:
-    return set(a.labels) == set(b.labels) and a.frozen == b.frozen and a.b == b.b
-
-
 def _pipeline(shape: GridShape, expansion: SuperpotentialExpansion) -> dict:
     P = gamma_qpolytope(expansion, standard_r_vec(shape, 1))
     return {
@@ -271,25 +266,25 @@ def census(
     root = class_key(chart0.labels)
 
     records: dict[tuple, ClassRecord] = {}
-    queue = deque([(root, G0, chart0, (), None)])
+    # each entry carries the parent's quiver mutated at the move, or None
+    # at the root
+    queue = deque([(root, G0, chart0, (), None, None)])
     seen = {root}
-    base_quiver = quiver_of(G0)
     while queue:
-        key, G, chart, path, parent = queue.popleft()
-        records[key] = ClassRecord(
+        key, G, chart, path, parent, expected = queue.popleft()
+        rec = records[key] = ClassRecord(
             key=key,
             graph=G,
             path=path,
             parent=parent,
             **_pipeline(shape, marsh_scott_expansion(chart)),
         )
-        # replay the exchange-matrix mutations along the path; a mismatch
-        # would mean the square move and the quiver disagree
-        replay = base_quiver
-        for old, new in path:
-            replay = replay.mutate(old).relabel(old, new)
-        if not _same_quiver(replay, quiver_of(G)):
-            raise AssertionError(f"quiver replay failed for class {key}")
+        # a mismatch would mean the square move and the quiver disagree
+        quiver = quiver_of(G)
+        if expected is not None and quiver != expected:
+            raise AssertionError(
+                f"class {rec.key_str}: its quiver is not its parent's mutated at the move"
+            )
         for nu in movable_faces(G):
             res = square_move(G, nu, rng)
             chart2 = NetworkChart.of(res.graph)
@@ -297,7 +292,8 @@ def census(
             if key2 in seen:
                 continue
             seen.add(key2)
-            queue.append((key2, res.graph, chart2, path + ((nu, res.new_label),), key))
+            moved = quiver.mutate(nu).relabel(nu, res.new_label)
+            queue.append((key2, res.graph, chart2, path + ((nu, res.new_label),), key, moved))
 
     ordered = tuple(records[k] for k in sorted(records, key=lambda key: [label_sort_key(p) for p in key]))
     return CensusReport(shape, ordered, seed, time.time() - t0)

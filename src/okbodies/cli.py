@@ -1,8 +1,10 @@
 """Command line interface: ``okbodies census|polytope|valuations|verify``.
 
 Exit status 0 means success, 1 that a verify check failed, 2 that the
-request was refused (size guard, unknown class, malformed weight), and 141
-that standard output was closed early (``| head``), as after SIGPIPE.
+request was refused (size guard, unknown class, malformed weight), 3 that
+an internal invariant broke (an ``AssertionError`` from the package, a
+bug rather than a bad request), and 141 that standard output was closed
+early (``| head``), as after SIGPIPE.
 """
 
 from __future__ import annotations
@@ -240,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so the flush at exit
         # cannot raise again (the recipe in the docs of the signal module)

@@ -4,8 +4,9 @@ A chart carries a distinguished Laurent expansion of the superpotential,
 one summand per matching with prescribed boundary; tropicalizing the
 summands (min convention, one linear form each) cuts out the chart's
 polytope.  Charts related by a square move get their polytopes related by
-a piecewise-linear mutation, implemented here on points and, via a
-two-piece split and rehull, on whole polytopes.
+a piecewise-linear mutation, implemented here once, on points; a
+polytope is mapped through the images of the vertices of its two linear
+pieces, followed by a rehull.
 
 The base coordinate p at the empty label is normalized to 1 throughout,
 so exponent vectors live on the nonempty labels only.
@@ -264,87 +265,6 @@ def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
 # tropicalized cluster mutation
 # ---------------------------------------------------------------------------
 
-def _arrow_sums(quiver: Quiver, nu: Partition, coords: tuple[Partition, ...]):
-    if nu in quiver.frozen:
-        raise ValueError(f"cannot mutate at the frozen label {partition_str(nu)}")
-    if nu not in quiver.labels:
-        raise ValueError(f"{partition_str(nu)} is not a label of the quiver")
-    index = {lab: t for t, lab in enumerate(coords)}
-    into = [0] * len(coords)
-    out = [0] * len(coords)
-    for g in quiver.labels:
-        e = quiver.entry(g, nu)
-        if e and g in index:
-            # the empty label is normalized to 1 and never enters coords;
-            # its slot contributes 0 to either sum
-            (into if e > 0 else out)[index[g]] = abs(e)
-    return into, out
-
-
-def trop_mutate_polytope(
-    P: QPolytope,
-    quiver: Quiver,
-    nu: Partition,
-    variant: str = "min",
-) -> QPolytope:
-    """Image of a polytope under the piecewise-linear mutation at ``nu``.
-
-    Splits along the bend hyperplane, maps both pieces linearly, and
-    rehulls.  The image of a superpotential polytope is again convex;
-    this is asserted post-hoc by checking that every hull vertex pulls
-    back into one of the pieces, and an AssertionError means the input
-    was not of that kind.
-    """
-    coords = P.hrep.coords
-    if not P.vertices:
-        return QPolytope(P.hrep, ())
-    into, out = _arrow_sums(quiver, nu, coords)
-    t = coords.index(nu)
-    a_in = tuple(Fraction(m) for m in into)
-    a_out = tuple(Fraction(m) for m in out)
-    diff = tuple(x - y for x, y in zip(a_out, a_in))
-    if variant == "min":
-        pieces = [(diff, a_in), (tuple(-x for x in diff), a_out)]
-    else:
-        pieces = [(diff, a_out), (tuple(-x for x in diff), a_in)]
-
-    def apply(linear: Vec, v: Sequence[Fraction]) -> Vec:
-        w = list(v)
-        w[t] = sum(c * x for c, x in zip(linear, v)) - v[t]
-        return tuple(w)
-
-    images: set[Vec] = set()
-    for halfspace, linear in pieces:
-        piece = P.hrep.with_ineqs([(halfspace, Fraction(0))])
-        for v in enumerate_vertices(piece):
-            images.add(apply(linear, v))
-    if len(images) == 1:
-        pt = next(iter(images))
-        point_hrep = HPolytope(
-            coords,
-            tuple(
-                row
-                for s, x in enumerate(pt)
-                for row in (
-                    (tuple(Fraction(s == c) for c in range(len(coords))), -x),
-                    (tuple(-Fraction(s == c) for c in range(len(coords))), x),
-                )
-            ),
-        )
-        return QPolytope(point_hrep, (pt,))
-    Q = hull_of_points(coords, images)
-    for w in Q.vertices:
-        ok = False
-        for halfspace, linear in pieces:
-            pre = apply(linear, w)  # each piece's map is an involution
-            if P.hrep.contains(pre) and sum(c * x for c, x in zip(halfspace, pre)) >= 0:
-                ok = True
-                break
-        if not ok:
-            raise AssertionError("mutated image failed its convexity certificate")
-    return Q
-
-
 def _relabel(
     old_coords: Sequence[Partition], nu: Partition, new_label: Partition
 ) -> tuple[tuple[Partition, ...], list[int]]:
@@ -381,7 +301,19 @@ class TropMutation:
     def of(
         cls, quiver: Quiver, nu: Partition, coords: Sequence[Partition], new_label: Partition
     ) -> "TropMutation":
-        into, out = _arrow_sums(quiver, nu, coords)
+        if nu in quiver.frozen:
+            raise ValueError(f"cannot mutate at the frozen label {partition_str(nu)}")
+        if nu not in quiver.labels:
+            raise ValueError(f"{partition_str(nu)} is not a label of the quiver")
+        index = {lab: t for t, lab in enumerate(coords)}
+        into = [0] * len(coords)
+        out = [0] * len(coords)
+        for g in quiver.labels:
+            e = quiver.entry(g, nu)
+            if e and g in index:
+                # the empty label is normalized to 1 and never enters coords;
+                # its slot contributes 0 to either sum
+                (into if e > 0 else out)[index[g]] = abs(e)
         new_coords, perm = _relabel(coords, nu, new_label)
         return cls(new_coords, tuple(into), tuple(out), coords.index(nu), tuple(perm))
 
@@ -397,6 +329,47 @@ class TropMutation:
         """The mutated point over ``new_coords``."""
         w = self.mutate(v, variant)
         return tuple(w[s] for s in self.perm)
+
+
+def trop_mutate_polytope(
+    P: QPolytope,
+    quiver: Quiver,
+    nu: Partition,
+) -> QPolytope:
+    """Convex hull of the image of a polytope under the piecewise-linear
+    mutation at ``nu`` (min convention).
+
+    The bend hyperplane (out - into).v = 0 splits P into two pieces, on
+    each of which the mutation is linear, so the image is the union of the
+    images of the two pieces and its hull is spanned by the images of
+    their vertices.  The result is the image itself exactly when the image
+    is convex, as it is for the superpotential polytopes of two charts
+    related by a square move; nothing here checks that.
+    """
+    coords = P.hrep.coords
+    if not P.vertices:
+        return QPolytope(P.hrep, ())
+    move = TropMutation.of(quiver, nu, coords, nu)  # no relabelling: only .mutate is used
+    bend = tuple(Fraction(o - i) for i, o in zip(move.into, move.out))
+    images: set[Vec] = set()
+    for halfspace in (bend, tuple(-x for x in bend)):
+        piece = P.hrep.with_ineqs([(halfspace, Fraction(0))])
+        images.update(move.mutate(v) for v in enumerate_vertices(piece))
+    if len(images) == 1:
+        pt = next(iter(images))
+        point_hrep = HPolytope(
+            coords,
+            tuple(
+                row
+                for s, x in enumerate(pt)
+                for row in (
+                    (tuple(Fraction(s == c) for c in range(len(coords))), -x),
+                    (tuple(-Fraction(s == c) for c in range(len(coords))), x),
+                )
+            ),
+        )
+        return QPolytope(point_hrep, (pt,))
+    return hull_of_points(coords, images)
 
 
 def relabel_polytope(

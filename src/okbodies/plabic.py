@@ -402,7 +402,8 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
 @dataclass
 class Quiver:
     """Exchange matrix on face labels; arrows between frozen pairs are not
-    tracked."""
+    tracked.  The labels are in canonical order and ``b`` holds no zero
+    entry and no empty row, so equal quivers compare equal with ``==``."""
 
     labels: tuple[Partition, ...]
     frozen: frozenset[Partition]
@@ -436,10 +437,12 @@ class Quiver:
         return out
 
     def relabel(self, old: Partition, new: Partition) -> "Quiver":
-        """Rename one label in place (after a square move)."""
+        """Rename one label (after a square move), keeping the labels in
+        canonical order, so that the result compares with ``==`` to the
+        quiver of the moved graph."""
         def sub(x):
             return new if x == old else x
-        labels = tuple(sub(x) for x in self.labels)
+        labels = tuple(sorted(map(sub, self.labels), key=label_sort_key))
         frozen = frozenset(sub(x) for x in self.frozen)
         b = {sub(x): {sub(y): m for y, m in row.items()} for x, row in self.b.items()}
         return Quiver(labels, frozen, b)
@@ -463,6 +466,8 @@ def quiver_of(G: PlabicGraph) -> Quiver:
         row[y] = row.get(y, 0) + m
         if row[y] == 0:
             del row[y]
+            if not row:
+                del b[x]
 
     for e in H.edges():
         u, v = sorted(e)
@@ -716,9 +721,7 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
 @dataclass
 class SquareMoveResult:
     graph: PlabicGraph
-    old_label: Partition
     new_label: Partition
-    neighbor_labels: tuple[Partition, Partition, Partition, Partition]
 
 
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
@@ -837,7 +840,7 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
     a, b, c, d = neighbor_faces
     _check_exchange(G.shape, nu, nu2, (a, c), (b, d), rng)
 
-    return SquareMoveResult(moved, nu, nu2, neighbor_faces)
+    return SquareMoveResult(moved, nu2)
 
 
 def movable_faces(G: PlabicGraph) -> list[Partition]:

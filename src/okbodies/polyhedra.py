@@ -55,9 +55,6 @@ class HPolytope:
         a, b = ineq
         return sum(x * y for x, y in zip(a, v)) + b
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(self.evaluate(q, v) >= 0 for q in self.ineqs)
-
     def scaled(self, r) -> "HPolytope":
         r = Fraction(r)
         if r < 0:
@@ -107,15 +104,12 @@ class QPolytope:
         )
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "schema": "okbodies.qpolytope/1",
             "coords": [partition_str(c) for c in self.coords],
             "ineqs": [[frac_str(x) for x in a] + [frac_str(b)] for a, b in self.hrep.ineqs],
             "vertices": [[frac_str(x) for x in v] for v in self.vertices],
         }
-        if 1 in self._lattice:
-            doc["lattice"] = [list(p) for p in self._lattice[1]]
-        return doc
 
 
 def frac_str(x: Fraction) -> str:
@@ -279,12 +273,6 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     """Integer points of the r-th dilation, cached per r."""
     if r in P._lattice:
         return P._lattice[r]
-    if r == 0:
-        pts = ((tuple([0] * P.hrep.dim),) if not P.is_empty() else ())
-        # 0-dilation of a nonempty polytope is the origin only if 0 in P's cone;
-        # dilating vertices by 0 collapses everything to the origin.
-        P._lattice[0] = pts
-        return pts
     Q = P.scaled(r)
     d = Q.hrep.dim
     if Q.is_empty():

@@ -165,6 +165,11 @@ def rank(rows):
     return r
 
 
+def contains(ineqs, v):
+    """Whether the point ``v`` meets every row a.v + b >= 0 of ``ineqs``."""
+    return all(sum(x * y for x, y in zip(a, v)) + b >= 0 for a, b in ineqs)
+
+
 def vertices_by_subsets(rows, d):
     """Vertices of {v : a.v + b >= 0 for every (a, b) in rows}, brute force.
 

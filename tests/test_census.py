@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 import oracles
 from okbodies import census as census_module
 from okbodies import charts as charts_module
+from okbodies import cli as cli_module
 from okbodies.census import (
     CensusGuardError,
     CensusReport,
@@ -201,7 +203,24 @@ def test_fractional_classes_g36(census36):
     for c in bad:
         assert len(c.lattice) == 20
         assert len(c.nonintegral_vertices) == 1
-        assert c.polytope.hrep.contains(c.nonintegral_vertices[0])
+        assert oracles.contains(c.polytope.hrep.ineqs, c.nonintegral_vertices[0])
+
+
+def test_census_checks_each_quiver_against_its_parents(census35, monkeypatch):
+    target = next(c for c in census35.classes if c.parent is not None)
+    real_quiver_of = census_module.quiver_of
+
+    def quiver_with_one_arrow_flipped(G):
+        Q = real_quiver_of(G)
+        if class_key(Q.labels) == target.key:
+            x = next(x for x in Q.labels if x not in Q.frozen and Q.b.get(x))
+            y, m = next(iter(Q.b[x].items()))
+            Q.b[x][y], Q.b[y][x] = -m, m
+        return Q
+
+    monkeypatch.setattr(census_module, "quiver_of", quiver_with_one_arrow_flipped)
+    with pytest.raises(AssertionError, match=re.escape(f"class {target.key_str}:")):
+        census(GridShape(3, 5))
 
 
 def test_degree_one_scan_is_onto_g35(census35):
@@ -466,6 +485,15 @@ def test_cli_census_guard_exit_code(capsys):
     assert "deep" in capsys.readouterr().err
     assert main(["census", "--k", "4", "--n", "8", "--deep"]) == 2
     assert "force" in capsys.readouterr().err
+
+
+def test_cli_reports_a_broken_invariant_with_its_own_exit_code(monkeypatch, capsys):
+    def broken_census(*args, **kwargs):
+        raise AssertionError("quiver mismatch")
+
+    monkeypatch.setattr(cli_module, "census", broken_census)
+    assert main(["census", "--k", "3", "--n", "5"]) == 3
+    assert capsys.readouterr().err == "internal error: quiver mismatch\n"
 
 
 def test_cli_polytope_json(capsys):

@@ -4,11 +4,13 @@ polytopes between charts, pinned on the 2x3 grid goldens."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from okbodies.charts import NetworkChart, maxdiag_valuation, valuation_table
 from okbodies.laurent import LaurentPoly
 from okbodies.mirror import (
@@ -29,7 +31,9 @@ from okbodies.mirror import (
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
 from okbodies.polyhedra import (
+    HPolytope,
     lattice_points,
+    qpolytope,
     same_hrep,
     same_vertex_set,
     volume,
@@ -333,6 +337,35 @@ def test_polytope_mutation_round_trip():
         trop_mutate_polytope(out, back_quiver, res.new_label), res.new_label, nu
     )
     assert same_vertex_set(back, P)
+
+
+def test_polytope_mutation_returns_the_hull_of_a_nonconvex_image():
+    # the box [-1, 1]^6 in the rectangles chart of the 2x3 grid: its image
+    # under the mutation at (1,) is not convex
+    chart = rec_chart(3, 5)
+    coords = tuple(chart.labels)
+    Q = quiver_of(chart.graph)
+    d = len(coords)
+    box = qpolytope(
+        HPolytope(
+            coords,
+            tuple((tuple(F(s * (i == j)) for j in range(d)), F(1)) for i in range(d) for s in (1, -1)),
+        )
+    )
+    hull = trop_mutate_polytope(box, Q, (1,))
+    move = TropMutation.of(Q, (1,), coords, (1,))
+
+    def pulls_back_into_box(w):
+        # the mutation is an involution, so w is in the image iff move(w) is in the box
+        return oracles.contains(box.hrep.ineqs, move.mutate(w))
+
+    assert len(hull.vertices) == 88
+    # every hull vertex lies in the image, so a check of the vertices alone
+    # cannot tell the hull from the image ...
+    assert all(pulls_back_into_box(w) for w in hull.vertices)
+    # ... but midpoints of hull vertices can lie outside it
+    midpoints = [tuple((x + y) / 2 for x, y in zip(v, w)) for v, w in combinations(hull.vertices, 2)]
+    assert sum(not pulls_back_into_box(m) for m in midpoints) == 288
 
 
 def test_mutating_a_point_polytope():
