@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .charts import NetworkChart, flow_polynomial, maxdiag_valuation
+from .charts import NetworkChart, maxdiag_valuation
 from .mirror import (
     SuperpotentialExpansion,
     TropMutation,
@@ -36,6 +36,7 @@ from .partitions import (
 )
 from .plabic import (
     PlabicGraph,
+    Quiver,
     build_rectangles,
     movable_faces,
     normalize,
@@ -105,6 +106,12 @@ class ClassRecord:
         """The network chart of ``graph``, built on first use and kept out of
         the JSON; None for the degenerate closed-form record."""
         return None if self.graph is None else NetworkChart.of(self.graph)
+
+    @cached_property
+    def quiver(self) -> Optional[Quiver]:
+        """The quiver of ``graph``, computed on first use and kept out of the
+        JSON; None for the degenerate closed-form record."""
+        return None if self.graph is None else quiver_of(self.graph)
 
     @property
     def key_str(self) -> str:
@@ -280,8 +287,7 @@ def census(
             **_pipeline(shape, marsh_scott_expansion(chart)),
         )
         # a mismatch would mean the square move and the quiver disagree
-        quiver = quiver_of(G)
-        if expected is not None and quiver != expected:
+        if expected is not None and rec.quiver != expected:
             raise AssertionError(
                 f"class {rec.key_str}: its quiver is not its parent's mutated at the move"
             )
@@ -292,7 +298,7 @@ def census(
             if key2 in seen:
                 continue
             seen.add(key2)
-            moved = quiver.mutate(nu).relabel(nu, res.new_label)
+            moved = rec.quiver.mutate(nu).relabel(nu, res.new_label)
             queue.append((key2, res.graph, chart2, path + ((nu, res.new_label),), key, moved))
 
     ordered = tuple(records[k] for k in sorted(records, key=lambda key: [label_sort_key(p) for p in key]))
@@ -346,11 +352,10 @@ def plucker_binomial_valuation(
     cancellation between the two monomials is taken into account; this is
     what makes the probe see deeper than the additive scan.
     """
+    P = chart.plueckers
     a, b = positive
     c, d = negative
-    poly = flow_polynomial(chart, a) * flow_polynomial(chart, b) - flow_polynomial(
-        chart, c
-    ) * flow_polynomial(chart, d)
+    poly = P[a] * P[b] - P[c] * P[d]
     term = poly.strongly_min_term()
     if term is None:
         raise RuntimeError("binomial has no strongly minimal term")
@@ -435,7 +440,7 @@ def verify_core(
     chart0 = root.chart
     if chart0 is not None:
         closed_ok = all(
-            v == tuple(maxdiag_valuation(lam, shape, chart0.labels).values())
+            v == maxdiag_valuation(lam, chart0.labels)
             for lam, v in chart0.min_valuations.items()
         )
         _check(checks, "closed-form-valuations", closed_ok)
@@ -519,7 +524,7 @@ def _check_transport(shape: GridShape, report: CensusReport) -> tuple[bool, str]
         parent = report.record(c.parent)
         nu, new_label = c.path[-1]
         chartA, chartB = parent.chart, c.chart
-        move = TropMutation.of(quiver_of(parent.graph), nu, chartA.labels, new_label)
+        move = TropMutation.of(parent.quiver, nu, chartA.labels, new_label)
         if move.new_coords != chartB.labels:
             return False, f"label mismatch at {c.key_str}"
         for variant, valsA, valsB in (

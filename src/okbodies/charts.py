@@ -1,12 +1,13 @@
-"""Network charts on the open positroid cell: boundary matrices, flow
-polynomials, Pluecker valuations, Puiseux witnesses and the left twist.
+"""Network charts on the open positroid cell: boundary matrices, Pluecker
+coordinates, valuations, Puiseux witnesses and the left twist.
 
 A chart is a reduced plabic graph together with its acyclic perfect
 orientation with sources 1..n-k.  Directed paths between boundary vertices
 acquire Laurent monomial weights in the face variables (the product over
 the faces enclosed between the path and the boundary arc to its right),
 flows give Pluecker expressions, and the strongly minimal and maximal
-terms of those define the two valuations attached to the chart.
+terms of those define the two valuations attached to the chart.  Every
+valuation is an integer vector over the chart's ``labels``.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ class NetworkChart:
     @cached_property
     def min_valuations(self) -> dict[Partition, tuple[int, ...]]:
         """``val_min`` of every P_lam as an integer vector over ``labels``."""
-        return {lam: tuple(val_min(self, lam).values()) for lam in self.plueckers}
+        return {lam: val_min(self, lam) for lam in self.plueckers}
 
     @cached_property
     def max_valuations(self) -> dict[Partition, tuple[int, ...]]:
         """``val_max`` of every P_lam as an integer vector over ``labels``."""
-        return {lam: tuple(val_max(self, lam).values()) for lam in self.plueckers}
+        return {lam: val_max(self, lam) for lam in self.plueckers}
 
     def label_index(self, lam: Partition) -> int:
         return self.labels.index(lam)
@@ -199,56 +200,38 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
     }
 
 
-def flow_polynomial(chart: NetworkChart, lam: Partition) -> LaurentPoly:
-    """The Pluecker coordinate P_lam in the chart's face variables, read
-    from the chart's table of maximal minors."""
-    return chart.plueckers[lam]
-
-
 # ---------------------------------------------------------------------------
 # valuations
 # ---------------------------------------------------------------------------
 
-ValuationVector = dict[Partition, int]
-
-
-def _as_dict(chart: NetworkChart, exps: tuple[int, ...]) -> ValuationVector:
-    return {lam: e for lam, e in zip(chart.labels, exps)}
-
-
-def val_min(chart: NetworkChart, lam: Partition) -> ValuationVector:
-    """Exponent of the strongly minimal term of the flow polynomial."""
-    term = flow_polynomial(chart, lam).strongly_min_term()
+def val_min(chart: NetworkChart, lam: Partition) -> tuple[int, ...]:
+    """Exponent of the strongly minimal term of P_lam, over ``chart.labels``."""
+    term = chart.plueckers[lam].strongly_min_term()
     if term is None:
         raise RuntimeError(f"P_{partition_str(lam)} has no strongly minimal term")
-    return _as_dict(chart, term[0])
+    return term[0]
 
 
-def val_max(chart: NetworkChart, lam: Partition) -> ValuationVector:
-    term = flow_polynomial(chart, lam).strongly_max_term()
+def val_max(chart: NetworkChart, lam: Partition) -> tuple[int, ...]:
+    """Exponent of the strongly maximal term of P_lam, over ``chart.labels``."""
+    term = chart.plueckers[lam].strongly_max_term()
     if term is None:
         raise RuntimeError(f"P_{partition_str(lam)} has no strongly maximal term")
-    return _as_dict(chart, term[0])
+    return term[0]
 
 
-def maxdiag_valuation(lam: Partition, shape: GridShape, labels: Iterable[Partition]) -> ValuationVector:
+def maxdiag_valuation(lam: Partition, labels: Iterable[Partition]) -> tuple[int, ...]:
     """Closed form for the lowest-term valuation: mu -> MaxDiag(mu \\ lam)."""
-    return {mu: max_diag(SkewShape(mu, lam)) for mu in labels}
+    return tuple(max_diag(SkewShape(mu, lam)) for mu in labels)
 
 
-def highest_valuation(lam: Partition, shape: GridShape, labels: Iterable[Partition]) -> ValuationVector:
+def highest_valuation(lam: Partition, shape: GridShape, labels: Iterable[Partition]) -> tuple[int, ...]:
     """Closed form for the highest-term valuation:
     mu -> Diag0(mu) - MaxDiag(lam \\ shift^{n-k}(mu))."""
-    out: ValuationVector = {}
-    for mu in labels:
-        shifted = cyclic_shift_iter(mu, shape, shape.rows)
-        out[mu] = diag0(mu) - max_diag(SkewShape(lam, shifted))
-    return out
-
-
-def valuation_table(chart: NetworkChart, variant: str = "min") -> dict[Partition, ValuationVector]:
-    fn = val_min if variant == "min" else val_max
-    return {lam: fn(chart, lam) for lam in all_partitions(chart.shape)}
+    return tuple(
+        diag0(mu) - max_diag(SkewShape(lam, cyclic_shift_iter(mu, shape, shape.rows)))
+        for mu in labels
+    )
 
 
 # ---------------------------------------------------------------------------

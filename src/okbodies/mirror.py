@@ -1,12 +1,13 @@
 """Superpotentials on plabic charts and their tropical shadows.
 
 A chart carries a distinguished Laurent expansion of the superpotential,
-one summand per matching with prescribed boundary; tropicalizing the
-summands (min convention, one linear form each) cuts out the chart's
-polytope.  Charts related by a square move get their polytopes related by
-a piecewise-linear mutation, implemented here once, on points; a
-polytope is mapped through the images of the vertices of its two linear
-pieces, followed by a rehull.
+one coefficient-1 summand per matching with prescribed boundary, kept as
+its boundary index and its integer exponent vector over the chart's
+labels; tropicalizing the summands (min convention, one linear form each)
+cuts out the chart's polytope.  Charts related by a square move get their
+polytopes related by a piecewise-linear mutation, implemented here once,
+on points; a polytope is mapped through the images of the vertices of its
+two linear pieces, followed by a rehull.
 
 The base coordinate p at the empty label is normalized to 1 throughout,
 so exponent vectors live on the nonempty labels only.
@@ -17,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
-from .laurent import LaurentPoly
 from .partitions import GridShape, Partition, boundary_target_set, label_sort_key, partition_str
 from .plabic import BLACK, Quiver, matchings_with_boundary
 from .polyhedra import (
@@ -37,40 +37,17 @@ from .polyhedra import (
 
 @dataclass(frozen=True)
 class SuperpotentialExpansion:
-    """Summands of the superpotential grouped by boundary index.
-
-    ``terms[i]`` is the Laurent polynomial W_i; the slot ``i == rows`` is
-    the q-weighted one.  ``summands`` keeps the raw monomial list, one
-    entry per matching (or closed-form summand), before any merging.
-    """
+    """Summands of the superpotential, one per matching (or closed-form
+    summand): the boundary index i of the W_i it belongs to, the slot
+    ``i == rows`` being the q-weighted one, and its exponent vector over
+    ``labels``.  Every summand has coefficient 1."""
 
     shape: GridShape
     labels: tuple[Partition, ...]
-    terms: Mapping[int, LaurentPoly]
     summands: tuple[tuple[int, tuple[int, ...]], ...]
 
     def total_terms(self) -> int:
         return len(self.summands)
-
-
-def _expansion(
-    shape: GridShape,
-    labels: tuple[Partition, ...],
-    summands: Sequence[tuple[int, tuple[int, ...]]],
-) -> SuperpotentialExpansion:
-    """Merge the summands into the W_i, whose coefficients must all be
-    positive."""
-    terms: dict[int, LaurentPoly] = {}
-    for i, exps in summands:
-        piece = LaurentPoly.monomial(labels, exps)
-        terms[i] = terms[i] + piece if i in terms else piece
-    for i, poly in terms.items():
-        for exps, coeff in poly.terms.items():
-            if not isinstance(coeff, int) or coeff <= 0:
-                raise AssertionError(
-                    f"W_{i} has a non-positive coefficient {coeff} at {exps}"
-                )
-    return SuperpotentialExpansion(shape, labels, terms, tuple(summands))
 
 
 def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
@@ -108,7 +85,7 @@ def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
                 (n - j + 1, mono([(i, j), (i - 1, j - 2)], [(i - 1, j - 1), (i, j - 1)]))
             )
 
-    return _expansion(shape, labels, summands)
+    return SuperpotentialExpansion(shape, labels, tuple(summands))
 
 
 def frozen_boundary_labels(chart: NetworkChart) -> dict[int, Partition]:
@@ -173,7 +150,7 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
                         bump(exps, lab.partition_of_face[f], 1)
             summands.append((i, tuple(exps)))
 
-    return _expansion(shape, labels, summands)
+    return SuperpotentialExpansion(shape, labels, tuple(summands))
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +219,6 @@ def trop_system_to_json(system: TropSystem) -> dict:
     }
 
 
-def as_vector(valuation: Mapping[Partition, int], coords: Sequence[Partition]) -> Vec:
-    """Flatten a label-keyed valuation onto an ordered coordinate tuple."""
-    return tuple(Fraction(valuation.get(lab, 0)) for lab in coords)
-
-
 def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
     """Shift relating the polytope of a general r-vector to the dilation
     by the total weight: minus the r-weighted sum of frozen valuations."""
@@ -256,7 +228,7 @@ def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
         r = Fraction(r_vec[j - 1])
         if not r:
             continue
-        e_j = as_vector(maxdiag_valuation(mu[j], chart.shape, chart.labels), chart.labels)
+        e_j = maxdiag_valuation(mu[j], chart.labels)
         out = [x - r * v for x, v in zip(out, e_j)]
     return tuple(out)
 

@@ -606,7 +606,7 @@ def normalize(G: PlabicGraph) -> PlabicGraph:
 
 @dataclass
 class Orientation:
-    """An acyclic perfect orientation together with its matching.
+    """An acyclic perfect orientation.
 
     ``head`` maps each edge to the endpoint it points at.  Sources are the
     boundary vertices whose edge points into the disk.
@@ -614,7 +614,6 @@ class Orientation:
 
     graph: PlabicGraph
     head: dict[Edge, int]
-    matching: frozenset[Edge]
     sources: frozenset[int]
     topo: tuple[int, ...] = field(default_factory=tuple)
 
@@ -711,7 +710,7 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
     if len(topo) != len(indeg):
         raise AssertionError("perfect orientation has a directed cycle")
 
-    return Orientation(G, head, matching, srcs, tuple(topo))
+    return Orientation(G, head, srcs, tuple(topo))
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,26 @@ def test_verify_builds_each_chart_table_once(monkeypatch):
     assert valued == {"val_min": 5 * 10, "val_max": 5 * 10}
 
 
+def test_verify_computes_each_quiver_once(monkeypatch):
+    # the census computes every class's quiver; the transport check reads
+    # the parents' quivers off their records instead of recomputing them
+    real = census_module.quiver_of
+    computed = []
+
+    def counting(G):
+        computed.append(G)
+        return real(G)
+
+    monkeypatch.setattr(census_module, "quiver_of", counting)
+    assert verify_core(GridShape(3, 5), suite="full").ok
+    assert len(computed) == 5
+    # a report read back from JSON carries no quivers: one per distinct parent
+    rep = CensusReport.from_json(census(GridShape(3, 5)).to_json())
+    computed.clear()
+    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
+    assert len(computed) == len({c.parent for c in rep.classes if c.parent is not None}) == 3
+
+
 def _with_child(report, **changes):
     """A copy of ``report`` whose first non-root record has ``changes``,
     and that record; the copy's records build their own charts."""
@@ -534,6 +554,11 @@ def test_cli_polytope_usage_errors(capsys):
     assert main(["polytope", "--k", "3", "--n", "5", "--class", "-1"]) == 2
     assert main(["polytope", "--k", "3", "--n", "5", "--class", "zzz"]) == 2
     capsys.readouterr()
+    for command in ("polytope", "valuations"):
+        assert main([command, "--k", "2", "--n", "4", "--class", "1,1|9"]) == 2
+        assert capsys.readouterr().err == "refused: no class has the key 1,1|9\n"
+    assert main(["valuations", "--k", "2", "--n", "4", "--class", "99"]) == 2
+    assert capsys.readouterr().err == "refused: class index 99 is outside 0..1\n"
 
 
 def test_cli_class_index_and_key_resolve_through_record(census35, capsys):

@@ -19,7 +19,6 @@ from okbodies.charts import (
     boundary_matrix,
     check_twist_diagram,
     cluster_matrix_g25,
-    flow_polynomial,
     highest_valuation,
     left_twist,
     maxdiag_valuation,
@@ -72,7 +71,7 @@ def test_flow_polynomials_g35_golden():
         (): x1 * x2 * x3 * x11 * x22 ** 2 * x33 ** 2,
     }
     for lam, want in expected.items():
-        assert flow_polynomial(c, lam) == want
+        assert c.plueckers[lam] == want
 
 
 def enumerate_flows(chart, lam):
@@ -109,7 +108,7 @@ def enumerate_flows(chart, lam):
 
 def flow_polynomial_direct(chart, lam):
     """P_lam as the sum of the weights of its flows: an engine independent
-    of the boundary-matrix minors behind ``flow_polynomial``."""
+    of the boundary-matrix minors behind ``chart.plueckers``."""
     V = chart.labels
     total = LaurentPoly.zero(V)
     for flow in enumerate_flows(chart, lam):
@@ -149,16 +148,15 @@ def test_pluecker_table_matches_both_oracles():
         assert list(c.plueckers) == list(all_partitions(c.shape))
         for lam, P in c.plueckers.items():
             assert P == flow_polynomial_by_columns(c, lam) == flow_polynomial_direct(c, lam)
-            assert flow_polynomial(c, lam) is P
-            assert c.min_valuations[lam] == tuple(val_min(c, lam)[mu] for mu in c.labels)
-            assert c.max_valuations[lam] == tuple(val_max(c, lam)[mu] for mu in c.labels)
+            assert c.min_valuations[lam] == val_min(c, lam)
+            assert c.max_valuations[lam] == val_max(c, lam)
 
 
 @pytest.mark.parametrize("k,n", [(3, 5), (2, 4), (2, 5), (3, 6)])
 def test_minor_expansion_matches_flow_enumeration(k, n):
     c = rec_chart(k, n)
     for lam in all_partitions(c.shape):
-        assert flow_polynomial(c, lam) == flow_polynomial_direct(c, lam)
+        assert c.plueckers[lam] == flow_polynomial_direct(c, lam)
 
 
 def test_flows_are_vertex_disjoint_path_systems():
@@ -192,7 +190,7 @@ def test_three_term_relations_mod_p():
 
         def P(J, vals):
             lam = south_steps_to_partition(frozenset(J), c.shape)
-            return flow_polynomial(c, lam).eval_mod_p(vals, PRIME)
+            return c.plueckers[lam].eval_mod_p(vals, PRIME)
 
         for _ in range(5):
             vals = {lam: rng.randrange(1, PRIME) for lam in c.labels}
@@ -233,7 +231,7 @@ def test_valuation_table_g35_golden():
     c = rec_chart(3, 5)
     for J, row in VALUATION_TABLE.items():
         lam = south_steps_to_partition(frozenset(J), c.shape)
-        v = val_min(c, lam)
+        v = dict(zip(c.labels, val_min(c, lam)))
         assert tuple(v[mu] for mu in TABLE_COLUMNS) == row
 
 
@@ -241,7 +239,7 @@ def test_valuation_table_g35_golden():
 def test_valuations_match_closed_forms(k, n):
     c = rec_chart(k, n)
     for lam in all_partitions(c.shape):
-        assert val_min(c, lam) == maxdiag_valuation(lam, c.shape, c.labels)
+        assert val_min(c, lam) == maxdiag_valuation(lam, c.labels)
         assert val_max(c, lam) == highest_valuation(lam, c.shape, c.labels)
 
 
@@ -252,7 +250,7 @@ def test_valuations_match_closed_forms_after_square_moves():
         H = square_move(G, nu).graph
         c = NetworkChart.of(H)
         for lam in all_partitions(c.shape):
-            assert val_min(c, lam) == maxdiag_valuation(lam, c.shape, c.labels)
+            assert val_min(c, lam) == maxdiag_valuation(lam, c.labels)
             assert val_max(c, lam) == highest_valuation(lam, c.shape, c.labels)
 
 
@@ -260,15 +258,15 @@ def test_val_max_differs_by_unit_vector_at_24():
     c = rec_chart(3, 5)
     lam = south_steps_to_partition(frozenset({2, 4}), c.shape)
     lo, hi = val_min(c, lam), val_max(c, lam)
-    diff = {mu: hi[mu] - lo[mu] for mu in c.labels}
-    assert diff == {mu: (1 if mu == (2,) else 0) for mu in c.labels}
+    diff = tuple(h - l for h, l in zip(hi, lo))
+    assert diff == tuple(1 if mu == (2,) else 0 for mu in c.labels)
 
 
 def test_closed_form_edge_cases():
     shape = GridShape(3, 5)
     labels = [lam for lam in all_partitions(shape) if lam != ()]
-    assert all(v == 0 for v in maxdiag_valuation((3, 3), shape, labels).values())
-    v = maxdiag_valuation((2, 1), shape, labels)
+    assert all(v == 0 for v in maxdiag_valuation((3, 3), labels))
+    v = dict(zip(labels, maxdiag_valuation((2, 1), labels)))
     assert v[(1, 1)] == 0 and v[(2,)] == 0  # contained shapes contribute nothing
 
 
@@ -278,7 +276,7 @@ def test_frozen_plueckers_are_balanced_monomials(k, n):
     Q = quiver_of(c.graph)
     mutable = [l for l in Q.labels if l not in Q.frozen]
     for i in range(n + 1):
-        P = flow_polynomial(c, frozen_mu(i, GridShape(k, n)))
+        P = c.plueckers[frozen_mu(i, GridShape(k, n))]
         assert len(P.terms) == 1
         e = dict(zip(c.labels, next(iter(P.terms))))
         for nu in mutable:

@@ -1,8 +1,10 @@
 """Source hygiene: every name the package, the tests and the scripts import
 is used by the module that imports it, they import only at module level,
-and the package holds no code that only the tests call."""
+the package holds no code that only the tests call, and every name the
+benchmark reads from the package exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -222,3 +224,102 @@ def test_package_holds_no_test_only_code():
     assert PAPER_FACING <= defined
     flagged = unreachable(package, list(sources(CALLERS).values()))
     assert sorted(set(flagged) - PAPER_FACING) == []
+
+
+# -- the benchmark's view of the package ------------------------------------
+
+def layer_names(source: str) -> list[str]:
+    """The string keys of the ``LAYERS`` dict literal in ``source``."""
+    for node in ast.parse(source).body:
+        target = node.target if isinstance(node, ast.AnnAssign) else None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        if isinstance(target, ast.Name) and target.id == "LAYERS":
+            return [k.value for k in node.value.keys]
+    raise AssertionError("no LAYERS dict")
+
+
+def package_reads(source: str) -> list[str]:
+    """``<module>.<name>`` for every name imported from an okbodies module,
+    and every attribute chain read off an okbodies module bound by an
+    import (``from okbodies import charts`` then ``charts.NetworkChart.of``
+    gives ``charts.NetworkChart`` and ``charts.NetworkChart.of``)."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.module == "okbodies":
+            modules.update({a.asname or a.name: a.name for a in node.names})
+        elif node.module.startswith("okbodies."):
+            mod = node.module.split(".", 1)[1]
+            out.update(f"{mod}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            out.add(".".join([modules[node.id], *reversed(chain)]))
+    return sorted(out)
+
+
+def unresolved(names, need_callable: bool = False) -> list[str]:
+    """The dotted names that are not attributes of the okbodies package
+    (or, with ``need_callable``, not callable ones)."""
+    out = []
+    for name in names:
+        mod, *attrs = name.split(".")
+        obj = importlib.import_module(f"okbodies.{mod}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None or (need_callable and not callable(obj)):
+            out.append(name)
+    return out
+
+
+def test_benchmark_scanner_flags_a_missing_name():
+    layers = (
+        "LAYERS: dict = {\n"
+        "    'charts.val_min': (None, ('calls',)),\n"
+        "    'charts.val_minimum': (None, ('calls',)),\n"
+        "    'charts.NetworkChart.of': (None, ('calls',)),\n"
+        "    'census.EXPECTED_COUNTS': (None, ('calls',)),\n"
+        "}\n"
+    )
+    names = layer_names(layers)
+    assert unresolved(names, need_callable=True) == ["charts.val_minimum", "census.EXPECTED_COUNTS"]
+    workload = (
+        "from okbodies import charts as ch, mirror\n"
+        "from okbodies.partitions import GridShape, nope\n"
+        "def run(x):\n"
+        "    from okbodies.census import census\n"
+        "    return ch.NetworkChart.of(x), ch.NetworkChart.gone, mirror.renamed_away(x), x.ch\n"
+    )
+    assert package_reads(workload) == [
+        "census.census",
+        "charts.NetworkChart",
+        "charts.NetworkChart.gone",
+        "charts.NetworkChart.of",
+        "mirror.renamed_away",
+        "partitions.GridShape",
+        "partitions.nope",
+    ]
+    assert unresolved(package_reads(workload)) == [
+        "charts.NetworkChart.gone",
+        "mirror.renamed_away",
+        "partitions.nope",
+    ]
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    bench = sources(["bench"])
+    layers = layer_names(bench["bench/tracing.py"])
+    assert "charts.val_min" in layers and "charts.NetworkChart.of" in layers
+    assert unresolved(layers, need_callable=True) == []
+    reads = package_reads(bench["bench/workloads.py"])
+    assert "plabic.quiver_of" in reads
+    assert {path: unresolved(package_reads(src)) for path, src in bench.items()} == {
+        path: [] for path in bench
+    }

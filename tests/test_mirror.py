@@ -2,6 +2,7 @@
 polytopes between charts, pinned on the 2x3 grid goldens."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -11,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from okbodies.charts import NetworkChart, maxdiag_valuation, valuation_table
-from okbodies.laurent import LaurentPoly
+from okbodies.charts import NetworkChart, maxdiag_valuation
 from okbodies.mirror import (
     TropMutation,
-    as_vector,
     frozen_boundary_labels,
     gamma_polytope,
     gamma_qpolytope,
@@ -49,10 +48,6 @@ def rec_chart(k, n):
     return NetworkChart.of(normalize(build_rectangles(GridShape(k=k, n=n))))
 
 
-def vec(chart, valuation):
-    return as_vector(valuation, chart.labels)
-
-
 # -- expansions -------------------------------------------------------------
 
 def test_rectangles_superpotential_g35_golden():
@@ -66,17 +61,21 @@ def test_rectangles_superpotential_g35_golden():
             exps[labels.index(p)] += 1
         for p in den:
             exps[labels.index(p)] -= 1
-        return LaurentPoly.monomial(labels, exps)
+        return tuple(exps)
 
-    assert exp.terms[1] == (
-        mono([(1, 1)], [(1,)])
-        + mono([(2, 2)], [(1,), (2,)])
-        + mono([(3, 3)], [(2,), (3,)])
+    assert Counter(exp.summands) == Counter(
+        [
+            (1, mono([(1, 1)], [(1,)])),
+            (1, mono([(2, 2)], [(1,), (2,)])),
+            (1, mono([(3, 3)], [(2,), (3,)])),
+            (2, mono([(2,)], [(3, 3)])),
+            (3, mono([(3,)], [(2,)])),
+            (3, mono([(3, 3), (1,)], [(2,), (2, 2)])),
+            (4, mono([(2,)], [(1,)])),
+            (4, mono([(2, 2)], [(1,), (1, 1)])),
+            (5, mono([(1,)], [])),
+        ]
     )
-    assert exp.terms[2] == mono([(2,)], [(3, 3)])
-    assert exp.terms[3] == mono([(3,)], [(2,)]) + mono([(3, 3), (1,)], [(2,), (2, 2)])
-    assert exp.terms[4] == mono([(2,)], [(1,)]) + mono([(2, 2)], [(1,), (1, 1)])
-    assert exp.terms[5] == mono([(1,)], [])
     assert exp.total_terms() == 9
 
 
@@ -86,7 +85,7 @@ def test_term_count_formula():
         exp = rectangles_superpotential(shape)
         rows = shape.rows
         assert exp.total_terms() == 2 + (rows - 1) * k + rows * (k - 1)
-        assert set(exp.terms) == set(range(1, n + 1))
+        assert {i for i, _ in exp.summands} == set(range(1, n + 1))
 
 
 def test_boundary_target_sets_g35():
@@ -102,7 +101,7 @@ def test_boundary_target_sets_g35():
 def test_marsh_scott_matching_counts_g35():
     chart = rec_chart(3, 5)
     exp = marsh_scott_expansion(chart)
-    per_slot = {i: len(exp.terms[i].terms) for i in exp.terms}
+    per_slot = Counter(i for i, _ in set(exp.summands))
     assert per_slot == {1: 3, 2: 1, 3: 2, 4: 2, 5: 1}
 
 
@@ -110,7 +109,7 @@ def test_marsh_scott_unique_matching_weight_g35():
     # slot 2 carries the q term: the single matching gives p2/p33
     chart = rec_chart(3, 5)
     exp = marsh_scott_expansion(chart)
-    (exps,) = exp.terms[2].terms
+    (exps,) = {e for i, e in exp.summands if i == 2}
     assert dict(zip(chart.labels, exps)) == {
         (1,): 0, (1, 1): 0, (2,): 1, (3,): 0, (2, 2): 0, (3, 3): -1,
     }
@@ -122,18 +121,24 @@ def test_marsh_scott_equals_rectangles():
         ms = marsh_scott_expansion(chart)
         closed = rectangles_superpotential(chart.shape)
         assert ms.labels == closed.labels
-        assert ms.terms == closed.terms
+        assert Counter(ms.summands) == Counter(closed.summands)
 
 
 def test_marsh_scott_positive_after_square_moves():
+    # every summand is a coefficient-1 monomial, so the W_i are positive;
+    # what can go wrong is a boundary slot with no matching or a summand
+    # that is not an integer vector over the chart's labels
     rng = random.Random(0x5EED)
     G = rec_chart(3, 6).graph
     for _ in range(3):
         nu = rng.choice(movable_faces(G))
         G = square_move(G, nu, rng).graph
-        exp = marsh_scott_expansion(NetworkChart.of(G))
-        for poly in exp.terms.values():
-            assert all(c > 0 for c in poly.terms.values())
+        chart = NetworkChart.of(G)
+        exp = marsh_scott_expansion(chart)
+        assert exp.labels == chart.labels
+        assert {i for i, _ in exp.summands} == set(range(1, G.shape.n + 1))
+        for _, exps in exp.summands:
+            assert len(exps) == len(chart.labels) and all(type(e) is int for e in exps)
 
 
 def test_frozen_boundary_labels_match_closed_form():
@@ -176,7 +181,7 @@ def test_gamma_vertices_are_the_valuations():
     for k, n in [(3, 5), (3, 6)]:
         chart = rec_chart(k, n)
         P = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(chart.shape, 1))
-        rows = sorted(vec(chart, v) for v in valuation_table(chart, "min").values())
+        rows = sorted(chart.min_valuations.values())
         assert sorted(P.vertices) == rows
         assert sorted(tuple(map(F, p)) for p in lattice_points(P, 1)) == rows
 
@@ -209,10 +214,12 @@ def test_dilation_scales_the_hrep():
     assert same_hrep(P3, P1.scaled(3))
 
 
-def trop_value(poly, v):
-    """Min-convention tropicalization of a positive Laurent polynomial,
-    evaluated at a point of the exponent space."""
-    return min(sum(e * Fraction(x) for e, x in zip(exps, v)) for exps in poly.terms)
+def trop_value(expansion, i, v):
+    """Min-convention tropicalization of the summands of W_i, evaluated at
+    a point of the exponent space."""
+    return min(
+        sum(e * Fraction(x) for e, x in zip(exps, v)) for j, exps in expansion.summands if j == i
+    )
 
 
 def test_frozen_ratio_trop_identity():
@@ -223,9 +230,9 @@ def test_frozen_ratio_trop_identity():
         mu = frozen_boundary_labels(chart)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                e_j = vec(chart, maxdiag_valuation(mu[j], shape, chart.labels))
+                e_j = maxdiag_valuation(mu[j], chart.labels)
                 want = (1 if i == j else 0) - (1 if i == shape.rows else 0)
-                assert trop_value(exp.terms[i], e_j) == want
+                assert trop_value(exp, i, e_j) == want
 
 
 def test_translation_identity_g35():
@@ -303,10 +310,10 @@ def test_valuation_transport_under_square_moves():
         move = TropMutation.of(Q, nu, coords, res.new_label)
         assert move.new_coords == tuple(chart2.labels)
         for variant in ("min", "max"):
-            t1 = valuation_table(chart, variant)
-            t2 = valuation_table(chart2, variant)
+            t1 = chart.min_valuations if variant == "min" else chart.max_valuations
+            t2 = chart2.min_valuations if variant == "min" else chart2.max_valuations
             for lam in all_partitions(G35):
-                assert move(vec(chart, t1[lam]), variant) == vec(chart2, t2[lam])
+                assert move(t1[lam], variant) == t2[lam]
 
 
 def test_polytope_transport_matches_marsh_scott():
