@@ -42,14 +42,23 @@ Edge = frozenset
 
 
 class PlabicGraph:
-    """Bicoloured graph in the disk with a clockwise rotation system."""
+    """Bicoloured graph in the disk with a clockwise rotation system.
 
-    __slots__ = ("shape", "color", "rot")
+    A graph is an immutable value: nothing changes ``color`` or ``rot``
+    after construction, and every surgery below builds a new graph from
+    copies.  Its face labelling and its contracted form are therefore
+    computed on first use by ``face_labels`` and ``contract`` and cached on
+    the graph.
+    """
+
+    __slots__ = ("shape", "color", "rot", "_labeling", "_contracted")
 
     def __init__(self, shape: GridShape, color: dict[int, str], rot: dict[int, tuple[int, ...]]):
         self.shape = shape
         self.color = dict(color)
         self.rot = {v: tuple(nbrs) for v, nbrs in rot.items()}
+        self._labeling: Optional[FaceLabeling] = None
+        self._contracted: Optional[PlabicGraph] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -367,10 +376,16 @@ class FaceLabeling:
 def face_labels(G: PlabicGraph) -> FaceLabeling:
     """Label every disk face by the set of trips passing it on the left.
 
-    Raises if the labels are not ``n-k`` sized, pairwise distinct and
-    ``N + 1`` in number, which is how non-reduced graphs announce
-    themselves here.
+    Traced once per graph and cached on it.  Raises if the labels are not
+    ``n-k`` sized, pairwise distinct and ``N + 1`` in number, which is how
+    non-reduced graphs announce themselves here.
     """
+    if G._labeling is None:
+        G._labeling = _trace_labels(G)
+    return G._labeling
+
+
+def _trace_labels(G: PlabicGraph) -> FaceLabeling:
     shape = G.shape
     faces = faces_of(G)
     members: list[set[int]] = [set() for _ in range(len(faces))]
@@ -496,7 +511,14 @@ def contract(G: PlabicGraph) -> PlabicGraph:
     colour, so each removal is a merge of two same-coloured vertices.
     White vertices attached to the boundary are kept: they are the
     mandatory buffers between the boundary and the black interior.
+    Computed once per graph and cached on it.
     """
+    if G._contracted is None:
+        G._contracted = _contract(G)
+    return G._contracted
+
+
+def _contract(G: PlabicGraph) -> PlabicGraph:
     color = dict(G.color)
     rot = {v: list(nbrs) for v, nbrs in G.rot.items()}
 
@@ -629,21 +651,26 @@ def _matchings(G: PlabicGraph, boundary_covered: frozenset[int]) -> Iterator[fro
     n = G.shape.n
     forbidden = {i for i in range(1, n + 1) if i not in boundary_covered}
     must_cover = set(G.internal_vertices()) | set(boundary_covered)
-
-    def candidates(v, covered):
-        return [
-            u for u in G.rot[v]
-            if u not in covered and u not in forbidden
-        ]
+    # the neighbours each vertex may be matched to, in rotation order
+    allowed = {v: [u for u in G.rot[v] if u not in forbidden] for v in must_cover}
 
     def solve(covered: set[int], chosen: list[Edge]) -> Iterator[frozenset]:
-        remaining = [v for v in must_cover if v not in covered]
-        if not remaining:
+        # branch on the most constrained vertex, working out each vertex's
+        # candidates once; a vertex without any is a dead end
+        best = None
+        for w in must_cover:
+            if w in covered:
+                continue
+            cands = [u for u in allowed[w] if u not in covered]
+            if not cands:
+                return
+            if best is None or (len(cands), w) < (len(best[1]), best[0]):
+                best = (w, cands)
+        if best is None:
             yield frozenset(chosen)
             return
-        # branch on the most constrained vertex; fail fast on dead ends
-        v = min(remaining, key=lambda w: (len(candidates(w, covered)), w))
-        for u in candidates(v, covered):
+        v, cands = best
+        for u in cands:
             covered.add(v)
             covered.add(u)
             chosen.append(frozenset((u, v)))
@@ -726,21 +753,30 @@ class SquareMoveResult:
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 
 
+def _columns(lam: Partition, shape: GridShape) -> list[int]:
+    """The 0-based matrix columns of lam's south steps."""
+    return sorted(j - 1 for j in partition_to_south_steps(lam, shape))
+
+
+def _minor_mod_p(A: Sequence[Sequence[int]], cols: Sequence[int], p: int) -> int:
+    return rank_det([[row[c] % p for c in cols] for row in A])[1] % p
+
+
 def pluecker_mod_p(A: Sequence[Sequence[int]], lam: Partition, shape: GridShape, p: int) -> int:
     """The Pluecker coordinate p_lam of the (n-k) x n matrix ``A`` over F_p:
     the exact integer minor of ``A`` reduced mod p on the columns of lam's
     south steps, reduced mod p."""
-    cols = sorted(j - 1 for j in partition_to_south_steps(lam, shape))
-    return rank_det([[row[c] % p for c in cols] for row in A])[1] % p
+    return _minor_mod_p(A, _columns(lam, shape), p)
 
 
 def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random) -> None:
     """Verify p_nu p_nu' = p_a p_c + p_b p_d at random points of the
     Grassmannian over a large prime field."""
     p = _SQUARE_PRIME
+    cols = {lam: _columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)}
     for _ in range(3):
         mat = [[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)]
-        vals = {lam: pluecker_mod_p(mat, lam, shape, p) for lam in (nu, nu2, *diag1, *diag2)}
+        vals = {lam: _minor_mod_p(mat, c, p) for lam, c in cols.items()}
         lhs = vals[nu] * vals[nu2] % p
         rhs = (vals[diag1[0]] * vals[diag1[1]] + vals[diag2[0]] * vals[diag2[1]]) % p
         if lhs != rhs:

@@ -55,12 +55,6 @@ class HPolytope:
         a, b = ineq
         return sum(x * y for x, y in zip(a, v)) + b
 
-    def scaled(self, r) -> "HPolytope":
-        r = Fraction(r)
-        if r < 0:
-            raise ValueError("negative dilation")
-        return HPolytope(self.coords, tuple((a, b * r) for a, b in self.ineqs))
-
     def translated(self, t: Sequence[Fraction]) -> "HPolytope":
         # substitute v -> v - t
         return HPolytope(
@@ -93,10 +87,6 @@ class QPolytope:
     def nonintegral_vertices(self) -> list[Vec]:
         return [v for v in self.vertices if any(x.denominator != 1 for x in v)]
 
-    def scaled(self, r) -> "QPolytope":
-        r = Fraction(r)
-        return QPolytope(self.hrep.scaled(r), tuple(tuple(r * x for x in v) for v in self.vertices))
-
     def translated(self, t: Sequence[Fraction]) -> "QPolytope":
         return QPolytope(
             self.hrep.translated(t),
@@ -125,7 +115,7 @@ def _primitive(xs: Iterable[Fraction]) -> list[int]:
     zeros."""
     xs = list(xs)
     denom = lcm(*(x.denominator for x in xs))
-    ints = [int(x * denom) for x in xs]
+    ints = [x.numerator * (denom // x.denominator) for x in xs]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -270,19 +260,25 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
 # ---------------------------------------------------------------------------
 
 def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Integer points of the r-th dilation, cached per r."""
+    """Integer points of the r-th dilation, cached per r.
+
+    The dilation stays in integers: the integer rows a.v + b >= 0 of P
+    become a.v + r*b >= 0, and coordinate i runs over the box from the
+    least ceil(r * v_i) to the greatest floor(r * v_i) over the vertices v.
+    """
     if r in P._lattice:
         return P._lattice[r]
-    Q = P.scaled(r)
-    d = Q.hrep.dim
-    if Q.is_empty():
+    if r < 0:
+        raise ValueError("negative dilation")
+    d = P.hrep.dim
+    if P.is_empty():
         P._lattice[r] = ()
         return ()
-    lo = [min(v[i] for v in Q.vertices) for i in range(d)]
-    hi = [max(v[i] for v in Q.vertices) for i in range(d)]
-    lo = [int(x) if x.denominator == 1 else int(x) + (1 if x > 0 else 0) for x in lo]
-    hi = [int(x) if x.denominator == 1 else int(x) - (1 if x < 0 else 0) for x in hi]
-    rows = _integer_rows(Q.hrep.ineqs)
+    # ceil and floor are monotone: bound each vertex coordinate, then take
+    # the extremes in integers
+    lo = [min(-(-r * x.numerator // x.denominator) for x in col) for col in zip(*P.vertices)]
+    hi = [max(r * x.numerator // x.denominator for x in col) for col in zip(*P.vertices)]
+    rows = [(a, b * r) for a, b in _integer_rows(P.hrep.ineqs)]
 
     cols = [[a[c] for a, _ in rows] for c in range(d)]
     # slack[c][t]: the most the coordinates after c can add to row t inside

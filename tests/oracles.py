@@ -3,7 +3,9 @@
 Everything here is written as directly as possible from the definitions,
 with no shared code paths into the package: border paths are walked step by
 step, diagonals are counted one at a time, Gelfand-Tsetlin patterns are
-enumerated recursively.  The oracles are slow and that is fine.
+enumerated recursively, matchings are grown one edge at a time.  Only the
+polytope containers are borrowed from the package, to hand a dilation back
+in the form its callers compare.  The oracles are slow and that is fine.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, lcm
+
+from okbodies.polyhedra import HPolytope, QPolytope
 
 
 def walk_border(J, k, n):
@@ -233,3 +237,41 @@ def lattice_points_by_box_sweep(ineqs, vertices, r):
 
     sweep(0)
     return tuple(sorted(out))
+
+
+def dilate(P, r):
+    """The r-th dilation of a polytope: every vertex times r and every
+    row a.v + b >= 0 turned into a.v + r*b >= 0."""
+    r = Fraction(r)
+    hrep = HPolytope(P.hrep.coords, tuple((a, b * r) for a, b in P.hrep.ineqs))
+    return QPolytope(hrep, tuple(tuple(r * x for x in v) for v in P.vertices))
+
+
+def matchings_by_edges(G, J):
+    """Matchings of the plabic graph ``G`` that cover every internal vertex
+    and exactly the boundary vertices in ``J``, sorted as edge lists.
+
+    Include/exclude recursion over the sorted edge list; a branch dies once
+    it has passed the last edge of a vertex it still has to cover.
+    """
+    J = set(J)
+    edges = sorted({tuple(sorted((u, v))) for v, nbrs in G.rot.items() for u in nbrs})
+    must = {v for v, c in G.color.items() if c != "boundary"} | J
+    last = {}
+    for i, (u, v) in enumerate(edges):
+        last[u] = last[v] = i
+    out = []
+
+    def grow(i, covered, chosen):
+        if i == len(edges):
+            if covered == must:
+                out.append(frozenset(frozenset(e) for e in chosen))
+            return
+        u, v = edges[i]
+        if u in must and v in must and u not in covered and v not in covered:
+            grow(i + 1, covered | {u, v}, chosen + [(u, v)])
+        if not any(w in must and w not in covered and last[w] == i for w in (u, v)):
+            grow(i + 1, covered, chosen)
+
+    grow(0, frozenset(), [])
+    return sorted(out, key=lambda m: sorted(sorted(e) for e in m))

@@ -17,6 +17,7 @@ import oracles
 from okbodies import census as census_module
 from okbodies import charts as charts_module
 from okbodies import cli as cli_module
+from okbodies import plabic as plabic_module
 from okbodies.census import (
     CensusGuardError,
     CensusReport,
@@ -31,7 +32,15 @@ from okbodies.census import (
 from okbodies.charts import NetworkChart
 from okbodies.cli import _resolve_class, main
 from okbodies.partitions import GridShape, label_sort_key, parse_partition
-from okbodies.plabic import build_rectangles, face_labels, movable_faces, normalize, square_move
+from okbodies.plabic import (
+    PlabicGraph,
+    build_rectangles,
+    contract,
+    face_labels,
+    movable_faces,
+    normalize,
+    square_move,
+)
 from okbodies.polyhedra import lattice_points, volume_formula
 
 F = Fraction
@@ -324,6 +333,50 @@ def test_verify_computes_each_quiver_once(monkeypatch):
     computed.clear()
     assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
     assert len(computed) == len({c.parent for c in rep.classes if c.parent is not None}) == 3
+
+
+@pytest.mark.parametrize("shape, traced", [(GridShape(3, 5), 1 + 5 + 10), (GridShape(3, 6), 1 + 34 + 120)])
+def test_census_traces_each_graph_once(shape, traced, monkeypatch):
+    # one face trace per distinct graph: the rectangles graph, each class's
+    # contracted graph (which the square moves and the quiver share), and
+    # each moved graph (which its chart shares)
+    real = plabic_module.faces_of
+    graphs = []
+
+    def counting(G):
+        graphs.append(G)
+        return real(G)
+
+    monkeypatch.setattr(plabic_module, "faces_of", counting)
+    rep = census(shape)
+    assert len(graphs) == traced
+    assert len({id(G) for G in graphs}) == traced
+    assert rep.class_count == EXPECTED_COUNTS[(shape.k, shape.n)][0]
+
+
+def test_cached_labelling_equals_a_fresh_trace(monkeypatch):
+    # every class graph and every graph a square move returns keeps the
+    # labelling a fresh copy of it traces, and one contracted form
+    real = census_module.square_move
+    moved = []
+
+    def recording(G, nu, rng=None):
+        res = real(G, nu, rng)
+        moved.append(res.graph)
+        return res
+
+    monkeypatch.setattr(census_module, "square_move", recording)
+    rep = census(GridShape(3, 6))
+    graphs = [c.graph for c in rep.classes] + moved
+    assert len(moved) == 120
+    for G in graphs:
+        cached = face_labels(G)
+        fresh = face_labels(PlabicGraph.from_json(G.to_json()))
+        assert cached.partition_of_face == fresh.partition_of_face
+        assert cached.face_of_partition == fresh.face_of_partition
+        assert cached.frozen == fresh.frozen
+        assert face_labels(G) is cached
+        assert contract(G) is contract(G)
 
 
 def _with_child(report, **changes):

@@ -211,7 +211,7 @@ def test_dilation_scales_the_hrep():
     exp = marsh_scott_expansion(chart)
     P1 = gamma_qpolytope(exp, standard_r_vec(G35, 1))
     P3 = gamma_qpolytope(exp, standard_r_vec(G35, 3))
-    assert same_hrep(P3, P1.scaled(3))
+    assert same_hrep(P3, oracles.dilate(P1, 3))
 
 
 def trop_value(expansion, i, v):

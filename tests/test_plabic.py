@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from okbodies.partitions import GridShape, frozen_mu
+import oracles
+from okbodies import plabic
+from okbodies.census import census
+from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import (
     BOUNDARY,
     PlabicGraph,
@@ -116,6 +119,21 @@ def test_matching_counts_match_flow_counts(rec35):
         assert len(matchings_with_boundary(rec35, J)) == want
 
 
+def _matching_boundaries(shape):
+    # the source set of the perfect orientation and the boundary sets of
+    # the superpotential summands
+    return [frozenset(range(1, shape.rows + 1))] + [
+        boundary_target_set(i, shape) for i in range(1, shape.n + 1)
+    ]
+
+
+def test_matchings_agree_with_the_edge_recursion_oracle(rec36):
+    graphs = [c.graph for c in census(G35).classes] + [rec36]
+    for G in graphs:
+        for J in _matching_boundaries(G.shape):
+            assert matchings_with_boundary(G, J) == oracles.matchings_by_edges(G, J), sorted(J)
+
+
 def test_square_moves_frozen_labels(rec35):
     rng = random.Random(123)
     G = normalize(rec35)
@@ -155,6 +173,44 @@ def test_square_move_refuses_boundary_faces_and_hexagons(rec36):
     assert (2, 2) in lab.mutable and (2, 2) not in movable_faces(G)
     with pytest.raises(ValueError, match="not a quadrilateral"):
         square_move(G, (2, 2))
+
+
+def test_exchange_check_reads_each_label_once_per_move(rec36, monkeypatch):
+    # six labels take part in the exchange relation; their column sets are
+    # found once per move, not once per random matrix
+    real = plabic.partition_to_south_steps
+    looked_up = []
+
+    def counting(lam, shape):
+        looked_up.append(lam)
+        return real(lam, shape)
+
+    monkeypatch.setattr(plabic, "partition_to_south_steps", counting)
+    faces = movable_faces(rec36)
+    for nu in faces:
+        square_move(rec36, nu, random.Random(7))
+    assert len(looked_up) == 6 * len(faces)
+
+
+def test_exchange_check_rejects_a_wrong_label(rec35, monkeypatch):
+    real = plabic._check_exchange
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plabic, "_check_exchange", recording)
+    nu = movable_faces(rec35)[0]
+    res = square_move(rec35, nu)
+    ((shape, nu_seen, nu2, diag1, diag2, _),) = calls
+    assert (nu_seen, nu2) == (nu, res.new_label)
+    real(shape, nu, nu2, diag1, diag2, random.Random(1))
+    for wrong in all_partitions(shape):
+        if wrong == nu2:
+            continue
+        with pytest.raises(AssertionError, match="exchange relation failed"):
+            real(shape, nu, wrong, diag1, diag2, random.Random(1))
 
 
 def test_label_sets_are_class_invariants_under_flips(rec36):

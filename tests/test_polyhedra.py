@@ -72,8 +72,11 @@ def test_cube_lattice_counts():
     P = cube(3)
     for r in (1, 2, 3):
         assert len(lattice_points(P, r)) == (r + 1) ** 3
-    assert lattice_points(P, 1) == lattice_points(P.scaled(1), 1)
-    assert lattice_points(P, 2) == lattice_points(P.scaled(2), 1)
+    # the integer dilation inside lattice_points against an explicit one
+    assert lattice_points(P, 1) == lattice_points(oracles.dilate(P, 1), 1)
+    assert lattice_points(P, 2) == lattice_points(oracles.dilate(P, 2), 1)
+    with pytest.raises(ValueError, match="negative dilation"):
+        lattice_points(P, -1)
 
 
 def test_simplex_volume_and_points():
@@ -183,6 +186,7 @@ def test_lattice_points_match_the_box_sweep_oracle(system):
     P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
     for r in (0, 1, 2, 3):
         assert lattice_points(P, r) == oracles.lattice_points_by_box_sweep(rows, P.vertices, r)
+        assert lattice_points(P, r) == lattice_points(oracles.dilate(P, r), 1)
 
 
 def test_lattice_points_of_a_zero_dimensional_region():
@@ -237,7 +241,7 @@ def test_translate_and_scale_track_vertices():
     Q = P.translated(t)
     assert sorted(Q.vertices) == sorted(tuple(x + y for x, y in zip(v, t)) for v in P.vertices)
     assert volume(Q) == volume(P)
-    R = P.scaled(F(3, 2))
+    R = oracles.dilate(P, F(3, 2))
     assert volume(R) == F(27, 8) * volume(P)
 
 
