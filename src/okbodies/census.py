@@ -372,6 +372,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    seconds: float = 0.0
 
 
 @dataclass
@@ -389,7 +390,7 @@ class VerifyReport:
         lines = [f"verify {self.shape.k},{self.shape.n} suite={self.suite}"]
         for c in self.checks:
             mark = "ok  " if c.ok else "FAIL"
-            lines.append(f"  [{mark}] {c.name}" + (f": {c.detail}" if c.detail else ""))
+            lines.append(f"  [{mark}] {c.name} ({c.seconds:.3f}s)" + (f": {c.detail}" if c.detail else ""))
         lines.append(
             f"{'all checks passed' if self.ok else 'FAILURES PRESENT'}"
             f" ({len(self.checks)} checks, {self.elapsed:.1f}s)"
@@ -403,10 +404,6 @@ def _record_polytope(c: ClassRecord) -> QPolytope:
     if c.polytope is None:
         c.polytope = gamma_qpolytope(marsh_scott_expansion(c.chart), standard_r_vec(c.chart.shape, 1))
     return c.polytope
-
-
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append(CheckResult(name, bool(ok), detail))
 
 
 def verify_core(
@@ -426,15 +423,22 @@ def verify_core(
     checks: list[CheckResult] = []
     if report is None:
         report = census(shape, deep=deep, seed=seed)
+    clock = [time.perf_counter()]
+
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        # a check is billed the time since the previous one was recorded
+        clock.append(time.perf_counter())
+        checks.append(CheckResult(name, bool(ok), detail, clock[-1] - clock[-2]))
+
     n, k = shape.n, shape.k
     binom = len(list(all_partitions(shape)))
 
     if (k, n) in EXPECTED_COUNTS:
         want = EXPECTED_COUNTS[(k, n)]
         got = (report.class_count, report.integral_count, report.nonintegral_count)
-        _check(checks, "census-counts", got == want, f"got {got}, expected {want}")
+        check("census-counts", got == want, f"got {got}, expected {want}")
     else:
-        _check(checks, "census-counts", True, f"{report.class_count} classes (no pin)")
+        check("census-counts", True, f"{report.class_count} classes (no pin)")
 
     root = next(c for c in report.classes if c.parent is None)
     chart0 = root.chart
@@ -443,20 +447,20 @@ def verify_core(
             v == maxdiag_valuation(lam, chart0.labels)
             for lam, v in chart0.min_valuations.items()
         )
-        _check(checks, "closed-form-valuations", closed_ok)
+        check("closed-form-valuations", closed_ok)
         if (k, n) == (3, 5):
             rows = set(chart0.min_valuations.values())
-            _check(checks, "golden-valuation-table", rows == G35_GOLDEN_ROWS)
+            check("golden-valuation-table", rows == G35_GOLDEN_ROWS)
 
     lattice_ok = all(len(c.lattice) == binom for c in report.classes)
-    _check(checks, "lattice-count-per-class", lattice_ok, f"expected {binom} per class")
+    check("lattice-count-per-class", lattice_ok, f"expected {binom} per class")
 
     vert_ok = all(
         set(c.vertices) <= {tuple(Fraction(x) for x in p) for p in c.lattice}
         or not c.integral
         for c in report.classes
     )
-    _check(checks, "integral-vertices-are-lattice-points", vert_ok)
+    check("integral-vertices-are-lattice-points", vert_ok)
 
     scan_ok = True
     scan_detail = ""
@@ -468,7 +472,7 @@ def verify_core(
             scan_ok = False
             scan_detail = f"class {c.key_str}"
             break
-    _check(checks, "degree-one-scan-is-onto", scan_ok, scan_detail)
+    check("degree-one-scan-is-onto", scan_ok, scan_detail)
 
     if report.nonintegral_count:
         probe_hits = 0
@@ -484,31 +488,26 @@ def verify_core(
             scan = degree_r_valuation_scan(c.chart, 2, _record_polytope(c))
             if scan.missing == {doubled}:
                 probe_hits += 1
-        _check(
-            checks,
+        check(
             "nonintegral-vertex-unique",
             single_ok,
             "each non-integral class should expose exactly one fractional vertex",
         )
-        _check(
-            checks,
+        check(
             "degree-two-scan-misses-only-the-doubled-vertex",
             probe_hits == report.nonintegral_count,
             f"{probe_hits}/{report.nonintegral_count} classes",
         )
+        checks[-1].seconds = 0.0  # one loop decides both checks; the first is billed for it
 
     if suite == "full":
         transport_ok, transport_detail = _check_transport(shape, report)
-        _check(checks, "move-transport", transport_ok, transport_detail)
+        check("move-transport", transport_ok, transport_detail)
         if chart0 is not None:
             scan2 = degree_r_valuation_scan(chart0, 2, _record_polytope(root))
-            _check(
-                checks,
-                "rectangles-degree-two-scan-is-onto",
-                scan2.contained and not scan2.missing,
-            )
+            check("rectangles-degree-two-scan-is-onto", scan2.contained and not scan2.missing)
             vol_ok = all(volume(_record_polytope(c)) == volume_formula(shape) for c in report.classes)
-            _check(checks, "volume-formula-per-class", vol_ok)
+            check("volume-formula-per-class", vol_ok)
 
     return VerifyReport(shape, suite, checks, time.time() - t0)
 

@@ -457,13 +457,14 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
     Bt = adjusted_exchange(quiver_of(G), G25_TWIST_ADJUSTMENT)
     M = chart.matrix
     cluster = [(), (1,), (2,), (3,), (1, 1), (2, 2)]
+    labels = tuple(all_partitions(shape))
 
     done = 0
     while done < trials:
         P = {lam: rng.randrange(1, p) for lam in cluster}
         P[(3, 3)] = 1
         A = cluster_matrix_g25(P, p)
-        vec = pluecker_vector_mod_p(A, shape, p)
+        vec = {lam: pluecker_mod_p(A, lam, shape, p) for lam in labels}
         if not all(vec.values()):
             continue  # not in the open cell, resample
         for lam in cluster:
@@ -476,8 +477,8 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
             for mu in chart.labels
         }
         N = [[entry.eval_mod_p(x, p) for entry in row] for row in M]
-        vec_n = pluecker_vector_mod_p(N, shape, p)
-        vec_t = pluecker_vector_mod_p(tau, shape, p)
+        vec_n = {lam: pluecker_mod_p(N, lam, shape, p) for lam in labels}
+        vec_t = {lam: pluecker_mod_p(tau, lam, shape, p) for lam in labels}
         if not vec_n[(3, 3)] or not vec_t[(3, 3)]:
             continue
         scale = vec_t[(3, 3)] * pow(vec_n[(3, 3)], -1, p) % p
@@ -495,8 +496,3 @@ def _monomial_eval(P: dict[Partition, int], row: dict[Partition, int], p: int) -
         if e:
             out = out * pow(P[nu], e, p) % p
     return out
-
-
-def pluecker_vector_mod_p(A: Sequence[Sequence[int]], shape: GridShape, p: int) -> dict[Partition, int]:
-    """All Pluecker coordinates of a mod-p matrix, keyed by partitions."""
-    return {lam: pluecker_mod_p(A, lam, shape, p) for lam in all_partitions(shape)}

@@ -4,11 +4,11 @@ Everything here is exact integer or Fraction arithmetic; no floats.
 Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
 and emptiness and unboundedness are read off them exactly.
-Volumes come from a pulling triangulation of the tight-set face lattice,
-lattice points from a box sweep that bounds each coordinate to an integer
-interval before it branches.  Ranks and determinants, here and
-in the rest of the package, come from one fraction-free integer
-elimination, ``rank_det`` (Bareiss).  The Gelfand-Tsetlin polytope, its
+Volumes come from a pulling triangulation on vertex bitmasks, lattice
+points from a box sweep that bounds each coordinate to an integer interval
+before it branches.  Ranks and determinants, here and in the rest of the
+package, come from one fraction-free integer elimination step (Bareiss),
+shared by ``rank_det`` and ``volume``.  The Gelfand-Tsetlin polytope, its
 pattern-counting oracle and the unimodular change of variables that
 relates it to the rectangles-cluster polytope live here too.
 """
@@ -246,13 +246,19 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
         top = m[rank]
         p = top[c]
         for r in range(rank + 1, len(m)):
-            f = m[r][c]
-            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+            m[r] = _bareiss_step(m[r], top, c, p, prev)
         prev = p
         rank += 1
     if any(len(row) != len(m) for row in m):
         return rank, None
     return rank, sign * prev if rank == len(m) else 0
+
+
+def _bareiss_step(row: Sequence[int], top: Sequence[int], c: int, p: int, prev: int) -> list[int]:
+    """``row`` eliminated in column ``c`` by the pivot row ``top``, ``p = top[c]``;
+    the division by the previous pivot is exact, the result being minors."""
+    f = row[c]
+    return [(p * x - f * y) // prev for x, y in zip(row, top)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,57 +331,55 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
 def volume(P: QPolytope) -> Fraction:
     """Exact Lebesgue volume; 0 (with a warning) for lower-dimensional P.
 
-    The vertices are scaled by the common denominator L of their
-    coordinates, so tight sets and the simplex determinants of the
-    triangulation are exact integer computations; the volume is their sum
-    over L**d * d!.
+    A pulling triangulation (Bueeler, Enge & Fukuda 2000) on the vertices
+    scaled to integers by their common denominator L.  A face is a bitmask
+    of vertices, its facets the maximal nonempty proper meets with the
+    rows' tight masks, and its cells its least vertex coned over the cells
+    of its facets that miss it.  Each chain of apices shares one Bareiss
+    elimination: entering a face, its apex's reduced difference row from
+    vertex 0 eliminates the face's other rows, and the chain's last pivot is
+    its cell's determinant up to sign.  Volume = sum |det| / (L**d * d!).
     """
     d = P.hrep.dim
     L = lcm(*(x.denominator for v in P.vertices for x in v))
-    verts = [[int(x * L) for x in v] for v in P.vertices]
-    if len(verts) <= d or affine_rank(verts) < d:
+    verts = [[x.numerator * (L // x.denominator) for x in v] for v in P.vertices]
+    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts] if verts else []
+    if len(verts) <= d or rank_det(diffs)[0] < d:
         warnings.warn("polytope is not full-dimensional; volume is 0")
         return Fraction(0)
     rows = _integer_rows(P.hrep.ineqs)
-    tight = [
-        frozenset(i for i, (a, b) in enumerate(rows) if sum(map(mul, a, v)) + b * L == 0)
-        for v in verts
-    ]
-
-    def faces_of(sub: frozenset) -> list[frozenset]:
-        shared = frozenset.intersection(*(tight[t] for t in sub))
-        groups = {}
-        for i in range(len(rows)):
-            if i in shared:
-                continue
-            g = frozenset(t for t in sub if i in tight[t])
-            if g and g != sub:
-                groups[g] = True
-        maximal = [
-            g for g in groups
-            if not any(h != g and g < h for h in groups)
-        ]
-        return maximal
-
-    @lru_cache(maxsize=None)
-    def triangulate(sub: frozenset) -> tuple[tuple[int, ...], ...]:
-        if len(sub) == 1:
-            return ((next(iter(sub)),),)
-        v0 = min(sub)
-        out = []
-        for f in faces_of(sub):
-            if v0 in f:
-                continue
-            for simplex in triangulate(f):
-                out.append((v0,) + simplex)
-        return tuple(out)
-
+    tight = [sum(1 << t for t, v in enumerate(verts) if sum(map(mul, a, v)) + b * L == 0) for a, b in rows]
+    bases: dict[int, list[int]] = {}  # face -> its facets that miss its apex
     total = 0
-    for simplex in triangulate(frozenset(range(len(verts)))):
-        if len(simplex) != d + 1:
-            raise AssertionError("triangulation produced a degenerate cell")
-        p0 = verts[simplex[0]]
-        total += abs(rank_det([[x - y for x, y in zip(verts[t], p0)] for t in simplex[1:]])[1])
+
+    def cone(face: int, reduced: dict, pivot: int, depth: int) -> None:
+        # reduced: vertex -> difference row, eliminated by the chain's apices
+        # down to this face's (pivot columns dropped); the apex is left out
+        nonlocal total
+        if face & (face - 1) == 0:
+            if depth != d:
+                raise AssertionError("triangulation produced a degenerate cell")
+            total += abs(pivot)
+            return
+        if face not in bases:
+            # facets by decreasing size, so a non-maximal mask meets a kept superset
+            kept: list[int] = []
+            for g in sorted({face & m for m in tight} - {0, face}, key=int.bit_count, reverse=True):
+                if not any(g & h == g for h in kept):
+                    kept.append(g)
+            bases[face] = [g for g in kept if not g & face & -face]
+        for f in bases[face]:
+            top = reduced[a := (f & -f).bit_length() - 1]
+            c = next((c for c, x in enumerate(top) if x), None)
+            if c is None:
+                raise AssertionError("triangulation produced a degenerate cell")
+            sub = {t: _bareiss_step(row, top, c, top[c], pivot)
+                   for t, row in reduced.items() if f >> t & 1 and t != a}
+            for row in sub.values():
+                del row[c]  # now zero
+            cone(f, sub, top[c], depth + 1)
+
+    cone((1 << len(verts)) - 1, {t: row for t, row in enumerate(diffs) if t}, 1, 0)
     return Fraction(total, L**d * factorial(d))
 
 

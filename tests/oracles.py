@@ -117,6 +117,43 @@ def simplex_volume(points):
     return abs(det) / fact
 
 
+def volume_by_pulling(P):
+    """Exact volume of a full-dimensional polytope by the pulling
+    triangulation, written on vertex sets.
+
+    A face is the frozenset of its vertex indices; its facets are the
+    maximal nonempty proper groups of its vertices tight at one row.  The
+    cells of a face are its least vertex coned over the cells of its facets
+    that miss it, and each cell's volume is ``simplex_volume``.
+    """
+    verts = P.vertices
+    d = len(P.hrep.coords)
+    tight = [
+        frozenset(i for i, (a, b) in enumerate(P.hrep.ineqs) if sum(x * y for x, y in zip(a, v)) + b == 0)
+        for v in verts
+    ]
+
+    def facets(face):
+        groups = set()
+        for i in range(len(P.hrep.ineqs)):
+            g = frozenset(t for t in face if i in tight[t])
+            if g and g != face:
+                groups.add(g)
+        return [g for g in groups if not any(g < h for h in groups)]
+
+    def cells(face):
+        if len(face) == 1:
+            return [tuple(face)]
+        apex = min(face)
+        return [(apex,) + cell for f in facets(face) if apex not in f for cell in cells(f)]
+
+    total = Fraction(0)
+    for cell in cells(frozenset(range(len(verts)))):
+        assert len(cell) == d + 1, "degenerate cell"
+        total += simplex_volume([verts[t] for t in cell])
+    return total
+
+
 def _det_fraction(mat):
     d = len(mat)
     det = Fraction(1)

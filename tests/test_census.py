@@ -41,7 +41,7 @@ from okbodies.plabic import (
     normalize,
     square_move,
 )
-from okbodies.polyhedra import lattice_points, volume_formula
+from okbodies.polyhedra import lattice_points, volume, volume_formula
 
 F = Fraction
 
@@ -246,6 +246,15 @@ def test_degree_two_scan_misses_the_doubled_vertex(census36):
         assert scan.missing == {tuple(int(2 * x) for x in vertex)}
 
 
+def test_volume_matches_the_pulling_oracle_g36(census36):
+    root = next(c for c in census36.classes if c.parent is None)
+    g1, g2 = (census36.record(parse_key(key)).polytope for key in (G1_KEY, G2_KEY))
+    for P in (root.polytope, g1, g2):
+        assert volume(P) == oracles.volume_by_pulling(P) == volume_formula(GridShape(3, 6))
+    doubled = oracles.dilate(g1, 2)
+    assert volume(doubled) == oracles.volume_by_pulling(doubled) == 2**9 * volume_formula(GridShape(3, 6))
+
+
 def test_binomial_valuation_halves_to_the_fractional_vertex(census36):
     # P_{124} P_{356} - P_{123} P_{456} over the top coordinate squared:
     # its lowest term sees the vertex that no monomial in the homogeneous
@@ -266,11 +275,21 @@ def test_verify_core_g35(census35):
     assert "move-transport" in names
 
 
+def test_verify_times_each_check(census35):
+    rep = verify_core(GridShape(3, 5), suite="full", report=census35)
+    lines = rep.render().splitlines()
+    for c in rep.checks:
+        assert c.seconds >= 0
+        assert any(f"] {c.name} ({c.seconds:.3f}s)" in line for line in lines)
+
+
 def test_verify_core_g36(census36):
     rep = verify_core(GridShape(3, 6), suite="core", report=census36)
     assert rep.ok, rep.render()
-    names = [c.name for c in rep.checks]
-    assert "degree-two-scan-misses-only-the-doubled-vertex" in names
+    by_name = {c.name: c for c in rep.checks}
+    # one loop decides both non-integrality checks and is billed to the first
+    assert by_name["degree-two-scan-misses-only-the-doubled-vertex"].seconds == 0
+    assert by_name["nonintegral-vertex-unique"].seconds > 0
 
 
 def test_verify_builds_one_chart_per_class(monkeypatch):

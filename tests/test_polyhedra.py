@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -259,6 +259,34 @@ def test_degenerate_volume_warns():
     P = qpolytope(H)
     with pytest.warns(UserWarning):
         assert volume(P) == 0
+
+
+def test_volume_of_a_point_is_one():
+    P = qpolytope(HPolytope((), (((), F(1)),)))
+    assert P.vertices == ((),)
+    assert volume(P) == 1
+
+
+def test_volume_of_a_rational_segment():
+    P = qpolytope(HPolytope(axis_coords(1), (((F(1),), F(-1, 3)), ((F(-1),), F(5, 2)))))
+    assert volume(P) == F(13, 6)
+
+
+def rational_point_clouds():
+    """5 to 10 points of Q^d, d <= 4, with denominators up to 6."""
+    coord = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    return st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[coord] * d), min_size=5, max_size=10)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_point_clouds())
+def test_volume_matches_the_pulling_oracle(pts):
+    d = len(pts[0])
+    assume(oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) == d)
+    P = hull_of_points(axis_coords(d), pts)
+    assert volume(P) == oracles.volume_by_pulling(P)
 
 
 # -- the fraction-free elimination ------------------------------------------
