@@ -455,9 +455,12 @@ def verify_core(
     lattice_ok = all(len(c.lattice) == binom for c in report.classes)
     check("lattice-count-per-class", lattice_ok, f"expected {binom} per class")
 
+    # integral coordinates as ints; a Fraction left in a vertex equals no lattice point
     vert_ok = all(
-        set(c.vertices) <= {tuple(Fraction(x) for x in p) for p in c.lattice}
-        or not c.integral
+        not c.integral
+        or set(c.lattice).issuperset(
+            tuple(x.numerator if x.denominator == 1 else x for x in v) for v in c.vertices
+        )
         for c in report.classes
     )
     check("integral-vertices-are-lattice-points", vert_ok)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +29,6 @@ from .partitions import (
     label_sort_key,
     max_diag,
     partition_str,
-    partition_to_south_steps,
     partition_to_west_steps,
 )
 from .plabic import (
@@ -42,11 +40,12 @@ from .plabic import (
     face_labels,
     normalize,
     perfect_orientation,
+    pluecker_columns,
     pluecker_mod_p,
     quiver_of,
     region_left,
 )
-from .polyhedra import rank_det
+from .polyhedra import laplace_minors, rank_det
 
 
 @dataclass
@@ -170,34 +169,13 @@ def boundary_matrix(chart: NetworkChart) -> list[list[LaurentPoly]]:
 # ---------------------------------------------------------------------------
 
 def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
-    """All maximal minors of the boundary matrix, keyed by partition.
-
-    One division-free Laplace expansion along the rows: level r holds the
-    minor on the first r rows of every r-subset of columns, each built
-    from the level below, so a smaller minor is computed once however many
-    maximal minors contain it.  The maximal minor on the south-step
-    columns of lam is P_lam.
-    """
-    M = chart.matrix
-    shape = chart.shape
-    V = chart.labels
-    prev: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(V)}
-    for r in range(shape.rows):
-        cur: dict[tuple[int, ...], LaurentPoly] = {}
-        for S in combinations(range(shape.n), r + 1):
-            acc = LaurentPoly.zero(V)
-            for t, c in enumerate(S):
-                entry = M[r][c]
-                if not entry:
-                    continue
-                term = entry * prev[S[:t] + S[t + 1 :]]
-                acc = acc + (term if (r + t) % 2 == 0 else -term)
-            cur[S] = acc
-        prev = cur
-    return {
-        lam: prev[tuple(sorted(j - 1 for j in partition_to_south_steps(lam, shape)))]
-        for lam in all_partitions(shape)
-    }
+    """All maximal minors of the boundary matrix, keyed by partition: the
+    one on the south-step columns of lam is P_lam.  One division-free
+    Laplace expansion (``laplace_minors``) computes each smaller minor once
+    however many maximal minors contain it."""
+    labels = list(all_partitions(chart.shape))
+    cols = [pluecker_columns(lam, chart.shape) for lam in labels]
+    return dict(zip(labels, laplace_minors(chart.matrix, cols, LaurentPoly.one(chart.labels))))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +442,7 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
         P = {lam: rng.randrange(1, p) for lam in cluster}
         P[(3, 3)] = 1
         A = cluster_matrix_g25(P, p)
-        vec = {lam: pluecker_mod_p(A, lam, shape, p) for lam in labels}
+        vec = pluecker_mod_p(A, labels, shape, p)
         if not all(vec.values()):
             continue  # not in the open cell, resample
         for lam in cluster:
@@ -477,8 +455,8 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
             for mu in chart.labels
         }
         N = [[entry.eval_mod_p(x, p) for entry in row] for row in M]
-        vec_n = {lam: pluecker_mod_p(N, lam, shape, p) for lam in labels}
-        vec_t = {lam: pluecker_mod_p(tau, lam, shape, p) for lam in labels}
+        vec_n = pluecker_mod_p(N, labels, shape, p)
+        vec_t = pluecker_mod_p(tau, labels, shape, p)
         if not vec_n[(3, 3)] or not vec_t[(3, 3)]:
             continue
         scale = vec_t[(3, 3)] * pow(vec_n[(3, 3)], -1, p) % p

@@ -27,6 +27,7 @@ from .polyhedra import (
     HPolytope,
     QPolytope,
     Vec,
+    clear_denominators,
     enumerate_vertices,
     frac_str,
     gamma_coords,
@@ -191,11 +192,10 @@ def gamma_polytope(system: TropSystem) -> HPolytope:
     seen = set()
     ineqs = []
     for exps, i in system.entries:
-        a = tuple(Fraction(e) for e in exps)
         b = system.shift(i)
-        if (a, b) not in seen:
-            seen.add((a, b))
-            ineqs.append((a, b))
+        if (exps, b) not in seen:
+            seen.add((exps, b))
+            ineqs.append((tuple(map(Fraction, exps)), b))
     return HPolytope(system.coords, tuple(ineqs))
 
 
@@ -314,8 +314,11 @@ def trop_mutate_polytope(
     The bend hyperplane (out - into).v = 0 splits P into two pieces, on
     each of which the mutation is linear, so the image is the union of the
     images of the two pieces and its hull is spanned by the images of
-    their vertices.  The result is the image itself exactly when the image
-    is convex, as it is for the superpotential polytopes of two charts
+    their vertices.  The vertices are scaled to integers by their common
+    denominator L and mutated as integers, which is exact since the
+    mutation is positively homogeneous; the distinct images are divided by
+    L once.  The result is the image itself exactly when the image is
+    convex, as it is for the superpotential polytopes of two charts
     related by a square move; nothing here checks that.
     """
     coords = P.hrep.coords
@@ -323,12 +326,11 @@ def trop_mutate_polytope(
         return QPolytope(P.hrep, ())
     move = TropMutation.of(quiver, nu, coords, nu)  # no relabelling: only .mutate is used
     bend = tuple(Fraction(o - i) for i, o in zip(move.into, move.out))
-    images: set[Vec] = set()
-    for halfspace in (bend, tuple(-x for x in bend)):
-        piece = P.hrep.with_ineqs([(halfspace, Fraction(0))])
-        images.update(move.mutate(v) for v in enumerate_vertices(piece))
+    pieces = [P.hrep.with_ineqs([(half, Fraction(0))]) for half in (bend, tuple(-x for x in bend))]
+    L, ints = clear_denominators(v for piece in pieces for v in enumerate_vertices(piece))
+    images = [tuple(Fraction(x, L) for x in w) for w in {move.mutate(u) for u in ints}]
     if len(images) == 1:
-        pt = next(iter(images))
+        (pt,) = images
         point_hrep = HPolytope(
             coords,
             tuple(

@@ -31,7 +31,7 @@ from .partitions import (
     partition_to_south_steps,
     south_steps_to_partition,
 )
-from .polyhedra import rank_det
+from .polyhedra import laplace_minors
 
 BLACK = "black"
 WHITE = "white"
@@ -753,30 +753,26 @@ class SquareMoveResult:
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 
 
-def _columns(lam: Partition, shape: GridShape) -> list[int]:
-    """The 0-based matrix columns of lam's south steps."""
+def pluecker_columns(lam: Partition, shape: GridShape) -> list[int]:
+    """The 0-based matrix columns of lam's south steps: P_lam is the
+    maximal minor on them."""
     return sorted(j - 1 for j in partition_to_south_steps(lam, shape))
 
 
-def _minor_mod_p(A: Sequence[Sequence[int]], cols: Sequence[int], p: int) -> int:
-    return rank_det([[row[c] % p for c in cols] for row in A])[1] % p
-
-
-def pluecker_mod_p(A: Sequence[Sequence[int]], lam: Partition, shape: GridShape, p: int) -> int:
-    """The Pluecker coordinate p_lam of the (n-k) x n matrix ``A`` over F_p:
-    the exact integer minor of ``A`` reduced mod p on the columns of lam's
-    south steps, reduced mod p."""
-    return _minor_mod_p(A, _columns(lam, shape), p)
+def pluecker_mod_p(A: Sequence[Sequence[int]], labels: Sequence[Partition], shape: GridShape, p: int) -> dict:
+    """The Pluecker coordinates p_lam, lam in ``labels``, of the (n-k) x n
+    integer matrix ``A`` over F_p."""
+    return dict(zip(labels, laplace_minors(A, [pluecker_columns(lam, shape) for lam in labels], 1, p)))
 
 
 def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random) -> None:
     """Verify p_nu p_nu' = p_a p_c + p_b p_d at random points of the
     Grassmannian over a large prime field."""
     p = _SQUARE_PRIME
-    cols = {lam: _columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)}
+    cols = {lam: pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)}
     for _ in range(3):
         mat = [[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)]
-        vals = {lam: _minor_mod_p(mat, c, p) for lam, c in cols.items()}
+        vals = dict(zip(cols, laplace_minors(mat, cols.values(), 1, p)))
         lhs = vals[nu] * vals[nu2] % p
         rhs = (vals[diag1[0]] * vals[diag1[1]] + vals[diag2[0]] * vals[diag2[1]]) % p
         if lhs != rhs:

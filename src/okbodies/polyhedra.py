@@ -1,6 +1,9 @@
 """Exact rational polytope engine.
 
 Everything here is exact integer or Fraction arithmetic; no floats.
+Fractions remain only at the inputs and outputs: rows and points are
+cleared to integers on entry (``clear_denominators``), the work runs on
+Python integers, and a result is turned into Fractions once, on exit.
 Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
 and emptiness and unboundedness are read off them exactly.
@@ -8,9 +11,11 @@ Volumes come from a pulling triangulation on vertex bitmasks, lattice
 points from a box sweep that bounds each coordinate to an integer interval
 before it branches.  Ranks and determinants, here and in the rest of the
 package, come from one fraction-free integer elimination step (Bareiss),
-shared by ``rank_det`` and ``volume``.  The Gelfand-Tsetlin polytope, its
-pattern-counting oracle and the unimodular change of variables that
-relates it to the rectangles-cluster polytope live here too.
+shared by ``rank_det`` and ``volume``; many maximal minors of one matrix
+come from one shared Laplace expansion (``laplace_minors``).  The
+Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
+change of variables that relates it to the rectangles-cluster polytope
+live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -50,10 +56,6 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def evaluate(self, ineq: Ineq, v: Sequence[Fraction]) -> Fraction:
-        a, b = ineq
-        return sum(x * y for x, y in zip(a, v)) + b
 
     def translated(self, t: Sequence[Fraction]) -> "HPolytope":
         # substitute v -> v - t
@@ -110,21 +112,23 @@ def frac_str(x: Fraction) -> str:
 # vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _primitive(xs: Iterable[Fraction]) -> list[int]:
-    """The primitive integer vector on the ray through ``xs``; zeros stay
-    zeros."""
-    xs = list(xs)
-    denom = lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (denom // x.denominator) for x in xs]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+def clear_denominators(points: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The least common denominator L of the coordinates of ``points``, and
+    the integer points L*p."""
+    points = list(points)
+    L = lcm(*(x.denominator for p in points for x in p))
+    return L, [[x.numerator * (L // x.denominator) for x in p] for p in points]
 
 
 def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
+    """Each row a.v + b >= 0 as the primitive integer row on its ray."""
+    _, scaled = clear_denominators((*a, b) for a, b in ineqs)
     rows = []
-    for a, b in ineqs:
-        ints = _primitive([*a, b])
-        rows.append((tuple(ints[:-1]), ints[-1]))
+    for row in scaled:
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+        rows.append((tuple(row[:-1]), row[-1]))
     return rows
 
 
@@ -192,7 +196,10 @@ def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
     verts = [y for y, _ in rays if y[0]]
     if lines or len(verts) < len(rays):
         raise UnboundedError("region is unbounded")
-    return tuple(sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in verts))
+    # lex order on the vertices x / x0 is lex order on x * (L // x0), L = lcm of the x0
+    L = lcm(*(y[0] for y in verts))
+    verts.sort(key=lambda y: [x * (L // y[0]) for x in y[1:]])
+    return tuple(tuple(map(Fraction, y[1:], repeat(y[0]))) for y in verts)
 
 
 def qpolytope(H: HPolytope) -> QPolytope:
@@ -200,29 +207,31 @@ def qpolytope(H: HPolytope) -> QPolytope:
 
 
 def hull_of_points(coords: tuple, points: Iterable[Sequence[Fraction]]) -> QPolytope:
-    """Facet description of a full-dimensional convex hull via polarity."""
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-    d = len(coords)
-    if affine_rank(pts) != d:
+    """Facet description of a full-dimensional convex hull via polarity.
+
+    Over integers: the m distinct points, scaled to q = D*p by their common
+    denominator D, with sum S, give the polar rows (S - m*q).y + m*D >= 0,
+    m*D times (c - p).y + 1 >= 0 for the centroid c; each polar vertex y is
+    the facet -y.v + 1 + y.c >= 0.  ValueError if the hull is not full-dimensional.
+    """
+    D, ints = clear_denominators(points)
+    ints = sorted(set(map(tuple, ints)))
+    if _affine_rank(ints) != len(coords):
         raise ValueError("hull is not full-dimensional")
-    c = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
-    polar = HPolytope(
-        coords,
-        tuple((tuple(c[i] - p[i] for i in range(d)), Fraction(1)) for p in pts),
-    )
+    m = len(ints)
+    S = [sum(col) for col in zip(*ints)]
+    polar = HPolytope(coords, tuple((tuple(s - m * x for s, x in zip(S, q)), m * D) for q in ints))
     facets = []
     for y in enumerate_vertices(polar):
-        b = 1 + sum(y[i] * c[i] for i in range(d))
-        facets.append((tuple(-y[i] for i in range(d)), b))
+        L, (Y,) = clear_denominators([y])  # 1 + y.c = (L*m*D + Y.S) / (L*m*D)
+        facets.append((tuple(-x for x in y), Fraction(L * m * D + sum(map(mul, Y, S)), L * m * D)))
     H = HPolytope(coords, tuple(facets))
     return QPolytope(H, enumerate_vertices(H))
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    if not points:
-        return -1
-    p0 = points[0]
-    return rank_det([_primitive(Fraction(x) - Fraction(y) for x, y in zip(p, p0)) for p in points[1:]])[0]
+def _affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """The dimension of the affine hull of integer points, -1 for none."""
+    return rank_det([[x - y for x, y in zip(p, points[0])] for p in points])[0] if points else -1
 
 
 def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
@@ -252,6 +261,33 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
     if any(len(row) != len(m) for row in m):
         return rank, None
     return rank, sign * prev if rank == len(m) else 0
+
+
+def laplace_minors(
+    A: Sequence[Sequence], col_sets: Iterable[Sequence[int]], one, p: Optional[int] = None
+) -> list:
+    """The maximal minors of ``A`` on each increasing column tuple of
+    ``col_sets``, reduced mod ``p`` when it is given.
+
+    Laplace expansion along the rows in order: each minor of the first j
+    rows is built once, from those of the first j - 1 rows, for every
+    column set that needs it.  Division-free, so the entries may be
+    integers or Laurent polynomials, ``one`` being the unit of their ring.
+    """
+    col_sets = [tuple(cs) for cs in col_sets]
+    levels = [set(col_sets)]  # the column tuples needed, by decreasing size
+    while len(levels) < len(A):
+        levels.append({cs[:t] + cs[t + 1 :] for cs in levels[-1] for t in range(len(cs))})
+    minor, zero = {(): one}, one * 0
+    for r, (row, level) in enumerate(zip(A, reversed(levels))):
+        for cs in level:
+            acc = zero
+            for t, c in enumerate(cs):
+                if row[c]:
+                    term = row[c] * minor[cs[:t] + cs[t + 1 :]]
+                    acc = acc + (-term if (r + t) % 2 else term)
+            minor[cs] = acc % p if p else acc
+    return [minor[cs] for cs in col_sets]
 
 
 def _bareiss_step(row: Sequence[int], top: Sequence[int], c: int, p: int, prev: int) -> list[int]:
@@ -341,8 +377,7 @@ def volume(P: QPolytope) -> Fraction:
     its cell's determinant up to sign.  Volume = sum |det| / (L**d * d!).
     """
     d = P.hrep.dim
-    L = lcm(*(x.denominator for v in P.vertices for x in v))
-    verts = [[x.numerator * (L // x.denominator) for x in v] for v in P.vertices]
+    L, verts = clear_denominators(P.vertices)
     diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts] if verts else []
     if len(verts) <= d or rank_det(diffs)[0] < d:
         warnings.warn("polytope is not full-dimensional; volume is 0")
@@ -393,12 +428,10 @@ def canonical_hrep(P: QPolytope) -> frozenset:
     Requires a full-dimensional polytope; duplicates and redundant rows are
     dropped by checking that the tight vertex set spans a facet.
     """
-    d = P.hrep.dim
-    rows = _integer_rows(P.hrep.ineqs)
+    L, verts = clear_denominators(P.vertices)
     out = set()
-    for (a, b), orig in zip(rows, P.hrep.ineqs):
-        tight_pts = [v for v in P.vertices if P.hrep.evaluate(orig, v) == 0]
-        if affine_rank(tight_pts) == d - 1:
+    for a, b in _integer_rows(P.hrep.ineqs):
+        if _affine_rank([v for v in verts if sum(map(mul, a, v)) + b * L == 0]) == P.hrep.dim - 1:
             out.add((a, b))
     return frozenset(out)
 

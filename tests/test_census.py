@@ -41,7 +41,8 @@ from okbodies.plabic import (
     normalize,
     square_move,
 )
-from okbodies.polyhedra import lattice_points, volume, volume_formula
+from okbodies.mirror import TropMutation, trop_mutate_polytope
+from okbodies.polyhedra import hull_of_points, lattice_points, qpolytope, volume, volume_formula
 
 F = Fraction
 
@@ -215,6 +216,26 @@ def test_fractional_classes_g36(census36):
         assert oracles.contains(c.polytope.hrep.ineqs, c.nonintegral_vertices[0])
 
 
+def test_integer_mutation_matches_the_fraction_mutation_on_the_fractional_classes(census36):
+    # trop_mutate_polytope mutates the piece vertices scaled to integers
+    # over their common denominator; here they are mutated as Fractions
+    for c in census36.classes:
+        if c.integral:
+            continue
+        P = c.polytope
+        for nu in movable_faces(c.graph):
+            move = TropMutation.of(c.quiver, nu, P.coords, nu)
+            bend = tuple(F(o - i) for i, o in zip(move.into, move.out))
+            images = {
+                move.mutate(v)
+                for half in (bend, tuple(-x for x in bend))
+                for v in qpolytope(P.hrep.with_ineqs([(half, F(0))])).vertices
+            }
+            assert any(x.denominator != 1 for v in images for x in v)
+            got = trop_mutate_polytope(P, c.quiver, nu)
+            assert got.vertices == hull_of_points(P.coords, images).vertices, (c.key_str, nu)
+
+
 def test_census_checks_each_quiver_against_its_parents(census35, monkeypatch):
     target = next(c for c in census35.classes if c.parent is not None)
     real_quiver_of = census_module.quiver_of
@@ -273,6 +294,18 @@ def test_verify_core_g35(census35):
     names = [c.name for c in rep.checks]
     assert "golden-valuation-table" in names
     assert "move-transport" in names
+
+
+def test_verify_flags_a_half_integral_vertex_on_an_integral_class(census35):
+    doc = json.loads(json.dumps(census35.to_json()))
+    rec = doc["classes"][1]
+    assert rec["integral"] is True
+    # a 0 turned into 1/2: truncating it with int() would give back the
+    # original vertex, which is a lattice point
+    v = next(v for v in rec["vertices"] if "0" in v)
+    v[v.index("0")] = "1/2"
+    rep = verify_core(GridShape(3, 5), report=CensusReport.from_json(doc))
+    assert [c.name for c in rep.checks if not c.ok] == ["integral-vertices-are-lattice-points"]
 
 
 def test_verify_times_each_check(census35):

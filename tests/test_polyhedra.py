@@ -4,6 +4,7 @@ frozen pattern counts."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,6 @@ from okbodies.partitions import GridShape
 from okbodies.polyhedra import (
     HPolytope,
     UnboundedError,
-    affine_rank,
     canonical_hrep,
     enumerate_vertices,
     gamma_coords,
@@ -22,6 +22,7 @@ from okbodies.polyhedra import (
     gt_polytope,
     gt_transform_matrices,
     hull_of_points,
+    laplace_minors,
     lattice_points,
     qpolytope,
     rank_det,
@@ -151,6 +152,7 @@ def test_vertices_match_subset_oracle(system):
         axis_coords(d), tuple((tuple(F(x) for x in a), F(b)) for a, b in rows)
     )
     got = enumerate_vertices(H)
+    assert list(got) == sorted(got)
     assert list(got) == oracles.vertices_by_subsets(rows, d)
     for v in got:
         assert oracles.contains(H.ineqs, v)
@@ -225,9 +227,10 @@ def test_vertices_satisfy_every_inequality_exactly():
 )
 def test_hull_of_points_is_sound(pts):
     pts = [tuple(F(x) for x in p) for p in pts]
-    if affine_rank(pts) < 3:
+    if oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) < 3:
         return
     Q = hull_of_points(axis_coords(3), pts)
+    assert list(Q.vertices) == sorted(Q.vertices)
     assert set(Q.vertices) <= set(pts)
     for p in pts:
         assert oracles.contains(Q.hrep.ineqs, p)
@@ -289,6 +292,31 @@ def test_volume_matches_the_pulling_oracle(pts):
     assert volume(P) == oracles.volume_by_pulling(P)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rational_point_clouds())
+def test_hull_of_rational_points_matches_the_oracles(pts):
+    # mixed denominators: the hull scales the points to integers over their
+    # common denominator and must hand back the same rational polytope
+    d = len(pts[0])
+    assume(oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) == d)
+    P = hull_of_points(axis_coords(d), pts)
+    assert list(P.vertices) == sorted(P.vertices)
+    assert set(P.vertices) <= set(pts)
+    for p in pts:
+        assert oracles.contains(P.hrep.ineqs, p)
+    for a, b in P.hrep.ineqs:
+        tight = [p for p in pts if sum(x * y for x, y in zip(a, p)) + b == 0]
+        assert tight and oracles.rank([[x - y for x, y in zip(p, tight[0])] for p in tight]) == d - 1
+
+
+def test_hull_of_points_refuses_a_flat_or_empty_hull():
+    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    assert hull_of_points(axis_coords(2), reversed(square)).vertices == tuple(sorted(square))
+    for pts in ([], [(F(0), F(0))], [(F(0), F(0)), (F(1, 2), F(1, 3)), (F(1), F(2, 3))]):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            hull_of_points(axis_coords(2), pts)
+
+
 # -- the fraction-free elimination ------------------------------------------
 
 def _matrix(rows, cols, entry):
@@ -332,6 +360,29 @@ def test_determinant_matches_oracles(mat):
     assert (det != 0) == (rank == d)
 
 
+@st.composite
+def matrices_and_column_sets(draw):
+    """An r x n matrix, 1 <= r <= 5 and r <= n <= 7, with entries of either
+    sign up to 2^61, and up to eight r-subsets of its columns (repeats
+    allowed)."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 7))
+    entry = st.integers(-(2**61), 2**61)
+    mat = draw(_matrix(r, n, entry))
+    col_sets = draw(st.lists(st.sampled_from(list(combinations(range(n), r))), min_size=1, max_size=8))
+    return mat, col_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_and_column_sets())
+def test_shared_laplace_minors_match_the_cofactor_oracle(case):
+    mat, col_sets = case
+    p = (1 << 61) - 1  # the prime of the square-move exchange check
+    exact = [oracles.minor(mat, range(len(mat)), cs) for cs in col_sets]
+    assert laplace_minors(mat, col_sets, 1) == exact
+    assert laplace_minors(mat, col_sets, 1, p) == [m % p for m in exact]
+
+
 def test_rank_det_of_empty_and_zero_matrices():
     assert rank_det([]) == (0, 1)
     assert rank_det([[]]) == (0, None)
@@ -353,10 +404,10 @@ def rational_simplices():
 @given(rational_simplices())
 def test_simplex_volume_matches_oracle(pts):
     d = len(pts[0])
-    if affine_rank(pts) < d:
+    if oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) < d:
         return
     P = hull_of_points(axis_coords(d), pts)
-    assert sorted(P.vertices) == sorted(pts)
+    assert P.vertices == tuple(sorted(pts))
     assert volume(P) == oracles.simplex_volume(pts)
 
 
