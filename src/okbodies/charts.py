@@ -109,18 +109,15 @@ class NetworkChart:
         if self.orientation.head[frozenset((i, start))] != start:
             return out
 
-        def dfs(v: int, darts: list[tuple[int, int]]) -> None:
+        # depth first, out-neighbours in order, so the paths come out in
+        # lexicographic order of their vertex sequences
+        stack = [(start, ((i, start),))]
+        while stack:
+            v, darts = stack.pop()
             if v == j:
                 out.append(list(darts))
-                return
-            if self.graph.color[v] == BOUNDARY:
-                return
-            for u in self.orientation.out_neighbors(v):
-                darts.append((v, u))
-                dfs(u, darts)
-                darts.pop()
-
-        dfs(start, [(i, start)])
+            elif self.graph.color[v] != BOUNDARY:
+                stack.extend((u, darts + ((v, u),)) for u in reversed(self.orientation.out_neighbors(v)))
         return out
 
     def path_weight_exponents(self, darts: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -284,20 +281,14 @@ def _dual_grid_pluecker(shape: GridShape, contents: dict[tuple[int, int], int], 
     V = ("t",)
     total = LaurentPoly.zero(V)
 
-    def paths_for(i: int, j: int):
-        tv = n - j  # target vertical line
-        out = []
-
-        def grow(c: int, h: int, crossings: list[int]) -> None:
-            if c == tv:
-                out.append(list(crossings))
-                return
-            for nh in range(h, k):
-                grow(c - 1, nh, crossings + [nh])
-
-        # entry crossing of the easternmost column is forced onto line i-1
-        grow(cols - 1, i - 1, [i - 1])
-        return out
+    def paths_for(i: int, j: int) -> list[list[int]]:
+        # crossing heights column by column, westward to the target vertical
+        # line n - j; heights never decrease, and the entry crossing of the
+        # easternmost column is forced onto line i-1
+        paths = [[i - 1]]
+        for _ in range(cols - 1 - (n - j)):
+            paths = [cr + [nh] for cr in paths for nh in range(cr[-1], k)]
+        return paths
 
     def occupied(j: int, crossings: list[int]) -> frozenset:
         tv = n - j
@@ -319,17 +310,12 @@ def _dual_grid_pluecker(shape: GridShape, contents: dict[tuple[int, int], int], 
         for i, j in pairs
     ]
 
-    def place(idx: int, used: frozenset, acc: int) -> None:
-        nonlocal total
-        if idx == len(choices):
-            total = total + LaurentPoly.monomial(V, (acc,))
-            return
-        for pts, w in choices[idx]:
-            if pts & used:
-                continue
-            place(idx + 1, used | pts, acc + w)
-
-    place(0, frozenset(), 0)
+    # one path per pair, pairwise disjoint, in lexicographic order of choices
+    placed = [(frozenset(), 0)]
+    for options in choices:
+        placed = [(used | pts, acc + w) for used, acc in placed for pts, w in options if not pts & used]
+    for _, acc in placed:
+        total = total + LaurentPoly.monomial(V, (acc,))
     return total
 
 

@@ -355,6 +355,9 @@ def relabel_polytope(
     ineqs = tuple(
         (tuple(a[s] for s in perm), b) for a, b in P.hrep.ineqs
     )
-    verts = tuple(sorted(tuple(v[s] for s in perm) for v in P.vertices))
-    return QPolytope(HPolytope(new_coords, ineqs), verts)
+    verts = [tuple(v[s] for s in perm) for v in P.vertices]
+    # lex order on the vertices is lex order on their integer images
+    _, keys = clear_denominators(verts)
+    order = sorted(range(len(verts)), key=keys.__getitem__)
+    return QPolytope(HPolytope(new_coords, ineqs), tuple(verts[t] for t in order))
 

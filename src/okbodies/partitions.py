@@ -121,8 +121,9 @@ def south_steps_to_partition(J: Iterable[int], shape: GridShape) -> Partition:
     steps = sorted(set(J))
     if len(steps) != shape.rows or any(not 1 <= j <= shape.n for j in steps):
         raise ValueError(f"J={steps} is not an {shape.rows}-subset of 1..{shape.n}")
-    lam = [shape.k + i + 1 - j for i, j in enumerate(steps)]
-    return normalize_partition(lam)
+    # strictly increasing steps in 1..n give weakly decreasing parts
+    # between k and 0, so only the trailing zeros need to go
+    return tuple(p for p in (shape.k + i + 1 - j for i, j in enumerate(steps)) if p)
 
 
 def partition_to_south_steps(lam: Partition, shape: GridShape) -> frozenset[int]:
@@ -245,18 +246,12 @@ def boundary_target_set(i: int, shape: GridShape) -> frozenset[int]:
 
 def all_partitions(shape: GridShape) -> list[Partition]:
     """Every partition in the box, in canonical (size, lex) order."""
-    out: list[Partition] = []
-
-    def grow(prefix: list[int], bound: int) -> None:
-        out.append(normalize_partition(prefix))
-        if len(prefix) == shape.rows:
-            return
-        for p in range(1, bound + 1):
-            grow(prefix + [p], p)
-
-    grow([], shape.cols)
-    seen = sorted(set(out), key=label_sort_key)
-    return seen
+    out: list[Partition] = [()]
+    level: list[Partition] = [()]
+    for _ in range(shape.rows):
+        level = [lam + (p,) for lam in level for p in range(1, (lam[-1] if lam else shape.cols) + 1)]
+        out.extend(level)
+    return sorted(out, key=label_sort_key)
 
 
 def rectangles(shape: GridShape) -> list[Partition]:

@@ -20,8 +20,10 @@ indices is the face lying to the left of exactly the trips in S.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Optional, Sequence
 
 from .partitions import (
     GridShape,
@@ -107,24 +109,6 @@ class PlabicGraph:
 
     def neighbor_of_boundary(self, i: int) -> int:
         return self.rot[i][0]
-
-    def _full_rot(self, v: int) -> tuple[int, ...]:
-        # boundary vertices see, clockwise: the real edge, then the rim arcs
-        # toward the previous and the next boundary vertex
-        if self.color[v] != BOUNDARY:
-            return self.rot[v]
-        n = self.shape.n
-        prev = (v - 2) % n + 1
-        nxt = v % n + 1
-        return (self.rot[v][0], prev, nxt)
-
-    def cw_next(self, v: int, u: int) -> int:
-        rot = self._full_rot(v)
-        return rot[(rot.index(u) + 1) % len(rot)]
-
-    def cw_prev(self, v: int, u: int) -> int:
-        rot = self._full_rot(v)
-        return rot[(rot.index(u) - 1) % len(rot)]
 
     # -- equality and serialization -----------------------------------------
 
@@ -258,39 +242,34 @@ class Faces:
 
 def faces_of(G: PlabicGraph) -> Faces:
     n = G.shape.n
-    all_darts: set[Dart] = set()
-    for v in G.vertices():
-        for u in G.rot[v]:
-            all_darts.add((v, u))
-    for i in range(1, n + 1):
-        all_darts.add((i, i % n + 1))
-        all_darts.add((i % n + 1, i))
+    # the dart after (u, v) around the face on its left is (v, w), w the
+    # neighbour following u clockwise around v; boundary vertices see, in
+    # clockwise order, their real edge and the rim arcs to the previous and
+    # the next boundary vertex
+    succ: dict[Dart, Dart] = {}
+    for v, rot in G.rot.items():
+        if v <= n:
+            rot = (rot[0], (v - 2) % n + 1, v % n + 1)
+        last = len(rot) - 1
+        for j, u in enumerate(rot):
+            succ[(u, v)] = (v, rot[j + 1 if j < last else 0])
 
-    def next_dart(d: Dart) -> Dart:
-        u, v = d
-        return (v, G.cw_next(v, u))
-
+    # each orbit takes its darts out of succ, so a dart met twice is missing
     orbits: list[tuple[Dart, ...]] = []
-    seen: set[Dart] = set()
-    for d0 in sorted(all_darts):
-        if d0 in seen:
+    for d0 in sorted(succ):
+        d = succ.pop(d0, None)
+        if d is None:
             continue
         orbit = [d0]
-        seen.add(d0)
-        d = next_dart(d0)
         while d != d0:
-            if d in seen:
-                raise AssertionError("face orbits must be disjoint cycles")
             orbit.append(d)
-            seen.add(d)
-            d = next_dart(d)
+            d = succ.pop(d, None)
+            if d is None:
+                raise AssertionError("face orbits must be disjoint cycles")
         orbits.append(tuple(orbit))
 
-    def is_rim(d: Dart) -> bool:
-        u, v = d
-        return u <= n and v <= n
-
-    outer = [idx for idx, orbit in enumerate(orbits) if all(is_rim(d) for d in orbit)]
+    # rim darts join two boundary vertices
+    outer = [idx for idx, orbit in enumerate(orbits) if all(u <= n and v <= n for u, v in orbit)]
     if len(outer) != 1:
         raise AssertionError(f"expected a unique outer face, found {len(outer)}")
     orbits.pop(outer[0])
@@ -301,15 +280,16 @@ def faces_of(G: PlabicGraph) -> Faces:
     for idx, orbit in enumerate(orbits):
         for d in orbit:
             of_dart[d] = idx
-            if is_rim(d):
+            u, v = d
+            if u <= n and v <= n:
                 boundary.add(idx)
-                arc_face[min(d) if abs(d[0] - d[1]) == 1 else n] = idx
+                arc_face[min(u, v) if abs(u - v) == 1 else n] = idx
 
     adj: dict[int, list[tuple[int, Edge]]] = {i: [] for i in range(len(orbits))}
-    for u, v in of_dart:
-        if is_rim((u, v)):
+    for (u, v), f in of_dart.items():
+        if u <= n and v <= n:
             continue
-        f, g = of_dart[(u, v)], of_dart[(v, u)]
+        g = of_dart[(v, u)]
         if f != g:
             adj[f].append((g, frozenset((u, v))))
 
@@ -341,19 +321,39 @@ def region_left(darts: Iterable[Dart], faces: Faces) -> frozenset[int]:
 # trips and face labels
 # ---------------------------------------------------------------------------
 
-def trip(G: PlabicGraph, i: int) -> list[Dart]:
+def _turn_table(G: PlabicGraph) -> dict[Dart, int]:
+    """Where a trip goes next after each dart (u, v) into an internal
+    vertex v: the neighbour before u clockwise at a black v (a maximal right
+    turn), the one after u at a white v (a maximal left turn)."""
+    turn: dict[Dart, int] = {}
+    for v, rot in G.rot.items():
+        c = G.color[v]
+        if c == BOUNDARY:
+            continue
+        step = -1 if c == BLACK else 1
+        d = len(rot)
+        for j, u in enumerate(rot):
+            turn[(u, v)] = rot[(j + step) % d]
+    return turn
+
+
+def trip(G: PlabicGraph, i: int, turn: Optional[dict[Dart, int]] = None) -> list[Dart]:
     """The trip starting at boundary vertex i: maximal right turns at black
-    vertices, maximal left turns at white ones."""
+    vertices, maximal left turns at white ones, read off ``turn``
+    (``_turn_table(G)`` when None)."""
+    if turn is None:
+        turn = _turn_table(G)
+    n = G.shape.n
     darts: list[Dart] = []
     u, v = i, G.neighbor_of_boundary(i)
-    limit = 4 * sum(len(r) for r in G.rot.values())
+    limit = 4 * sum(map(len, G.rot.values()))
     while True:
         darts.append((u, v))
-        if G.color[v] == BOUNDARY:
+        if v <= n:
             return darts
         if len(darts) > limit:
             raise AssertionError("trip does not terminate; graph is not reduced")
-        u, v = v, (G.cw_prev(v, u) if G.color[v] == BLACK else G.cw_next(v, u))
+        u, v = v, turn[(u, v)]
 
 
 @dataclass
@@ -388,10 +388,11 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
 def _trace_labels(G: PlabicGraph) -> FaceLabeling:
     shape = G.shape
     faces = faces_of(G)
-    members: list[set[int]] = [set() for _ in range(len(faces))]
+    turn = _turn_table(G)
+    members: list[list[int]] = [[] for _ in range(len(faces))]
     for i in range(1, shape.n + 1):
-        for f in region_left(trip(G, i), faces):
-            members[f].add(i)
+        for f in region_left(trip(G, i, turn), faces):
+            members[f].append(i)
 
     for s in members:
         if len(s) != shape.rows:
@@ -514,41 +515,43 @@ def contract(G: PlabicGraph) -> PlabicGraph:
     Computed once per graph and cached on it.
     """
     if G._contracted is None:
-        G._contracted = _contract(G)
+        G._contracted = PlabicGraph(G.shape, *_contracted(G.color, G.rot))
     return G._contracted
 
 
-def _contract(G: PlabicGraph) -> PlabicGraph:
-    color = dict(G.color)
-    rot = {v: list(nbrs) for v, nbrs in G.rot.items()}
+def _mergeable(color: dict[int, str], rot: dict[int, list[int]], v: int) -> bool:
+    nbrs = rot[v]
+    return color[v] != BOUNDARY and len(nbrs) == 2 and all(color[u] != BOUNDARY for u in nbrs)
 
-    def mergeable(v):
-        if color[v] == BOUNDARY or len(rot[v]) != 2:
-            return False
-        return all(color[u] != BOUNDARY for u in rot[v])
 
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(rot):
-            if v not in rot or not mergeable(v):
-                continue
-            x, y = rot[v]
-            if x == y:
-                raise AssertionError("bubble at a degree-2 vertex; graph is not reduced")
-            sx, sy = rot[x].index(v), rot[y].index(v)
-            splice = [rot[y][(sy + t) % len(rot[y])] for t in range(1, len(rot[y]))]
-            new_rot = rot[x][:sx] + splice + rot[x][sx + 1 :]
-            if len(set(new_rot)) != len(new_rot):
-                raise AssertionError("contraction created a parallel edge; graph is not reduced")
-            rot[x] = new_rot
-            for u in splice:
-                rot[u][rot[u].index(y)] = x
-            del rot[v], color[v], rot[y], color[y]
-            changed = True
-            break
-
-    return PlabicGraph(G.shape, color, {v: tuple(r) for v, r in rot.items()})
+def _contracted(color: dict[int, str], rot: dict[int, Sequence[int]]) -> tuple[dict, dict]:
+    """The tables of ``contract``: copies of ``color`` and ``rot`` with the
+    mergeable vertices merged away, always the smallest one first.  A merge
+    can only change whether the surviving neighbour is mergeable, so a heap
+    of candidates, re-checked when popped, finds them in that order."""
+    color = dict(color)
+    rot = {v: list(nbrs) for v, nbrs in rot.items()}
+    heap = [v for v in rot if _mergeable(color, rot, v)]
+    heapify(heap)
+    while heap:
+        v = heappop(heap)
+        if v not in rot or not _mergeable(color, rot, v):
+            continue
+        x, y = rot[v]
+        if x == y:
+            raise AssertionError("bubble at a degree-2 vertex; graph is not reduced")
+        sx, sy = rot[x].index(v), rot[y].index(v)
+        splice = rot[y][sy + 1 :] + rot[y][:sy]
+        new_rot = rot[x][:sx] + splice + rot[x][sx + 1 :]
+        if len(set(new_rot)) != len(new_rot):
+            raise AssertionError("contraction created a parallel edge; graph is not reduced")
+        rot[x] = new_rot
+        for u in splice:
+            rot[u][rot[u].index(y)] = x
+        del rot[v], color[v], rot[y], color[y]
+        if _mergeable(color, rot, x):
+            heappush(heap, x)
+    return color, rot
 
 
 def _split_vertex(color: dict[int, str], rot: dict[int, list[int]], v: int, j: int, twin: int) -> None:
@@ -568,58 +571,61 @@ def _split_vertex(color: dict[int, str], rot: dict[int, list[int]], v: int, j: i
         rot[u][rot[u].index(v)] = twin
 
 
-def expand_to_trivalent(G: PlabicGraph) -> PlabicGraph:
-    """Split internal vertices of degree > 3 with degree-2 buffers, keeping
-    the rotation system planar.  Deterministic given the stored rotations."""
-    color = dict(G.color)
-    rot = {v: list(nbrs) for v, nbrs in G.rot.items()}
+def _expand_to_trivalent(color: dict[int, str], rot: dict[int, list[int]]) -> None:
+    """Split internal vertices of degree > 3 with degree-2 buffers, in
+    place, keeping the rotation system planar.  Deterministic given the
+    stored rotations."""
     fresh = max(rot) + 1
-
-    work = sorted(v for v in rot if color[v] != BOUNDARY and len(rot[v]) > 3)
-    while work:
-        v = work.pop(0)
+    for v in sorted(v for v in rot if color[v] != BOUNDARY and len(rot[v]) > 3):
         while len(rot[v]) > 3:
             # keep the first two arcs on v, hand the rest to a twin vertex
             _split_vertex(color, rot, v, 0, fresh)
             v = fresh
             fresh += 2
 
-    return PlabicGraph(G.shape, color, {v: tuple(r) for v, r in rot.items()})
 
-
-def canonicalize(G: PlabicGraph) -> PlabicGraph:
-    """Renumber internal vertices by a rotation-guided search from boundary
-    vertex 1, and rotate each stored rotation to start at its smallest
-    neighbour.  Structural no-op; makes serialized forms comparable."""
-    n = G.shape.n
+def _renumbered(n: int, color: dict[int, str], rot: dict[int, Sequence[int]]) -> tuple[dict, dict]:
+    """The tables of ``canonicalize``: internal vertices renumbered n+1,
+    n+2, ... in the order of a breadth-first search from the boundary that
+    visits each vertex's neighbours clockwise after the one it came from."""
     order: list[int] = []
     seen = set(range(1, n + 1))
-    queue: list[tuple[int, int]] = [(i, G.neighbor_of_boundary(i)) for i in range(1, n + 1)]
+    queue = deque((i, rot[i][0]) for i in range(1, n + 1))
     while queue:
-        parent, v = queue.pop(0)
+        parent, v = queue.popleft()
         if v in seen:
             continue
         seen.add(v)
         order.append(v)
-        rot = G.rot[v]
-        s = rot.index(parent)
-        for t in range(1, len(rot)):
-            queue.append((v, rot[(s + t) % len(rot)]))
-    if len(order) != len(G.rot) - n:
+        nbrs = rot[v]
+        s = nbrs.index(parent)
+        queue.extend((v, u) for u in (*nbrs[s + 1 :], *nbrs[:s]))
+    if len(order) != len(rot) - n:
         raise AssertionError("graph is not connected to the boundary")
 
-    rename = {v: n + 1 + idx for idx, v in enumerate(order)}
-    for i in range(1, n + 1):
-        rename[i] = i
-    color = {rename[v]: c for v, c in G.color.items()}
-    rot = {rename[v]: tuple(rename[u] for u in nbrs) for v, nbrs in G.rot.items()}
-    return PlabicGraph(G.shape, color, rot)
+    rename = {i: i for i in range(1, n + 1)}
+    rename.update((v, n + 1 + idx) for idx, v in enumerate(order))
+    return (
+        {rename[v]: c for v, c in color.items()},
+        {rename[v]: tuple(rename[u] for u in nbrs) for v, nbrs in rot.items()},
+    )
+
+
+def canonicalize(G: PlabicGraph) -> PlabicGraph:
+    """Renumber internal vertices by a rotation-guided search from the
+    boundary.  Structural no-op; makes serialized forms comparable."""
+    return PlabicGraph(G.shape, *_renumbered(G.shape.n, G.color, G.rot))
 
 
 def normalize(G: PlabicGraph) -> PlabicGraph:
     """Contract away internal degree-2 padding, split higher-degree
-    vertices back to trivalent, renumber canonically.  Idempotent."""
-    return canonicalize(expand_to_trivalent(contract(G)))
+    vertices back to trivalent, renumber canonically.  Idempotent.
+
+    The three steps run on the rotation tables; only the result is built
+    and validated as a graph."""
+    color, rot = _contracted(G.color, G.rot)
+    _expand_to_trivalent(color, rot)
+    return PlabicGraph(G.shape, *_renumbered(G.shape.n, color, rot))
 
 
 # ---------------------------------------------------------------------------
@@ -631,62 +637,65 @@ class Orientation:
     """An acyclic perfect orientation.
 
     ``head`` maps each edge to the endpoint it points at.  Sources are the
-    boundary vertices whose edge points into the disk.
+    boundary vertices whose edge points into the disk.  ``topo`` is the
+    topological order that always takes the smallest available vertex, and
+    ``out`` the sorted heads of each vertex's outgoing edges.
     """
 
     graph: PlabicGraph
     head: dict[Edge, int]
     sources: frozenset[int]
-    topo: tuple[int, ...] = field(default_factory=tuple)
+    topo: tuple[int, ...]
+    out: dict[int, tuple[int, ...]]
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return sorted(
-            u for u in self.graph.rot[v] if self.head[frozenset((u, v))] == u
-        )
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
+        return self.out[v]
 
 
-def _matchings(G: PlabicGraph, boundary_covered: frozenset[int]) -> Iterator[frozenset]:
-    """All matchings covering every internal vertex, covering exactly the
-    boundary vertices in ``boundary_covered``, by exact-cover backtracking."""
-    n = G.shape.n
-    forbidden = {i for i in range(1, n + 1) if i not in boundary_covered}
-    must_cover = set(G.internal_vertices()) | set(boundary_covered)
-    # the neighbours each vertex may be matched to, in rotation order
-    allowed = {v: [u for u in G.rot[v] if u not in forbidden] for v in must_cover}
-
-    def solve(covered: set[int], chosen: list[Edge]) -> Iterator[frozenset]:
-        # branch on the most constrained vertex, working out each vertex's
-        # candidates once; a vertex without any is a dead end
-        best = None
-        for w in must_cover:
-            if w in covered:
-                continue
-            cands = [u for u in allowed[w] if u not in covered]
-            if not cands:
-                return
-            if best is None or (len(cands), w) < (len(best[1]), best[0]):
-                best = (w, cands)
-        if best is None:
-            yield frozenset(chosen)
+def _cover(
+    verts: list[int], nbrs: list[list[tuple[int, int]]], masks: list[int], full: int,
+    covered: int, chosen: list[Edge], out: list[frozenset],
+) -> None:
+    """Extend ``chosen`` by every exact cover of the bits of ``full`` not in
+    ``covered`` and add each matching to ``out``.  Bit t stands for
+    ``verts[t]``; ``nbrs[t]`` lists its neighbours with their bits, in
+    rotation order, and ``masks[t]`` is the union of those bits.  Branches
+    on the first vertex with a single free neighbour, else on one with the
+    fewest; a vertex without any is a dead end."""
+    rest = full & ~covered
+    if not rest:
+        out.append(frozenset(chosen))
+        return
+    best, fewest = -1, 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        t = low.bit_length() - 1
+        free = (masks[t] & ~covered).bit_count()
+        if not free:
             return
-        v, cands = best
-        for u in cands:
-            covered.add(v)
-            covered.add(u)
+        if best < 0 or free < fewest:
+            best, fewest = t, free
+            if free == 1:
+                break
+    v, vb = verts[best], 1 << best
+    for u, b in nbrs[best]:
+        if not covered & b:
             chosen.append(frozenset((u, v)))
-            yield from solve(covered, chosen)
+            _cover(verts, nbrs, masks, full, covered | vb | b, chosen, out)
             chosen.pop()
-            covered.remove(u)
-            covered.remove(v)
-
-    yield from solve(set(), [])
 
 
 def matchings_with_boundary(G: PlabicGraph, J: Iterable[int]) -> list[frozenset]:
     """Matchings covering all internal vertices whose boundary trace is
-    exactly the set J."""
-    out = list(_matchings(G, frozenset(J)))
-    out.sort(key=lambda m: sorted(sorted(e) for e in m))
+    exactly the set J, by exact-cover backtracking on vertex bitmasks."""
+    verts = sorted(set(J)) + G.internal_vertices()
+    bit = {v: 1 << t for t, v in enumerate(verts)}
+    nbrs = [[(u, bit[u]) for u in G.rot[v] if u in bit] for v in verts]
+    masks = [sum(b for _, b in pairs) for pairs in nbrs]
+    out: list[frozenset] = []
+    _cover(verts, nbrs, masks, (1 << len(verts)) - 1, 0, [], out)
+    out.sort(key=lambda m: sorted(map(sorted, m)))
     return out
 
 
@@ -707,37 +716,39 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
         )
     matching = found[0]
 
+    # every edge has one white end (boundary-boundary edges cannot occur)
     head: dict[Edge, int] = {}
-    for e in G.edges():
-        u, v = sorted(e)
-        wht = u if G.color[u] == WHITE else v
-        if G.color[wht] != WHITE:  # boundary-boundary edges cannot occur
-            raise AssertionError("edge without a white endpoint")
-        if e in matching:
-            head[e] = wht
-        else:
-            head[e] = u if wht == v else v
+    out: dict[int, list[int]] = {v: [] for v in G.rot}
+    indeg = dict.fromkeys(G.rot, 0)
+    for w, nbrs in G.rot.items():
+        if G.color[w] != WHITE:
+            continue
+        for u in nbrs:
+            e = frozenset((u, w))
+            t, h = (u, w) if e in matching else (w, u)
+            head[e] = h
+            out[t].append(h)
+            indeg[h] += 1
+    if 2 * len(head) != sum(map(len, G.rot.values())):
+        raise AssertionError("edge without a white endpoint")
 
-    # Kahn's algorithm; a cycle would mean the matching was not acyclic,
-    # which cannot happen here but is cheap to verify.
-    indeg = {v: 0 for v in G.vertices()}
-    for e, h in head.items():
-        indeg[h] += 1
-    queue = sorted(v for v, d in indeg.items() if d == 0)
+    # Kahn's algorithm, smallest vertex first; a cycle would mean the
+    # matching was not acyclic, which cannot happen here but is cheap to
+    # verify.
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapify(ready)
     topo: list[int] = []
-    while queue:
-        v = queue.pop(0)
+    while ready:
+        v = heappop(ready)
         topo.append(v)
-        for u in G.rot[v]:
-            if head[frozenset((u, v))] == u:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    queue.append(u)
-        queue.sort()
+        for u in out[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heappush(ready, u)
     if len(topo) != len(indeg):
         raise AssertionError("perfect orientation has a directed cycle")
 
-    return Orientation(G, head, srcs, tuple(topo))
+    return Orientation(G, head, srcs, tuple(topo), {v: tuple(sorted(us)) for v, us in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +864,7 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         rot[v][rot[v].index(leg)] = buf
         rot[leg][rot[leg].index(v)] = buf
 
-    moved = normalize(PlabicGraph(G.shape, color, {v: tuple(r) for v, r in rot.items()}))
+    moved = normalize(PlabicGraph(G.shape, color, rot))
 
     new_labeling = face_labels(moved)
     old_set = set(labeling.face_of_partition)

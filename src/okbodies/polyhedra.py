@@ -23,7 +23,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import mul
@@ -330,30 +329,34 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
         slack[c - 1] = [s + max(a * lo[c], a * hi[c]) for a, s in zip(cols[c], slack[c])]
 
     out: list[tuple[int, ...]] = []
-    point = [0] * d
-
-    def sweep(c: int, partial: list[int]) -> None:
-        # every row t needs a*x_c + partial[t] + slack[c][t] >= 0, which
-        # bounds x_c to one integer interval
+    # depth first over the coordinates, each coordinate's values pushed in
+    # decreasing order so that the points come out sorted: every row t
+    # needs a*x_c + partial[t] + slack[c][t] >= 0, which bounds x_c to one
+    # integer interval
+    stack = [((), [b for _, b in rows])] if d else []
+    while stack:
+        prefix, partial = stack.pop()
+        c = len(prefix)
         low, high = lo[c], hi[c]
         for a, p, s in zip(cols[c], partial, slack[c]):
-            room = p + s
             if a > 0:
-                low = max(low, -(room // a))
+                if -((p + s) // a) > low:
+                    low = -((p + s) // a)
             elif a < 0:
-                high = min(high, room // -a)
-            elif room < 0:
-                return
-        for val in range(low, high + 1):
-            point[c] = val
+                if (p + s) // -a < high:
+                    high = (p + s) // -a
+            elif p + s < 0:
+                break
+        else:
             if c + 1 == d:
-                out.append(tuple(point))
+                out.extend(prefix + (val,) for val in range(low, high + 1))
             else:
-                sweep(c + 1, [p + a * val for a, p in zip(cols[c], partial)])
-
-    if d:
-        sweep(0, [b for _, b in rows])
-    else:
+                col = cols[c]
+                stack.extend(
+                    (prefix + (val,), [p + a * val for a, p in zip(col, partial)])
+                    for val in range(high, low - 1, -1)
+                )
+    if not d:
         out.append(())
     pts = tuple(sorted(out))
     P._lattice[r] = pts
@@ -384,38 +387,40 @@ def volume(P: QPolytope) -> Fraction:
         return Fraction(0)
     rows = _integer_rows(P.hrep.ineqs)
     tight = [sum(1 << t for t, v in enumerate(verts) if sum(map(mul, a, v)) + b * L == 0) for a, b in rows]
-    bases: dict[int, list[int]] = {}  # face -> its facets that miss its apex
-    total = 0
-
-    def cone(face: int, reduced: dict, pivot: int, depth: int) -> None:
-        # reduced: vertex -> difference row, eliminated by the chain's apices
-        # down to this face's (pivot columns dropped); the apex is left out
-        nonlocal total
-        if face & (face - 1) == 0:
-            if depth != d:
-                raise AssertionError("triangulation produced a degenerate cell")
-            total += abs(pivot)
-            return
-        if face not in bases:
-            # facets by decreasing size, so a non-maximal mask meets a kept superset
-            kept: list[int] = []
-            for g in sorted({face & m for m in tight} - {0, face}, key=int.bit_count, reverse=True):
-                if not any(g & h == g for h in kept):
-                    kept.append(g)
-            bases[face] = [g for g in kept if not g & face & -face]
-        for f in bases[face]:
-            top = reduced[a := (f & -f).bit_length() - 1]
-            c = next((c for c, x in enumerate(top) if x), None)
-            if c is None:
-                raise AssertionError("triangulation produced a degenerate cell")
-            sub = {t: _bareiss_step(row, top, c, top[c], pivot)
-                   for t, row in reduced.items() if f >> t & 1 and t != a}
-            for row in sub.values():
-                del row[c]  # now zero
-            cone(f, sub, top[c], depth + 1)
-
-    cone((1 << len(verts)) - 1, {t: row for t, row in enumerate(diffs) if t}, 1, 0)
+    rest = {t: row for t, row in enumerate(diffs) if t}
+    total = _cone((1 << len(verts)) - 1, rest, 1, 0, d, tight, {})
     return Fraction(total, L**d * factorial(d))
+
+
+def _cone(face: int, reduced: dict, pivot: int, depth: int, d: int, tight: list[int], bases: dict) -> int:
+    """Sum of |det| over the cells of ``face`` coned from the chain of
+    apices that led to it.  ``reduced`` maps each vertex but the apex to
+    its difference row, eliminated by the chain's apices down to this face
+    (pivot columns dropped); ``bases`` caches each face's facets that miss
+    its apex."""
+    if face & (face - 1) == 0:
+        if depth != d:
+            raise AssertionError("triangulation produced a degenerate cell")
+        return abs(pivot)
+    if face not in bases:
+        # facets by decreasing size, so a non-maximal mask meets a kept superset
+        kept: list[int] = []
+        for g in sorted({face & m for m in tight} - {0, face}, key=int.bit_count, reverse=True):
+            if not any(g & h == g for h in kept):
+                kept.append(g)
+        bases[face] = [g for g in kept if not g & face & -face]
+    total = 0
+    for f in bases[face]:
+        top = reduced[a := (f & -f).bit_length() - 1]
+        c = next((c for c, x in enumerate(top) if x), None)
+        if c is None:
+            raise AssertionError("triangulation produced a degenerate cell")
+        sub = {t: _bareiss_step(row, top, c, top[c], pivot)
+               for t, row in reduced.items() if f >> t & 1 and t != a}
+        for row in sub.values():
+            del row[c]  # now zero
+        total += _cone(f, sub, top[c], depth + 1, d, tight, bases)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +446,12 @@ def same_hrep(P: QPolytope, Q: QPolytope) -> bool:
 
 
 def same_vertex_set(P: QPolytope, Q: QPolytope) -> bool:
-    return P.hrep.coords == Q.hrep.coords and sorted(P.vertices) == sorted(Q.vertices)
+    # enumerated vertices are distinct, so equal sizes and sets suffice
+    return (
+        P.hrep.coords == Q.hrep.coords
+        and len(P.vertices) == len(Q.vertices)
+        and set(P.vertices) == set(Q.vertices)
+    )
 
 
 def apply_linear(P: QPolytope, matrix: list[list[Fraction]], inverse: list[list[Fraction]]) -> QPolytope:
@@ -543,36 +553,23 @@ def gt_pattern_count(shape: GridShape, r: int) -> int:
     Direct recursive enumeration with memoization on rows; independent of
     the polytope engine on purpose, so it can serve as a counting oracle.
     """
-    top = tuple([0] * shape.k + [r] * shape.rows)
-
-    @lru_cache(maxsize=None)
-    def count(row: tuple[int, ...]) -> int:
-        if len(row) == 1:
-            return 1
-        total = 0
-        for nxt in _interlacing(row):
-            total += count(nxt)
-        return total
-
-    result = count(top)
-    count.cache_clear()
-    return result
+    return _pattern_count(tuple([0] * shape.k + [r] * shape.rows), {})
 
 
-def _interlacing(row: tuple[int, ...]):
-    m = len(row)
+def _pattern_count(row: tuple[int, ...], memo: dict) -> int:
+    if len(row) == 1:
+        return 1
+    if row not in memo:
+        memo[row] = sum(_pattern_count(nxt, memo) for nxt in _interlacing(row))
+    return memo[row]
 
-    def grow(i: int, cur: list[int]):
-        if i == m - 1:
-            yield tuple(cur)
-            return
-        lo = row[i] if not cur else max(row[i], cur[-1])
-        for val in range(lo, row[i + 1] + 1):
-            cur.append(val)
-            yield from grow(i + 1, cur)
-            cur.pop()
 
-    yield from grow(0, [])
+def _interlacing(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The weakly increasing rows x with row[i] <= x_i <= row[i+1]."""
+    out: list[tuple[int, ...]] = [()]
+    for i in range(len(row) - 1):
+        out = [cur + (v,) for cur in out for v in range(max(row[i], cur[-1]) if cur else row[i], row[i + 1] + 1)]
+    return out
 
 
 def volume_formula(shape: GridShape) -> Fraction:

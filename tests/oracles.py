@@ -312,3 +312,127 @@ def matchings_by_edges(G, J):
 
     grow(0, frozenset(), [])
     return sorted(out, key=lambda m: sorted(sorted(e) for e in m))
+
+
+def _full_rotation(G, v):
+    """Clockwise neighbours of ``v``; a boundary vertex sees its edge, then
+    the rim arcs to the previous and the next boundary vertex."""
+    n = G.shape.n
+    if G.color[v] != "boundary":
+        return G.rot[v]
+    return (G.rot[v][0], (v - 2) % n + 1, v % n + 1)
+
+
+def _cw_next(G, v, u):
+    rot = _full_rotation(G, v)
+    return rot[(rot.index(u) + 1) % len(rot)]
+
+
+def _cw_prev(G, v, u):
+    rot = _full_rotation(G, v)
+    return rot[(rot.index(u) - 1) % len(rot)]
+
+
+def faces_by_rotation_walk(G):
+    """The disk faces of a plabic graph, by walking each dart's successor
+    ``(v, cw_next(v, u))`` one rotation lookup at a time.
+
+    Returns ``(orbits, of_dart, boundary, arc_face, adj)`` in the form of
+    ``plabic.Faces``: orbits start at their least dart and are listed in
+    the order of their starts, the outer face (all rim darts) dropped.
+    """
+    n = G.shape.n
+    darts = {(v, u) for v in G.rot for u in G.rot[v]}
+    for i in range(1, n + 1):
+        darts |= {(i, i % n + 1), (i % n + 1, i)}
+    orbits, seen = [], set()
+    for d0 in sorted(darts):
+        if d0 in seen:
+            continue
+        orbit, d = [], d0
+        while d not in seen:
+            seen.add(d)
+            orbit.append(d)
+            d = (d[1], _cw_next(G, d[1], d[0]))
+        assert d == d0
+        orbits.append(tuple(orbit))
+
+    def rim(d):
+        return d[0] <= n and d[1] <= n
+
+    outer = [t for t, orbit in enumerate(orbits) if all(map(rim, orbit))]
+    assert len(outer) == 1
+    orbits.pop(outer[0])
+    of_dart = {d: t for t, orbit in enumerate(orbits) for d in orbit}
+    boundary = frozenset(t for t, orbit in enumerate(orbits) if any(map(rim, orbit)))
+    arc_face = {}
+    for d, t in of_dart.items():
+        if rim(d):
+            arc_face[min(d) if abs(d[0] - d[1]) == 1 else n] = t
+    adj = {t: [] for t in range(len(orbits))}
+    for (u, v), t in of_dart.items():
+        if not rim((u, v)) and of_dart[(v, u)] != t:
+            adj[t].append((of_dart[(v, u)], frozenset((u, v))))
+    return orbits, of_dart, boundary, arc_face, adj
+
+
+def trip_by_rotation_walk(G, i):
+    """The trip from boundary vertex i: at each internal vertex, the
+    neighbour before the arrival clockwise at a black vertex and after it
+    at a white one."""
+    darts = [(i, G.rot[i][0])]
+    while G.color[darts[-1][1]] != "boundary":
+        u, v = darts[-1]
+        darts.append((v, _cw_prev(G, v, u) if G.color[v] == "black" else _cw_next(G, v, u)))
+    return darts
+
+
+def labels_by_rotation_walk(G):
+    """Each disk face's label, listed by face index of
+    ``faces_by_rotation_walk``: the partition whose south steps are the
+    trips that have the face on their left.  The faces left of a trip are
+    flooded from the faces of its darts across every edge the trip does
+    not use."""
+    orbits, of_dart, _, _, adj = faces_by_rotation_walk(G)
+    members = [[] for _ in orbits]
+    for i in range(1, G.shape.n + 1):
+        darts = trip_by_rotation_walk(G, i)
+        walls = {frozenset(d) for d in darts}
+        region = {of_dart[d] for d in darts}
+        frontier = list(region)
+        while frontier:
+            for g, e in adj[frontier.pop()]:
+                if e not in walls and g not in region:
+                    region.add(g)
+                    frontier.append(g)
+        for t in region:
+            members[t].append(i)
+    return [walk_border(J, G.shape.k, G.shape.n) for J in members]
+
+
+def orientation_by_sort_and_pop(G, matching):
+    """``(head, topo)`` of the perfect orientation of ``matching``: each
+    edge points at its white end when matched and away from it otherwise,
+    and Kahn's algorithm takes the smallest ready vertex from a list kept
+    sorted."""
+    head = {}
+    for v in G.rot:
+        for u in G.rot[v]:
+            white = u if G.color[u] == "white" else v
+            other = v if white == u else u
+            head[frozenset((u, v))] = white if frozenset((u, v)) in matching else other
+    indeg = {v: 0 for v in G.rot}
+    for h in head.values():
+        indeg[h] += 1
+    queue = sorted(v for v, d in indeg.items() if d == 0)
+    topo = []
+    while queue:
+        v = queue.pop(0)
+        topo.append(v)
+        for u in G.rot[v]:
+            if head[frozenset((u, v))] == u:
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    queue.append(u)
+        queue.sort()
+    return head, tuple(topo)

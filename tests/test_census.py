@@ -2,12 +2,14 @@
 the small shapes and the two fractional classes of the 3x3 grid."""
 
 import dataclasses
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -385,6 +387,32 @@ def test_verify_computes_each_quiver_once(monkeypatch):
     computed.clear()
     assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
     assert len(computed) == len({c.parent for c in rep.classes if c.parent is not None}) == 3
+
+
+def test_census_and_verify_leave_no_closure_cycles():
+    # with the collector off, a closure that holds itself through its cell
+    # stays alive until the next collection; DEBUG_SAVEALL keeps what that
+    # collection finds unreachable in gc.garbage
+    gc.collect()
+    gc.disable()
+    try:
+        report = census(GridShape(3, 5))
+        assert verify_core(GridShape(3, 5), suite="full", report=report).ok
+        del report
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        closures = sorted(
+            {
+                obj.__qualname__
+                for obj in gc.garbage
+                if isinstance(obj, types.FunctionType) and "<locals>" in obj.__qualname__
+            }
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert closures == []
 
 
 @pytest.mark.parametrize("shape, traced", [(GridShape(3, 5), 1 + 5 + 10), (GridShape(3, 6), 1 + 34 + 120)])

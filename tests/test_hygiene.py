@@ -124,6 +124,48 @@ def test_tests_and_scripts_import_only_at_module_level():
     assert local_imports_under(["tests", "scripts"]) == {}
 
 
+def self_recursive_closures(source: str) -> list[str]:
+    """``name:line`` of every function defined inside another function that
+    reads its own name: the closure then holds itself through its cell, a
+    reference cycle that only the cyclic collector frees."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(fn):
+            if inner is fn or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                out.add(f"{inner.name}:{inner.lineno}")
+    return sorted(out)
+
+
+def test_scanner_flags_only_self_recursive_closures():
+    source = (
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "class C:\n"
+        "    def m(self, n):\n"
+        "        return self.m(n - 1) if n else 0\n"
+        "def f(xs):\n"
+        "    def walk(i):\n"
+        "        return walk(i + 1) if i < len(xs) else i\n"
+        "    def helper(i):\n"
+        "        return walk(i)\n"
+        "    def outer():\n"
+        "        def deep(j):\n"
+        "            return [deep(j - 1)] if j else []\n"
+        "        return deep\n"
+        "    return walk(0), helper, outer\n"
+    )
+    assert self_recursive_closures(source) == ["deep:12", "walk:7"]
+
+
+def test_package_has_no_self_recursive_closures():
+    found = {path: self_recursive_closures(src) for path, src in sources(["src/okbodies"]).items()}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
 def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:
     """``(qualified name, node, is_method)`` for every public module-level
     function or class and every public method of a module-level class."""

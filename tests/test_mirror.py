@@ -31,6 +31,7 @@ from okbodies.partitions import GridShape, all_partitions, boundary_target_set, 
 from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
 from okbodies.polyhedra import (
     HPolytope,
+    QPolytope,
     lattice_points,
     qpolytope,
     same_hrep,
@@ -327,8 +328,40 @@ def test_polytope_transport_matches_marsh_scott():
         image = relabel_polytope(trop_mutate_polytope(P, Q, nu), nu, res.new_label)
         direct = gamma_qpolytope(marsh_scott_expansion(chart2), standard_r_vec(G35, 1))
         assert same_vertex_set(image, direct)
+        assert image.vertices == direct.vertices  # both lex-sorted
         assert volume(image) == volume(P)
         assert len(lattice_points(image, 1)) == 10
+
+
+def test_relabel_polytope_sorts_the_moved_vertices_lexicographically():
+    # (1, 1) becomes (2, 1) and trades slots with (2,); fractions with
+    # different denominators must still come out in lex order
+    coords = ((1,), (1, 1), (2,), (3,))
+    verts = (
+        (F(0), F(0), F(1, 2), F(1)),
+        (F(0), F(5), F(1, 3), F(0)),
+        (F(1), F(0), F(0), F(0)),
+        (F(0), F(0), F(2, 3), F(1)),
+        (F(0), F(-1), F(1, 2), F(1)),
+    )
+    P = QPolytope(HPolytope(coords, ()), verts)
+    out = relabel_polytope(P, (1, 1), (2, 1))
+    assert out.hrep.coords == ((1,), (2,), (2, 1), (3,))
+    assert list(out.vertices) == sorted(out.vertices)
+    assert sorted(out.vertices) == sorted((a, c, b, d) for a, b, c, d in verts)
+
+
+def test_same_vertex_set_needs_the_same_points_and_coordinate_order():
+    coords = ((1,), (2,))
+    P = QPolytope(HPolytope(coords, ()), ((F(0), F(0)), (F(1), F(1, 2)), (F(0), F(1))))
+    shuffled = QPolytope(HPolytope(coords, ()), tuple(reversed(P.vertices)))
+    assert same_vertex_set(P, shuffled)
+    moved = QPolytope(HPolytope(coords, ()), ((F(0), F(0)), (F(1), F(1, 3)), (F(0), F(1))))
+    assert not same_vertex_set(P, moved)
+    fewer = QPolytope(HPolytope(coords, ()), P.vertices[:2])
+    assert not same_vertex_set(P, fewer)
+    swapped = QPolytope(HPolytope(tuple(reversed(coords)), ()), P.vertices)
+    assert not same_vertex_set(P, swapped)
 
 
 def test_polytope_mutation_round_trip():

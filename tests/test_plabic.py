@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from okbodies import census as census_module
 from okbodies import plabic
 from okbodies.census import census
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
@@ -127,8 +128,55 @@ def _matching_boundaries(shape):
     ]
 
 
-def test_matchings_agree_with_the_edge_recursion_oracle(rec36):
-    graphs = [c.graph for c in census(G35).classes] + [rec36]
+@pytest.fixture(scope="module")
+def census36_graphs():
+    """The class graphs of the (3,6) census and the 120 graphs its square
+    moves return."""
+    moved = []
+    real = plabic.square_move
+
+    def recording(G, nu, rng=None):
+        res = real(G, nu, rng)
+        moved.append(res.graph)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "square_move", recording)
+        report = census(G36)
+    assert len(report.classes) == 34 and len(moved) == 120
+    return report, moved
+
+
+def test_faces_and_labels_agree_with_the_rotation_walk(census36_graphs):
+    report, moved = census36_graphs
+    classes = [c.graph for c in report.classes]
+    for G in classes + [contract(G) for G in classes] + moved:
+        faces = faces_of(G)
+        orbits, of_dart, boundary, arc_face, adj = oracles.faces_by_rotation_walk(G)
+        assert faces.darts_of == orbits
+        assert faces.of_dart == of_dart
+        assert faces.boundary == boundary
+        assert faces.arc_face == arc_face
+        assert faces.adj == adj
+        for i in range(1, G.shape.n + 1):
+            assert trip(G, i) == oracles.trip_by_rotation_walk(G, i)
+        assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
+
+
+def test_orientation_agrees_with_the_sort_and_pop_oracle(census36_graphs):
+    report, _ = census36_graphs
+    for c in report.classes:
+        G, orientation = c.graph, c.chart.orientation
+        (matching,) = oracles.matchings_by_edges(G, range(1, G.shape.rows + 1))
+        head, topo = oracles.orientation_by_sort_and_pop(G, matching)
+        assert orientation.head == head
+        assert orientation.topo == topo
+        for v in G.rot:
+            assert list(orientation.out_neighbors(v)) == sorted(u for u in G.rot[v] if head[frozenset((u, v))] == u)
+
+
+def test_matchings_agree_with_the_edge_recursion_oracle(rec36, census36_graphs):
+    graphs = [c.graph for c in census(G35).classes] + [rec36] + [c.graph for c in census36_graphs[0].classes]
     for G in graphs:
         for J in _matching_boundaries(G.shape):
             assert matchings_with_boundary(G, J) == oracles.matchings_by_edges(G, J), sorted(J)
