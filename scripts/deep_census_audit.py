@@ -22,6 +22,8 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from okbodies.census import CensusReport
 from okbodies.mirror import gamma_polytope, gamma_system, marsh_scott_expansion, standard_r_vec
@@ -79,14 +81,14 @@ def simplex_max(rows, c):
         _, piv = best
         pr = T[piv]
         inv = Fraction(1) / pr[enter]
-        T[piv] = [x * inv for x in pr]
+        T[piv] = [x * inv if x else x for x in pr]
         for i in range(m):
             if i != piv and T[i][enter]:
                 f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[piv])]
+                T[i] = [x - f * y if y else x for x, y in zip(T[i], T[piv])]
         if z[enter]:
             f = z[enter]
-            z = [x - f * y for x, y in zip(z, T[piv])]
+            z = [x - f * y if y else x for x, y in zip(z, T[piv])]
         basis[piv] = enter
 
 
@@ -105,37 +107,66 @@ def coordinate_box(rows, d):
     return lo, hi
 
 
-def lattice_sweep(rows, lo, hi):
-    """Integer points of {x : a.x + b >= 0} inside the box, by prefix
-    pruning against the achievable suffix maximum of each row."""
-    d = len(lo)
-    lo_i = [int(-(-x.numerator // x.denominator)) for x in lo]
-    hi_i = [int(x.numerator // x.denominator) for x in hi]
-    suffix = []
-    for a, _ in rows:
-        s = [Fraction(0)] * (d + 1)
-        for j in range(d - 1, -1, -1):
-            s[j] = s[j + 1] + max(a[j] * lo_i[j], a[j] * hi_i[j])
-        suffix.append(s)
+def integer_rows(rows):
+    """Each row (a, b) of a.x + b >= 0 times the least common denominator
+    of its entries: integer rows with the same solutions."""
     out = []
-    point = [0] * d
+    for a, b in rows:
+        a, b = [Fraction(x) for x in a], Fraction(b)
+        L = lcm(b.denominator, *(x.denominator for x in a))
+        out.append(([int(x * L) for x in a], int(b * L)))
+    return out
 
-    def rec(j, partial):
-        if j == d:
-            if all(p >= 0 for p in partial):
-                out.append(tuple(point))
-            return
-        for v in range(lo_i[j], hi_i[j] + 1):
-            point[j] = v
-            nxt = [p + a[j] * v for p, (a, _) in zip(partial, rows)]
-            if all(p + s[j + 1] >= 0 for p, s in zip(nxt, suffix)):
-                rec(j + 1, nxt)
 
-    rec(0, [Fraction(b) for _, b in rows])
+def lattice_sweep(rows, lo, hi):
+    """Integer points of {x : a.x + b >= 0} inside the box [lo, hi], in
+    lexicographic order.
+
+    The rows are scaled to integers.  The sweep fixes the coordinates one at
+    a time from an explicit stack: with the earlier ones fixed, every row
+    bounds the next coordinate to an integer interval, given the most the
+    later coordinates can add to it inside the box, and only the values in
+    that interval are pushed."""
+    d = len(lo)
+    lo_i = [-(-x.numerator // x.denominator) for x in map(Fraction, lo)]
+    hi_i = [x.numerator // x.denominator for x in map(Fraction, hi)]
+    scaled = integer_rows(rows)
+    if not d:
+        return [()] if all(b >= 0 for _, b in scaled) else []
+    cols = [[a[j] for a, _ in scaled] for j in range(d)]
+    # slack[j][t]: the most coordinates after j can add to row t in the box
+    slack = [[0] * len(scaled) for _ in range(d)]
+    for j in range(d - 1, 0, -1):
+        slack[j - 1] = [s + max(a * lo_i[j], a * hi_i[j]) for a, s in zip(cols[j], slack[j])]
+
+    out = []
+    stack = [((), [b for _, b in scaled])]
+    while stack:
+        prefix, partial = stack.pop()
+        j = len(prefix)
+        low, high = lo_i[j], hi_i[j]
+        for a, p, s in zip(cols[j], partial, slack[j]):
+            if a > 0:
+                low = max(low, -((p + s) // a))
+            elif a < 0:
+                high = min(high, (p + s) // -a)
+            elif p + s < 0:
+                high = low - 1
+        if j + 1 == d:
+            out.extend(prefix + (v,) for v in range(low, high + 1))
+        else:
+            # pushed in decreasing order, so the points come out sorted
+            stack.extend(
+                (prefix + (v,), [p + a * v for a, p in zip(cols[j], partial)])
+                for v in range(high, low - 1, -1)
+            )
     return out
 
 
 def rank(mat):
+    """Rank of a matrix by fraction-free elimination: each row below the
+    pivot row becomes pivot * row - entry * pivot row, which keeps integer
+    entries integer and changes no rank."""
     rows = [list(r) for r in mat]
     r = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -143,26 +174,29 @@ def rank(mat):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [top[col] * x - f * y for x, y in zip(rows[i], top)]
         r += 1
     return r
 
 
 def half_integral_vertices(rows, d):
-    """All vertices with denominator two, from the facet description only."""
+    """All vertices with denominator two, from the facet description only:
+    the points z/2 with z a lattice point of the doubled system, not all of
+    its coordinates even, whose tight rows have rank d."""
     doubled = [(a, 2 * Fraction(b)) for a, b in rows]
     lo, hi = coordinate_box(doubled, d)
+    scaled = integer_rows(doubled)
     found = []
     for z in lattice_sweep(doubled, lo, hi):
-        x = tuple(Fraction(v, 2) for v in z)
-        if all(v.denominator == 1 for v in x):
+        if all(v % 2 == 0 for v in z):
             continue
-        tight = [a for a, b in rows if sum(ai * xi for ai, xi in zip(a, x)) + b == 0]
+        tight = [a for a, b in scaled if sum(map(mul, a, z)) + b == 0]
         if len(tight) >= d and rank(tight) == d:
-            found.append(x)
+            found.append(tuple(Fraction(v, 2) for v in z))
     return sorted(found)
 
 

@@ -1,13 +1,13 @@
-"""Network charts on the open positroid cell: boundary matrices, Pluecker
-coordinates, valuations, Puiseux witnesses and the left twist.
+"""Network charts on the open positroid cell: Pluecker coordinates in the
+face variables, valuations, Puiseux witnesses and the left twist.
 
-A chart is a reduced plabic graph together with its acyclic perfect
-orientation with sources 1..n-k.  Directed paths between boundary vertices
-acquire Laurent monomial weights in the face variables (the product over
-the faces enclosed between the path and the boundary arc to its right),
-flows give Pluecker expressions, and the strongly minimal and maximal
-terms of those define the two valuations attached to the chart.  Every
-valuation is an integer vector over the chart's ``labels``.
+A chart is a reduced plabic graph with its acyclic perfect orientation with
+sources 1..n-k.  Its P_lam sums a Laurent monomial in the face variables
+over the flows from the sources to the south steps of lam: the symmetric
+differences M ^ M0 of the source matching M0 with the matchings M of that
+boundary set (Postnikov, Speyer and Williams), each weighed by its face
+heights (Talaska).  The strongly minimal and maximal terms of P_lam define
+the chart's two valuations, integer vectors over its ``labels``.
 """
 
 from __future__ import annotations
@@ -29,23 +29,23 @@ from .partitions import (
     label_sort_key,
     max_diag,
     partition_str,
+    partition_to_south_steps,
     partition_to_west_steps,
 )
 from .plabic import (
-    BOUNDARY,
+    WHITE,
     FaceLabeling,
     Orientation,
     PlabicGraph,
+    boundary_matchings,
     build_rectangles,
     face_labels,
     normalize,
     perfect_orientation,
-    pluecker_columns,
     pluecker_mod_p,
     quiver_of,
-    region_left,
 )
-from .polyhedra import laplace_minors, rank_det
+from .polyhedra import rank_det
 
 
 @dataclass
@@ -54,8 +54,8 @@ class NetworkChart:
 
     ``labels`` lists the nonempty face labels in canonical order; they are
     the variables of every Laurent polynomial the chart produces.  The
-    empty label never appears in a path weight (it is the face behind the
-    sources) and is excluded from the universe on purpose.
+    empty label's face, behind the sources, has height 0 over every flow,
+    so it carries no exponent and is excluded from the universe on purpose.
     """
 
     graph: PlabicGraph
@@ -77,11 +77,6 @@ class NetworkChart:
         return self.graph.shape
 
     @cached_property
-    def matrix(self) -> list[list[LaurentPoly]]:
-        """The boundary matrix, kept because a census sweep reuses it heavily."""
-        return boundary_matrix(self)
-
-    @cached_property
     def plueckers(self) -> dict[Partition, LaurentPoly]:
         """Every Pluecker coordinate P_lam in the face variables, keyed by
         lam; built on first use and never serialized."""
@@ -97,82 +92,53 @@ class NetworkChart:
         """``val_max`` of every P_lam as an integer vector over ``labels``."""
         return {lam: val_max(self, lam) for lam in self.plueckers}
 
-    def label_index(self, lam: Partition) -> int:
-        return self.labels.index(lam)
-
-    # -- paths -------------------------------------------------------------
-
-    def paths_between(self, i: int, j: int) -> list[list[tuple[int, int]]]:
-        """All directed paths from boundary vertex i to boundary vertex j."""
-        out: list[list[tuple[int, int]]] = []
-        start = self.graph.neighbor_of_boundary(i)
-        if self.orientation.head[frozenset((i, start))] != start:
-            return out
-
-        # depth first, out-neighbours in order, so the paths come out in
-        # lexicographic order of their vertex sequences
-        stack = [(start, ((i, start),))]
-        while stack:
-            v, darts = stack.pop()
-            if v == j:
-                out.append(list(darts))
-            elif self.graph.color[v] != BOUNDARY:
-                stack.extend((u, darts + ((v, u),)) for u in reversed(self.orientation.out_neighbors(v)))
-        return out
-
-    def path_weight_exponents(self, darts: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-        """Exponent vector of the path weight over ``labels``."""
-        region = region_left(darts, self.labeling.faces)
-        exps = [0] * len(self.labels)
-        for f in region:
-            lam = self.labeling.partition_of_face[f]
-            if lam == ():
-                raise AssertionError("the empty face can never lie left of a path")
-            exps[self.label_index(lam)] += 1
-        return tuple(exps)
-
-    def path_weight(self, darts: Sequence[tuple[int, int]]) -> LaurentPoly:
-        return LaurentPoly.monomial(self.labels, self.path_weight_exponents(darts))
-
-
-def boundary_matrix(chart: NetworkChart) -> list[list[LaurentPoly]]:
-    """The (n-k) x n matrix whose maximal minors are the flow polynomials.
-
-    Row i, column j holds the signed sum of path weights from source i to
-    boundary vertex j; the sign twist (-1)^{#sources strictly between i
-    and j} makes all maximal minors subtraction-free.
-    """
-    shape = chart.shape
-    rows, n = shape.rows, shape.n
-    V = chart.labels
-    M: list[list[LaurentPoly]] = []
-    for i in range(1, rows + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j <= rows:
-                row.append(LaurentPoly.one(V) if i == j else LaurentPoly.zero(V))
-                continue
-            total = LaurentPoly.zero(V)
-            for darts in chart.paths_between(i, j):
-                total = total + chart.path_weight(darts)
-            sign = -1 if (rows - i) % 2 else 1
-            row.append(sign * total)
-        M.append(row)
-    return M
-
 
 # ---------------------------------------------------------------------------
 # flow polynomials
 # ---------------------------------------------------------------------------
 
 def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
-    """All maximal minors of the boundary matrix, keyed by partition: the
-    one on the south-step columns of lam is P_lam.  One division-free
-    Laplace expansion (``laplace_minors``) computes each smaller minor once
-    however many maximal minors contain it."""
-    labels = list(all_partitions(chart.shape))
-    cols = [pluecker_columns(lam, chart.shape) for lam in labels]
-    return dict(zip(labels, laplace_minors(chart.matrix, cols, LaurentPoly.one(chart.labels))))
+    """Every Pluecker coordinate P_lam in the face variables, keyed by lam,
+    from one ``boundary_matchings`` search.
+
+    A matching M's boundary trace has n - k elements, like that of the
+    matching M0 with trace {1..n-k}, so it is the south-step set of one lam;
+    M gives P_lam the monomial of the flow F = M ^ M0.  Its exponent at a
+    face is the face's height over F: the face labelled () has height 0,
+    and crossing an edge of F out of the face left of its oriented dart
+    lowers the height by one, out of the face on its right raises it by one.
+    Along a spanning tree of the faces that is popcount(F & plus) -
+    popcount(F & minus) for two edge masks per face.
+    """
+    G, shape, labeling = chart.graph, chart.shape, chart.labeling
+    faces, head = labeling.faces, chart.orientation.head
+    edges, matchings = boundary_matchings(G)
+    bit = {e: 1 << t for t, e in enumerate(edges)}
+    trace = (1 << shape.n) - 1
+    sources = [m for m in matchings if m & trace == (1 << shape.rows) - 1]
+    if sources != [sum(bit[e] for e in edges if G.color[head[e]] == WHITE)]:
+        raise AssertionError("the source matching does not give the chart's orientation")
+
+    root = labeling.face_of_partition[()]
+    heights, tree = {root: (0, 0)}, [root]
+    for f in tree:
+        for g, e in faces.adj[f]:
+            if g not in heights:
+                (t,) = e - {head[e]}
+                plus, minus = heights[f]
+                left = faces.of_dart[(t, head[e])] == f
+                heights[g] = (plus, minus | bit[e]) if left else (plus | bit[e], minus)
+                tree.append(g)
+    masks = [heights[labeling.face_of_partition[mu]] for mu in chart.labels]
+
+    table: dict[Partition, dict[tuple[int, ...], int]] = {lam: {} for lam in all_partitions(shape)}
+    lam_of = {sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape)): lam for lam in table}
+    for m in matchings:
+        F = m ^ sources[0]
+        exps = tuple((F & p).bit_count() - (F & q).bit_count() for p, q in masks)
+        terms = table[lam_of[m & trace]]
+        terms[exps] = terms.get(exps, 0) + 1
+    return {lam: LaurentPoly(chart.labels, terms) for lam, terms in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +377,16 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
 
     A random cluster point is lifted to a matrix A, twisted; separately its
     cluster coordinates are pushed through the monomial map given by the
-    adjusted exchange matrix and fed to the boundary measurement.  The two
-    resulting Pluecker vectors must agree projectively.  Raises on any
-    mismatch; sampling outside the open cell just resamples.
+    adjusted exchange matrix and fed to the chart's Pluecker table, which
+    gives the boundary measurement's Pluecker vector (evaluation mod p is a
+    ring map, so it commutes with taking minors).  The two Pluecker vectors
+    must agree projectively.  Raises on any mismatch; sampling outside the
+    open cell just resamples.
     """
     shape = GridShape(3, 5)
     G = normalize(build_rectangles(shape))
     chart = NetworkChart.of(G)
     Bt = adjusted_exchange(quiver_of(G), G25_TWIST_ADJUSTMENT)
-    M = chart.matrix
     cluster = [(), (1,), (2,), (3,), (1, 1), (2, 2)]
     labels = tuple(all_partitions(shape))
 
@@ -440,8 +407,7 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
             mu: _monomial_eval(P, Bt[mu], p)
             for mu in chart.labels
         }
-        N = [[entry.eval_mod_p(x, p) for entry in row] for row in M]
-        vec_n = pluecker_mod_p(N, labels, shape, p)
+        vec_n = {lam: chart.plueckers[lam].eval_mod_p(x, p) for lam in labels}
         vec_t = pluecker_mod_p(tau, labels, shape, p)
         if not vec_n[(3, 3)] or not vec_t[(3, 3)]:
             continue

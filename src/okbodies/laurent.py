@@ -148,13 +148,13 @@ class LaurentPoly:
         """
         if not self.terms:
             return None
-        m = tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
+        m = tuple(map(min, zip(*self.terms)))
         return (m, self.terms[m]) if m in self.terms else None
 
     def strongly_max_term(self) -> Optional[tuple[Exponent, int]]:
         if not self.terms:
             return None
-        m = tuple(max(e[i] for e in self.terms) for i in range(len(self.vars)))
+        m = tuple(map(max, zip(*self.terms)))
         return (m, self.terms[m]) if m in self.terms else None
 
 

@@ -48,12 +48,12 @@ class PlabicGraph:
 
     A graph is an immutable value: nothing changes ``color`` or ``rot``
     after construction, and every surgery below builds a new graph from
-    copies.  Its face labelling and its contracted form are therefore
-    computed on first use by ``face_labels`` and ``contract`` and cached on
-    the graph.
+    copies.  Its face labelling, contracted form and matching tables are
+    therefore computed on first use by ``face_labels``, ``contract`` and
+    ``_cover_tables`` and cached on the graph.
     """
 
-    __slots__ = ("shape", "color", "rot", "_labeling", "_contracted")
+    __slots__ = ("shape", "color", "rot", "_labeling", "_contracted", "_cover_tables")
 
     def __init__(self, shape: GridShape, color: dict[int, str], rot: dict[int, tuple[int, ...]]):
         self.shape = shape
@@ -61,6 +61,7 @@ class PlabicGraph:
         self.rot = {v: tuple(nbrs) for v, nbrs in rot.items()}
         self._labeling: Optional[FaceLabeling] = None
         self._contracted: Optional[PlabicGraph] = None
+        self._cover_tables: Optional[tuple] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -84,6 +85,8 @@ class PlabicGraph:
                 if v not in self.rot[u]:
                     raise ValueError(f"rotation system is not symmetric at {u}-{v}")
             if cv == BOUNDARY:
+                if not 1 <= v <= n:
+                    raise ValueError(f"boundary vertex {v} has no boundary index in 1..{n}")
                 if self.color[nbrs[0]] != WHITE:
                     raise ValueError(f"boundary vertex {v} must attach to a white vertex")
             else:
@@ -638,33 +641,27 @@ class Orientation:
 
     ``head`` maps each edge to the endpoint it points at.  Sources are the
     boundary vertices whose edge points into the disk.  ``topo`` is the
-    topological order that always takes the smallest available vertex, and
-    ``out`` the sorted heads of each vertex's outgoing edges.
+    topological order that always takes the smallest available vertex.
     """
 
-    graph: PlabicGraph
     head: dict[Edge, int]
     sources: frozenset[int]
     topo: tuple[int, ...]
-    out: dict[int, tuple[int, ...]]
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return self.out[v]
 
 
 def _cover(
-    verts: list[int], nbrs: list[list[tuple[int, int]]], masks: list[int], full: int,
-    covered: int, chosen: list[Edge], out: list[frozenset],
+    nbrs: list[list[tuple[int, int]]], masks: list[int], full: int,
+    covered: int, chosen: int, out: list[int],
 ) -> None:
-    """Extend ``chosen`` by every exact cover of the bits of ``full`` not in
-    ``covered`` and add each matching to ``out``.  Bit t stands for
-    ``verts[t]``; ``nbrs[t]`` lists its neighbours with their bits, in
-    rotation order, and ``masks[t]`` is the union of those bits.  Branches
-    on the first vertex with a single free neighbour, else on one with the
-    fewest; a vertex without any is a dead end."""
+    """Add to ``out`` the edge bitmask of every matching that extends
+    ``chosen`` and covers each bit of ``full`` not in ``covered`` once (other
+    vertices are optional).  ``nbrs[t]`` pairs the neighbour and edge bits of
+    vertex t in rotation order; ``masks[t]`` is its neighbour bits' union.
+    Branches on the first vertex with a single free neighbour, else on one
+    with the fewest; a vertex without any is a dead end."""
     rest = full & ~covered
     if not rest:
-        out.append(frozenset(chosen))
+        out.append(chosen)
         return
     best, fewest = -1, 0
     while rest:
@@ -678,25 +675,65 @@ def _cover(
             best, fewest = t, free
             if free == 1:
                 break
-    v, vb = verts[best], 1 << best
-    for u, b in nbrs[best]:
+    covered |= 1 << best
+    for b, e in nbrs[best]:
         if not covered & b:
-            chosen.append(frozenset((u, v)))
-            _cover(verts, nbrs, masks, full, covered | vb | b, chosen, out)
-            chosen.pop()
+            _cover(nbrs, masks, full, covered | b, chosen | e, out)
+
+
+def _cover_tables(G: PlabicGraph) -> tuple[list, list[int], list[Edge]]:
+    """``nbrs``, ``masks`` and the edges by bit for ``_cover`` on the whole
+    graph, cached on it.  Bit i - 1 is boundary vertex i and its edge; then
+    come the internal vertices, and the edges in order of first sight."""
+    if G._cover_tables is None:
+        verts = list(range(1, G.shape.n + 1)) + G.internal_vertices()
+        bit = {v: 1 << t for t, v in enumerate(verts)}
+        index: dict[int, int] = {}  # the end bits of an edge -> its bit
+        edges: list[Edge] = []
+        nbrs, masks = [], []
+        for v in verts:
+            bv, row, mask = bit[v], [], 0
+            for u in G.rot[v]:
+                bu = bit[u]
+                e = index.get(bu | bv)
+                if e is None:
+                    e = index[bu | bv] = 1 << len(edges)
+                    edges.append(frozenset((u, v)))
+                row.append((bu, e))
+                mask |= bu
+            nbrs.append(row)
+            masks.append(mask)
+        G._cover_tables = (nbrs, masks, edges)
+    return G._cover_tables
 
 
 def matchings_with_boundary(G: PlabicGraph, J: Iterable[int]) -> list[frozenset]:
     """Matchings covering all internal vertices whose boundary trace is
     exactly the set J, by exact-cover backtracking on vertex bitmasks."""
-    verts = sorted(set(J)) + G.internal_vertices()
-    bit = {v: 1 << t for t, v in enumerate(verts)}
-    nbrs = [[(u, bit[u]) for u in G.rot[v] if u in bit] for v in verts]
-    masks = [sum(b for _, b in pairs) for pairs in nbrs]
-    out: list[frozenset] = []
-    _cover(verts, nbrs, masks, (1 << len(verts)) - 1, 0, [], out)
+    nbrs, masks, edges = _cover_tables(G)
+    outside = sum(1 << (i - 1) for i in set(range(1, G.shape.n + 1)).difference(J))
+    found: list[int] = []
+    _cover(nbrs, masks, (1 << len(nbrs)) - 1, outside, 0, found)
+    out = []
+    for m in found:
+        matching = []
+        while m:
+            low = m & -m
+            matching.append(edges[low.bit_length() - 1])
+            m ^= low
+        out.append(frozenset(matching))
     out.sort(key=lambda m: sorted(map(sorted, m)))
     return out
+
+
+def boundary_matchings(G: PlabicGraph) -> tuple[list[Edge], list[int]]:
+    """The graph's edges, and as bitmasks over them every matching that
+    covers the internal vertices, from one exact-cover search with the
+    boundary vertices optional; a mask's low n bits are its boundary trace."""
+    nbrs, masks, edges = _cover_tables(G)
+    found: list[int] = []
+    _cover(nbrs, masks, (1 << len(nbrs)) - (1 << G.shape.n), 0, 0, found)
+    return edges, found
 
 
 def perfect_orientation(G: PlabicGraph) -> Orientation:
@@ -707,30 +744,27 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
     of our type (the top Pluecker has a single flow, the empty one); this
     is checked by exhaustive enumeration rather than assumed.
     """
-    shape = G.shape
-    srcs = frozenset(range(1, shape.rows + 1))
-    found = matchings_with_boundary(G, srcs)
+    srcs = frozenset(range(1, G.shape.rows + 1))
+    nbrs, masks, edges = _cover_tables(G)
+    found: list[int] = []
+    _cover(nbrs, masks, (1 << len(nbrs)) - 1, (1 << G.shape.n) - (1 << G.shape.rows), 0, found)
     if len(found) != 1:
         raise AssertionError(
             f"expected a unique matching with boundary {sorted(srcs)}, found {len(found)}"
         )
-    matching = found[0]
 
     # every edge has one white end (boundary-boundary edges cannot occur)
     head: dict[Edge, int] = {}
     out: dict[int, list[int]] = {v: [] for v in G.rot}
     indeg = dict.fromkeys(G.rot, 0)
-    for w, nbrs in G.rot.items():
-        if G.color[w] != WHITE:
-            continue
-        for u in nbrs:
-            e = frozenset((u, w))
-            t, h = (u, w) if e in matching else (w, u)
-            head[e] = h
-            out[t].append(h)
-            indeg[h] += 1
-    if 2 * len(head) != sum(map(len, G.rot.values())):
-        raise AssertionError("edge without a white endpoint")
+    for t, e in enumerate(edges):
+        u, w = e
+        if G.color[u] == WHITE:
+            u, w = w, u
+        tail, h = (u, w) if found[0] >> t & 1 else (w, u)
+        head[e] = h
+        out[tail].append(h)
+        indeg[h] += 1
 
     # Kahn's algorithm, smallest vertex first; a cycle would mean the
     # matching was not acyclic, which cannot happen here but is cheap to
@@ -748,7 +782,7 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
     if len(topo) != len(indeg):
         raise AssertionError("perfect orientation has a directed cycle")
 
-    return Orientation(G, head, srcs, tuple(topo), {v: tuple(sorted(us)) for v, us in out.items()})
+    return Orientation(head, srcs, tuple(topo))
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +807,7 @@ def pluecker_columns(lam: Partition, shape: GridShape) -> list[int]:
 def pluecker_mod_p(A: Sequence[Sequence[int]], labels: Sequence[Partition], shape: GridShape, p: int) -> dict:
     """The Pluecker coordinates p_lam, lam in ``labels``, of the (n-k) x n
     integer matrix ``A`` over F_p."""
-    return dict(zip(labels, laplace_minors(A, [pluecker_columns(lam, shape) for lam in labels], 1, p)))
+    return dict(zip(labels, laplace_minors(A, [pluecker_columns(lam, shape) for lam in labels], p)))
 
 
 def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random) -> None:
@@ -783,7 +817,7 @@ def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random)
     cols = {lam: pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)}
     for _ in range(3):
         mat = [[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)]
-        vals = dict(zip(cols, laplace_minors(mat, cols.values(), 1, p)))
+        vals = dict(zip(cols, laplace_minors(mat, cols.values(), p)))
         lhs = vals[nu] * vals[nu2] % p
         rhs = (vals[diag1[0]] * vals[diag1[1]] + vals[diag2[0]] * vals[diag2[1]]) % p
         if lhs != rhs:

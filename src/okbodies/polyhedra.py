@@ -11,11 +11,11 @@ Volumes come from a pulling triangulation on vertex bitmasks, lattice
 points from a box sweep that bounds each coordinate to an integer interval
 before it branches.  Ranks and determinants, here and in the rest of the
 package, come from one fraction-free integer elimination step (Bareiss),
-shared by ``rank_det`` and ``volume``; many maximal minors of one matrix
-come from one shared Laplace expansion (``laplace_minors``).  The
-Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
-change of variables that relates it to the rectangles-cluster polytope
-live here too.
+shared by ``rank_det`` and ``volume``; the mod-p checks take many maximal
+minors of one integer matrix from one Laplace expansion (``laplace_minors``).
+The Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
+change of variables that relates it to the rectangles-cluster polytope live
+here too.
 """
 
 from __future__ import annotations
@@ -263,28 +263,27 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
 
 
 def laplace_minors(
-    A: Sequence[Sequence], col_sets: Iterable[Sequence[int]], one, p: Optional[int] = None
-) -> list:
-    """The maximal minors of ``A`` on each increasing column tuple of
-    ``col_sets``, reduced mod ``p`` when it is given.
+    A: Sequence[Sequence[int]], col_sets: Iterable[Sequence[int]], p: Optional[int] = None
+) -> list[int]:
+    """The maximal minors of the integer matrix ``A`` on each increasing
+    column tuple of ``col_sets``, reduced mod ``p`` when it is given.
 
     Laplace expansion along the rows in order: each minor of the first j
     rows is built once, from those of the first j - 1 rows, for every
-    column set that needs it.  Division-free, so the entries may be
-    integers or Laurent polynomials, ``one`` being the unit of their ring.
+    column set that needs it.
     """
     col_sets = [tuple(cs) for cs in col_sets]
     levels = [set(col_sets)]  # the column tuples needed, by decreasing size
     while len(levels) < len(A):
         levels.append({cs[:t] + cs[t + 1 :] for cs in levels[-1] for t in range(len(cs))})
-    minor, zero = {(): one}, one * 0
+    minor = {(): 1}
     for r, (row, level) in enumerate(zip(A, reversed(levels))):
         for cs in level:
-            acc = zero
+            acc = 0
             for t, c in enumerate(cs):
                 if row[c]:
                     term = row[c] * minor[cs[:t] + cs[t + 1 :]]
-                    acc = acc + (-term if (r + t) % 2 else term)
+                    acc += -term if (r + t) % 2 else term
             minor[cs] = acc % p if p else acc
     return [minor[cs] for cs in col_sets]
 

@@ -3,9 +3,11 @@
 Everything here is written as directly as possible from the definitions,
 with no shared code paths into the package: border paths are walked step by
 step, diagonals are counted one at a time, Gelfand-Tsetlin patterns are
-enumerated recursively, matchings are grown one edge at a time.  Only the
-polytope containers are borrowed from the package, to hand a dilation back
-in the form its callers compare.  The oracles are slow and that is fine.
+enumerated recursively, matchings are grown one edge at a time, paths are
+followed one dart at a time.  Only containers are borrowed from the
+package: the polytope classes, to hand a dilation back in the form its
+callers compare, and ``LaurentPoly`` for path sums.  The oracles are slow
+and that is fine.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, lcm
 
+from okbodies.laurent import LaurentPoly
 from okbodies.polyhedra import HPolytope, QPolytope
 
 
@@ -387,25 +390,28 @@ def trip_by_rotation_walk(G, i):
     return darts
 
 
+def _faces_left_of(darts, of_dart, adj):
+    """Faces left of a boundary-to-boundary walk: flooded from the faces of
+    its darts across every edge the walk does not use."""
+    walls = {frozenset(d) for d in darts}
+    region = {of_dart[d] for d in darts}
+    frontier = list(region)
+    while frontier:
+        for g, e in adj[frontier.pop()]:
+            if e not in walls and g not in region:
+                region.add(g)
+                frontier.append(g)
+    return region
+
+
 def labels_by_rotation_walk(G):
     """Each disk face's label, listed by face index of
     ``faces_by_rotation_walk``: the partition whose south steps are the
-    trips that have the face on their left.  The faces left of a trip are
-    flooded from the faces of its darts across every edge the trip does
-    not use."""
+    trips that have the face on their left."""
     orbits, of_dart, _, _, adj = faces_by_rotation_walk(G)
     members = [[] for _ in orbits]
     for i in range(1, G.shape.n + 1):
-        darts = trip_by_rotation_walk(G, i)
-        walls = {frozenset(d) for d in darts}
-        region = {of_dart[d] for d in darts}
-        frontier = list(region)
-        while frontier:
-            for g, e in adj[frontier.pop()]:
-                if e not in walls and g not in region:
-                    region.add(g)
-                    frontier.append(g)
-        for t in region:
+        for t in _faces_left_of(trip_by_rotation_walk(G, i), of_dart, adj):
             members[t].append(i)
     return [walk_border(J, G.shape.k, G.shape.n) for J in members]
 
@@ -436,3 +442,69 @@ def orientation_by_sort_and_pop(G, matching):
                     queue.append(u)
         queue.sort()
     return head, tuple(topo)
+
+
+# -- paths of a network chart ----------------------------------------------
+
+def paths_between(chart, i, j):
+    """All directed paths from boundary vertex i to boundary vertex j of the
+    chart's perfect orientation, as dart lists, by a depth-first search that
+    steps along every edge pointing away from the current vertex."""
+    G, head = chart.graph, chart.orientation.head
+    out = []
+
+    def walk(darts):
+        v = darts[-1][1]
+        if v == j:
+            out.append(darts)
+        elif G.color[v] != "boundary":
+            for u in G.rot[v]:
+                if head[frozenset((u, v))] == u:
+                    walk(darts + [(v, u)])
+
+    start = G.rot[i][0]
+    if head[frozenset((i, start))] == start:
+        walk([(i, start)])
+    return out
+
+
+def path_weigher(chart):
+    """The weight of a chart's boundary-to-boundary path as an exponent
+    vector over ``chart.labels``: one for each face left of the path, with
+    the faces and their labels found by the rotation walk."""
+    _, of_dart, _, _, adj = faces_by_rotation_walk(chart.graph)
+    label_of = labels_by_rotation_walk(chart.graph)
+    labels = list(chart.labels)
+
+    def weigh(darts):
+        exps = [0] * len(labels)
+        for f in _faces_left_of(darts, of_dart, adj):
+            assert label_of[f] != (), "the empty face never lies left of a path"
+            exps[labels.index(label_of[f])] += 1
+        return tuple(exps)
+
+    return weigh
+
+
+def boundary_matrix(chart):
+    """The (n-k) x n boundary measurement matrix of a chart, its maximal
+    minors the flow polynomials.  Row i, column j > n-k holds the sum of
+    the weights of the paths from source i to j, signed by the parity of
+    the n-k-i sources strictly between them; the first n-k columns are the
+    identity."""
+    rows, n = chart.shape.rows, chart.shape.n
+    V = chart.labels
+    weigh = path_weigher(chart)
+    M = []
+    for i in range(1, rows + 1):
+        row = []
+        for j in range(1, n + 1):
+            if j <= rows:
+                row.append(LaurentPoly.one(V) if i == j else LaurentPoly.zero(V))
+                continue
+            total = LaurentPoly.zero(V)
+            for darts in paths_between(chart, i, j):
+                total = total + LaurentPoly.monomial(V, weigh(darts))
+            row.append(-total if (rows - i) % 2 else total)
+        M.append(row)
+    return M

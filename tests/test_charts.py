@@ -1,5 +1,6 @@
-"""Chart-level golden data: flow polynomials, boundary matrices, valuations,
-the Puiseux witness and the left twist, all pinned on the 2x3 grid."""
+"""Chart-level golden data: flow polynomials, the boundary matrix of the
+path oracle, valuations, the Puiseux witness and the left twist, all
+pinned on the 2x3 grid."""
 
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from okbodies.charts import (
     G25_TWIST_ADJUSTMENT,
     NetworkChart,
     adjusted_exchange,
-    boundary_matrix,
     check_twist_diagram,
     cluster_matrix_g25,
     highest_valuation,
@@ -94,7 +94,7 @@ def enumerate_flows(chart, lam):
             flows.append([list(p) for p in system])
             return
         i, j = pairs[idx]
-        for path in chart.paths_between(i, j):
+        for path in oracles.paths_between(chart, i, j):
             verts = {v for d in path for v in d}
             if verts & used:
                 continue
@@ -106,48 +106,52 @@ def enumerate_flows(chart, lam):
     return flows
 
 
-def flow_polynomial_direct(chart, lam):
-    """P_lam as the sum of the weights of its flows: an engine independent
-    of the boundary-matrix minors behind ``chart.plueckers``."""
+def flow_polynomials_direct(chart):
+    """Every P_lam as the sum of the weights of its flows, each path
+    weighed by the path oracle: an engine independent of the matching
+    search behind ``chart.plueckers``."""
     V = chart.labels
-    total = LaurentPoly.zero(V)
-    for flow in enumerate_flows(chart, lam):
-        exps = [0] * len(V)
-        for path in flow:
-            for t, e in enumerate(chart.path_weight_exponents(path)):
-                exps[t] += e
-        total = total + LaurentPoly.monomial(V, exps)
-    return total
+    weigh = oracles.path_weigher(chart)
+    table = {}
+    for lam in all_partitions(chart.shape):
+        total = LaurentPoly.zero(V)
+        for flow in enumerate_flows(chart, lam):
+            exps = [sum(col) for col in zip(*map(weigh, flow))] if flow else [0] * len(V)
+            total = total + LaurentPoly.monomial(V, exps)
+        table[lam] = total
+    return table
 
 
-def flow_polynomial_by_columns(chart, lam):
-    """P_lam as the one maximal minor of the boundary matrix on the
-    south-step columns of lam, by a column-subset expansion of that minor
-    alone: the per-partition computation that ``chart.plueckers`` shares
-    across all partitions."""
-    M = chart.matrix
-    cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
+def flow_polynomials_by_columns(chart):
+    """Every P_lam as the maximal minor of the oracle boundary matrix on the
+    south-step columns of lam, each by a column-subset expansion of that
+    minor alone."""
+    M = oracles.boundary_matrix(chart)
     V = chart.labels
-    prev = {(): LaurentPoly.one(V)}
-    for r in range(len(cols)):
-        cur = {}
-        for S in combinations(cols, r + 1):
-            acc = LaurentPoly.zero(V)
-            for t, c in enumerate(S):
-                term = M[r][c] * prev[S[:t] + S[t + 1 :]]
-                acc = acc + (term if (r + t) % 2 == 0 else -term)
-            cur[S] = acc
-        prev = cur
-    return prev[tuple(cols)]
+    table = {}
+    for lam in all_partitions(chart.shape):
+        cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
+        prev = {(): LaurentPoly.one(V)}
+        for r in range(len(cols)):
+            cur = {}
+            for S in combinations(cols, r + 1):
+                acc = LaurentPoly.zero(V)
+                for t, c in enumerate(S):
+                    term = M[r][c] * prev[S[:t] + S[t + 1 :]]
+                    acc = acc + (term if (r + t) % 2 == 0 else -term)
+                cur[S] = acc
+            prev = cur
+        table[lam] = prev[tuple(cols)]
+    return table
 
 
 def test_pluecker_table_matches_both_oracles():
-    # every chart of the 2x3 grid, and the rectangles chart of the 3x3 grid
-    charts = [rec.chart for rec in census(GridShape(3, 5)).classes] + [rec_chart(3, 6)]
+    # every chart of the 2x3 grid and of the 3x3 grid
+    charts = [rec.chart for k, n in ((3, 5), (3, 6)) for rec in census(GridShape(k, n)).classes]
     for c in charts:
         assert list(c.plueckers) == list(all_partitions(c.shape))
-        for lam, P in c.plueckers.items():
-            assert P == flow_polynomial_by_columns(c, lam) == flow_polynomial_direct(c, lam)
+        assert c.plueckers == flow_polynomials_by_columns(c) == flow_polynomials_direct(c)
+        for lam in c.plueckers:
             assert c.min_valuations[lam] == val_min(c, lam)
             assert c.max_valuations[lam] == val_max(c, lam)
 
@@ -155,8 +159,7 @@ def test_pluecker_table_matches_both_oracles():
 @pytest.mark.parametrize("k,n", [(3, 5), (2, 4), (2, 5), (3, 6)])
 def test_minor_expansion_matches_flow_enumeration(k, n):
     c = rec_chart(k, n)
-    for lam in all_partitions(c.shape):
-        assert c.plueckers[lam] == flow_polynomial_direct(c, lam)
+    assert c.plueckers == flow_polynomials_direct(c)
 
 
 def test_flows_are_vertex_disjoint_path_systems():
@@ -169,7 +172,7 @@ def test_flows_are_vertex_disjoint_path_systems():
 
 def test_boundary_matrix_golden_g35():
     c = rec_chart(3, 5)
-    M = boundary_matrix(c)
+    M = oracles.boundary_matrix(c)
     one = LaurentPoly.one(c.labels)
     x1, x2, x3 = x(c, (1,)), x(c, (2,)), x(c, (3,))
     x11, x22, x33 = x(c, (1, 1)), x(c, (2, 2)), x(c, (3, 3))

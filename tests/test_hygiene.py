@@ -166,6 +166,11 @@ def test_package_has_no_self_recursive_closures():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def test_scripts_have_no_self_recursive_closures():
+    found = {path: self_recursive_closures(src) for path, src in sources(["scripts"]).items()}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
 def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST, bool]]:
     """``(qualified name, node, is_method)`` for every public module-level
     function or class and every public method of a module-level class."""

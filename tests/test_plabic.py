@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,9 @@ from okbodies.census import census
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import (
     BOUNDARY,
+    WHITE,
     PlabicGraph,
+    boundary_matchings,
     build_rectangles,
     contract,
     face_labels,
@@ -171,8 +174,6 @@ def test_orientation_agrees_with_the_sort_and_pop_oracle(census36_graphs):
         head, topo = oracles.orientation_by_sort_and_pop(G, matching)
         assert orientation.head == head
         assert orientation.topo == topo
-        for v in G.rot:
-            assert list(orientation.out_neighbors(v)) == sorted(u for u in G.rot[v] if head[frozenset((u, v))] == u)
 
 
 def test_matchings_agree_with_the_edge_recursion_oracle(rec36, census36_graphs):
@@ -180,6 +181,27 @@ def test_matchings_agree_with_the_edge_recursion_oracle(rec36, census36_graphs):
     for G in graphs:
         for J in _matching_boundaries(G.shape):
             assert matchings_with_boundary(G, J) == oracles.matchings_by_edges(G, J), sorted(J)
+
+
+def test_optional_boundary_search_agrees_with_the_edge_recursion_oracle(census36_graphs):
+    # grouped by boundary trace, the one search with the boundary vertices
+    # optional lists exactly the matchings with each boundary set
+    graphs = [c.graph for c in census(G35).classes] + [c.graph for c in census36_graphs[0].classes]
+    for G in graphs:
+        n = G.shape.n
+        edges, masks = boundary_matchings(G)
+        assert [set(edges[i - 1]) & set(range(1, n + 1)) for i in range(1, n + 1)] == [
+            {i} for i in range(1, n + 1)
+        ]
+        by_trace = {}
+        for m in masks:
+            J = frozenset(i for i in range(1, n + 1) if m >> (i - 1) & 1)
+            by_trace.setdefault(J, []).append(frozenset(e for t, e in enumerate(edges) if m >> t & 1))
+        subsets = [frozenset(J) for J in combinations(range(1, n + 1), G.shape.rows)]
+        assert set(by_trace) <= set(subsets)
+        for J in subsets:
+            want = oracles.matchings_by_edges(G, J)
+            assert sorted(by_trace.get(J, []), key=lambda m: sorted(map(sorted, m))) == want, sorted(J)
 
 
 def test_square_moves_frozen_labels(rec35):
@@ -325,6 +347,19 @@ def test_graph_refuses_a_vertex_without_a_colour(rec35):
     del color[max(color)]
     with pytest.raises(ValueError, match="name different vertices"):
         PlabicGraph(rec35.shape, color, rec35.rot)
+
+
+def test_graph_refuses_a_boundary_vertex_without_a_boundary_index(rec35):
+    # the (3,5) rectangles graph with a vertex 20, coloured boundary and
+    # hung on a degree-2 white vertex: no boundary index is 20, so the graph
+    # is refused before any face is traced
+    (w, *_) = [v for v in rec35.vertices() if rec35.color[v] == WHITE and len(rec35.rot[v]) == 2]
+    color, rot = dict(rec35.color), dict(rec35.rot)
+    color[20] = BOUNDARY
+    rot[20] = (w,)
+    rot[w] = rot[w] + (20,)
+    with pytest.raises(ValueError, match="boundary vertex 20 "):
+        PlabicGraph(rec35.shape, color, rot)
 
 
 def test_rectangles_graph_other_shapes():

@@ -379,8 +379,8 @@ def test_shared_laplace_minors_match_the_cofactor_oracle(case):
     mat, col_sets = case
     p = (1 << 61) - 1  # the prime of the square-move exchange check
     exact = [oracles.minor(mat, range(len(mat)), cs) for cs in col_sets]
-    assert laplace_minors(mat, col_sets, 1) == exact
-    assert laplace_minors(mat, col_sets, 1, p) == [m % p for m in exact]
+    assert laplace_minors(mat, col_sets) == exact
+    assert laplace_minors(mat, col_sets, p) == [m % p for m in exact]
 
 
 def test_rank_det_of_empty_and_zero_matrices():
