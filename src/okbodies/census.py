@@ -43,7 +43,7 @@ from .plabic import (
     quiver_of,
     square_move,
 )
-from .polyhedra import QPolytope, frac_str, lattice_points, volume, volume_formula
+from .polyhedra import QPolytope, frac_str, lattice_points, nonintegral_points, volume, volume_formula
 
 DEFAULT_SEED = 0x0B0D1E5
 CENSUS_SCHEMA = "okbodies.census/1"
@@ -89,6 +89,17 @@ class CensusGuardError(ValueError):
     pass
 
 
+# the fields of a census JSON and of each of its class records
+_REPORT_FIELDS = ("k", "n", "seed", "elapsed_seconds", "classes")
+_RECORD_FIELDS = ("key", "path", "parent", "graph", "vertices", "lattice", "integral", "nonintegral_vertices")
+
+
+def _require(doc: dict, fields: Sequence[str], what: str) -> None:
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+
 @dataclass
 class ClassRecord:
     key: tuple[Partition, ...]
@@ -97,9 +108,14 @@ class ClassRecord:
     parent: Optional[tuple[Partition, ...]]
     vertices: tuple
     lattice: tuple
-    integral: bool
-    nonintegral_vertices: tuple
     polytope: Optional[QPolytope] = field(default=None, repr=False, compare=False)
+    # read off the vertices on construction, never passed in
+    nonintegral_vertices: tuple = field(init=False, compare=False)
+    integral: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.nonintegral_vertices = nonintegral_points(self.vertices)
+        self.integral = not self.nonintegral_vertices
 
     @cached_property
     def chart(self) -> Optional[NetworkChart]:
@@ -131,9 +147,12 @@ class ClassRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClassRecord":
+        """Read a record back, refusing one with a missing field or with an
+        integrality verdict or fractional vertices other than its vertices'."""
+        _require(doc, _RECORD_FIELDS, f"class record {doc.get('key', '?')}")
         if not isinstance(doc["integral"], bool):
             raise ValueError(f"class {doc['key']}: integral is {doc['integral']!r}, not a boolean")
-        return cls(
+        rec = cls(
             key=tuple(parse_partition(s) for s in doc["key"]),
             graph=None if doc["graph"] is None else PlabicGraph.from_json(doc["graph"]),
             path=tuple((parse_partition(a), parse_partition(b)) for a, b in doc["path"]),
@@ -142,11 +161,13 @@ class ClassRecord:
             else tuple(parse_partition(s) for s in doc["parent"]),
             vertices=tuple(tuple(Fraction(x) for x in v) for v in doc["vertices"]),
             lattice=tuple(tuple(int(x) for x in p) for p in doc["lattice"]),
-            integral=doc["integral"],
-            nonintegral_vertices=tuple(
-                tuple(Fraction(x) for x in v) for v in doc["nonintegral_vertices"]
-            ),
         )
+        if doc["integral"] != rec.integral:
+            raise ValueError(f"class {rec.key_str}: integral is {doc['integral']}, not its vertices' verdict")
+        stored = tuple(tuple(Fraction(x) for x in v) for v in doc["nonintegral_vertices"])
+        if stored != rec.nonintegral_vertices:
+            raise ValueError(f"class {rec.key_str}: nonintegral_vertices are not its fractional vertices")
+        return rec
 
 
 @dataclass
@@ -196,6 +217,7 @@ class CensusReport:
         every record's chart."""
         if doc.get("schema") != CENSUS_SCHEMA:
             raise ValueError(f"unsupported census schema {doc.get('schema')!r}")
+        _require(doc, _REPORT_FIELDS, "census")
         classes = tuple(ClassRecord.from_json(c) for c in doc["classes"])
         keys = set()
         for rec in classes:
@@ -221,13 +243,7 @@ def class_key(labels: Sequence[Partition]) -> tuple[Partition, ...]:
 
 def _pipeline(shape: GridShape, expansion: SuperpotentialExpansion) -> dict:
     P = gamma_qpolytope(expansion, standard_r_vec(shape, 1))
-    return {
-        "vertices": P.vertices,
-        "lattice": lattice_points(P, 1),
-        "integral": P.is_integral(),
-        "nonintegral_vertices": tuple(P.nonintegral_vertices()),
-        "polytope": P,
-    }
+    return {"vertices": P.vertices, "lattice": lattice_points(P, 1), "polytope": P}
 
 
 def _degenerate_census(shape: GridShape, seed: int, t0: float) -> CensusReport:

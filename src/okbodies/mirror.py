@@ -21,8 +21,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
-from .partitions import GridShape, Partition, boundary_target_set, label_sort_key, partition_str
-from .plabic import BLACK, Quiver, matchings_with_boundary
+from .partitions import GridShape, Partition, boundary_target_set, frozen_mu, label_sort_key, partition_str
+from .plabic import BLACK, Quiver, boundary_matchings
 from .polyhedra import (
     HPolytope,
     QPolytope,
@@ -89,12 +89,8 @@ def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
     return SuperpotentialExpansion(shape, labels, tuple(summands))
 
 
-def frozen_boundary_labels(chart: NetworkChart) -> dict[int, Partition]:
-    """The frozen label behind each boundary arc, keyed 1..n."""
-    lab = chart.labeling
-    return {
-        j: lab.partition_of_face[f] for j, f in lab.faces.arc_face.items()
-    }
+def _bit_list(m: int) -> list[int]:
+    return [t for t in range(m.bit_length()) if m >> t & 1]
 
 
 def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
@@ -104,52 +100,48 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
 
         w_M * prod_{j = i-1, i+1, ..., i+k} p_{mu_j} / prod_{labels} p,
 
-    where the edge weight collects the labels at the black endpoint that
-    do not flank the edge.  Boundary edges have no black endpoint and
-    weigh 1.
+    where mu_j = ``frozen_mu(j)`` is the frozen label behind the rim arc
+    from j to j + 1, and the edge weight collects the labels at the black
+    endpoint that do not flank the edge.  Boundary edges have no black
+    endpoint and weigh 1.  With M an edge mask from ``boundary_matchings``,
+    the exponent at label s is base_i[s] + popcount(M & w_s), w_s masking
+    the edges whose black endpoint carries s off the edge's two flanks.
+    Each J^i lists its matchings in the lexicographic order of their
+    sorted edges, which is the order of their ascending bit lists.
     """
-    G = chart.graph
-    shape = chart.shape
-    labels = tuple(chart.labels)
+    G, shape, labels = chart.graph, chart.shape, chart.labels
     index = {lab: t for t, lab in enumerate(labels)}
-    lab = chart.labeling
-    faces = lab.faces
-    mu = frozen_boundary_labels(chart)
-    n = shape.n
+    of_dart, label_of = chart.labeling.faces.of_dart, chart.labeling.partition_of_face
 
-    def bump(exps: list[int], p: Partition, delta: int) -> None:
-        if p:
-            exps[index[p]] += delta
+    weights = [0] * len(labels)
+    for t, (u, v) in enumerate(map(tuple, G.edges())):
+        black = u if G.color[u] == BLACK else (v if G.color[v] == BLACK else None)
+        if black is None:
+            continue
+        flank = {of_dart[(u, v)], of_dart[(v, u)]}
+        for w in G.rot[black]:
+            f = of_dart[(black, w)]
+            if f not in flank and label_of[f]:
+                weights[index[label_of[f]]] |= 1 << t
 
-    base = [0] * len(labels)
-    for p in labels:
-        base[index[p]] -= 1
+    # the slot of frozen_mu(j), j taken mod n; None for the empty label
+    frozen = [index.get(frozen_mu(j, shape)) for j in range(shape.n)]
 
     summands: list[tuple[int, tuple[int, ...]]] = []
-    for i in range(1, n + 1):
+    for i in range(1, shape.n + 1):
         J = boundary_target_set(i, shape)
-        matchings = matchings_with_boundary(G, J)
+        _, matchings = boundary_matchings(G, J)
         if not matchings:
             raise TypeError(
                 f"no matchings with boundary {sorted(J)}; chart is not reduced of this type"
             )
-        frozen_factor = [mu[(i - 2) % n + 1]]
-        frozen_factor += [mu[(i + t - 1) % n + 1] for t in range(1, shape.k + 1)]
-        for M in matchings:
-            exps = base[:]
-            for p in frozen_factor:
-                bump(exps, p, 1)
-            for edge in M:
-                u, v = tuple(edge)
-                black = u if G.color[u] == BLACK else (v if G.color[v] == BLACK else None)
-                if black is None:
-                    continue
-                flank = {faces.of_dart[(u, v)], faces.of_dart[(v, u)]}
-                for w in G.rot[black]:
-                    f = faces.of_dart[(black, w)]
-                    if f not in flank:
-                        bump(exps, lab.partition_of_face[f], 1)
-            summands.append((i, tuple(exps)))
+        base = [-1] * len(labels)
+        for j in (i - 1, *range(i + 1, i + shape.k + 1)):
+            slot = frozen[j % shape.n]
+            if slot is not None:
+                base[slot] += 1
+        for M in sorted(matchings, key=_bit_list):
+            summands.append((i, tuple(b + (M & w).bit_count() for b, w in zip(base, weights))))
 
     return SuperpotentialExpansion(shape, labels, tuple(summands))
 
@@ -222,13 +214,12 @@ def trop_system_to_json(system: TropSystem) -> dict:
 def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
     """Shift relating the polytope of a general r-vector to the dilation
     by the total weight: minus the r-weighted sum of frozen valuations."""
-    mu = frozen_boundary_labels(chart)
     out = [Fraction(0)] * len(chart.labels)
     for j in range(1, chart.shape.n + 1):
         r = Fraction(r_vec[j - 1])
         if not r:
             continue
-        e_j = maxdiag_valuation(mu[j], chart.labels)
+        e_j = maxdiag_valuation(frozen_mu(j, chart.shape), chart.labels)
         out = [x - r * v for x, v in zip(out, e_j)]
     return tuple(out)
 

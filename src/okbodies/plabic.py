@@ -104,11 +104,8 @@ class PlabicGraph:
         return [v for v in sorted(self.rot) if self.color[v] != BOUNDARY]
 
     def edges(self) -> list[Edge]:
-        out = set()
-        for v, nbrs in self.rot.items():
-            for u in nbrs:
-                out.add(frozenset((u, v)))
-        return sorted(out, key=sorted)
+        """Every edge once, in the order of its sorted endpoints."""
+        return [frozenset(e) for e in sorted((v, u) for v, nbrs in self.rot.items() for u in nbrs if v < u)]
 
     def neighbor_of_boundary(self, i: int) -> int:
         return self.rot[i][0]
@@ -229,14 +226,12 @@ class Faces:
 
     ``of_dart`` sends every dart, rim darts included, to the index of the
     face on its left; ascending rim darts belong to the outer face and are
-    absent.  ``arc_face`` names the boundary face behind each rim arc
-    (keyed by the smaller endpoint of the arc, walking clockwise).
+    absent.
     """
 
     darts_of: list[tuple[Dart, ...]]
     of_dart: dict[Dart, int]
     boundary: frozenset[int]
-    arc_face: dict[int, int]
     adj: dict[int, list[tuple[int, Edge]]]
 
     def __len__(self) -> int:
@@ -279,14 +274,11 @@ def faces_of(G: PlabicGraph) -> Faces:
 
     of_dart: dict[Dart, int] = {}
     boundary = set()
-    arc_face: dict[int, int] = {}
     for idx, orbit in enumerate(orbits):
-        for d in orbit:
-            of_dart[d] = idx
-            u, v = d
+        for u, v in orbit:
+            of_dart[(u, v)] = idx
             if u <= n and v <= n:
                 boundary.add(idx)
-                arc_face[min(u, v) if abs(u - v) == 1 else n] = idx
 
     adj: dict[int, list[tuple[int, Edge]]] = {i: [] for i in range(len(orbits))}
     for (u, v), f in of_dart.items():
@@ -296,7 +288,7 @@ def faces_of(G: PlabicGraph) -> Faces:
         if f != g:
             adj[f].append((g, frozenset((u, v))))
 
-    return Faces(orbits, of_dart, frozenset(boundary), arc_face, adj)
+    return Faces(orbits, of_dart, frozenset(boundary), adj)
 
 
 def region_left(darts: Iterable[Dart], faces: Faces) -> frozenset[int]:
@@ -683,56 +675,36 @@ def _cover(
 
 def _cover_tables(G: PlabicGraph) -> tuple[list, list[int], list[Edge]]:
     """``nbrs``, ``masks`` and the edges by bit for ``_cover`` on the whole
-    graph, cached on it.  Bit i - 1 is boundary vertex i and its edge; then
-    come the internal vertices, and the edges in order of first sight."""
+    graph, cached on it.  Bit i - 1 is boundary vertex i, then come the
+    internal vertices; edge bit t is ``G.edges()[t]``, so bit i - 1 is
+    also the edge at boundary vertex i."""
     if G._cover_tables is None:
         verts = list(range(1, G.shape.n + 1)) + G.internal_vertices()
         bit = {v: 1 << t for t, v in enumerate(verts)}
-        index: dict[int, int] = {}  # the end bits of an edge -> its bit
-        edges: list[Edge] = []
-        nbrs, masks = [], []
-        for v in verts:
-            bv, row, mask = bit[v], [], 0
-            for u in G.rot[v]:
-                bu = bit[u]
-                e = index.get(bu | bv)
-                if e is None:
-                    e = index[bu | bv] = 1 << len(edges)
-                    edges.append(frozenset((u, v)))
-                row.append((bu, e))
-                mask |= bu
-            nbrs.append(row)
-            masks.append(mask)
+        edges = G.edges()
+        index = {bit[u] | bit[v]: 1 << t for t, (u, v) in enumerate(map(tuple, edges))}
+        nbrs = [[(bit[u], index[bit[u] | bit[v]]) for u in G.rot[v]] for v in verts]
+        # no parallel edges: the neighbour bits are distinct
+        masks = [sum(map(bit.__getitem__, G.rot[v])) for v in verts]
         G._cover_tables = (nbrs, masks, edges)
     return G._cover_tables
 
 
-def matchings_with_boundary(G: PlabicGraph, J: Iterable[int]) -> list[frozenset]:
-    """Matchings covering all internal vertices whose boundary trace is
-    exactly the set J, by exact-cover backtracking on vertex bitmasks."""
+def boundary_matchings(G: PlabicGraph, J: Optional[Iterable[int]] = None) -> tuple[list[Edge], list[int]]:
+    """The graph's edges in ``G.edges()`` order, and as bitmasks over them
+    (bit t is edge t) every matching that covers the internal vertices and
+    exactly the boundary vertices in J, by one exact-cover search on vertex
+    bitmasks.  With J None the boundary vertices are optional and every
+    boundary trace is listed; a mask's low n bits are its boundary trace."""
     nbrs, masks, edges = _cover_tables(G)
-    outside = sum(1 << (i - 1) for i in set(range(1, G.shape.n + 1)).difference(J))
+    n = G.shape.n
+    if J is None:
+        full, outside = (1 << len(nbrs)) - (1 << n), 0
+    else:
+        full = (1 << len(nbrs)) - 1
+        outside = sum(1 << (i - 1) for i in set(range(1, n + 1)).difference(J))
     found: list[int] = []
-    _cover(nbrs, masks, (1 << len(nbrs)) - 1, outside, 0, found)
-    out = []
-    for m in found:
-        matching = []
-        while m:
-            low = m & -m
-            matching.append(edges[low.bit_length() - 1])
-            m ^= low
-        out.append(frozenset(matching))
-    out.sort(key=lambda m: sorted(map(sorted, m)))
-    return out
-
-
-def boundary_matchings(G: PlabicGraph) -> tuple[list[Edge], list[int]]:
-    """The graph's edges, and as bitmasks over them every matching that
-    covers the internal vertices, from one exact-cover search with the
-    boundary vertices optional; a mask's low n bits are its boundary trace."""
-    nbrs, masks, edges = _cover_tables(G)
-    found: list[int] = []
-    _cover(nbrs, masks, (1 << len(nbrs)) - (1 << G.shape.n), 0, 0, found)
+    _cover(nbrs, masks, full, outside, 0, found)
     return edges, found
 
 
@@ -745,9 +717,7 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
     is checked by exhaustive enumeration rather than assumed.
     """
     srcs = frozenset(range(1, G.shape.rows + 1))
-    nbrs, masks, edges = _cover_tables(G)
-    found: list[int] = []
-    _cover(nbrs, masks, (1 << len(nbrs)) - 1, (1 << G.shape.n) - (1 << G.shape.rows), 0, found)
+    edges, found = boundary_matchings(G, srcs)
     if len(found) != 1:
         raise AssertionError(
             f"expected a unique matching with boundary {sorted(srcs)}, found {len(found)}"

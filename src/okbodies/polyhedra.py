@@ -82,12 +82,6 @@ class QPolytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
-
-    def nonintegral_vertices(self) -> list[Vec]:
-        return [v for v in self.vertices if any(x.denominator != 1 for x in v)]
-
     def translated(self, t: Sequence[Fraction]) -> "QPolytope":
         return QPolytope(
             self.hrep.translated(t),
@@ -105,6 +99,12 @@ class QPolytope:
 
 def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def nonintegral_points(points: Iterable[Vec]) -> tuple[Vec, ...]:
+    """The points with a non-integer coordinate, in their order; for the
+    vertices of a polytope, empty exactly when the polytope is integral."""
+    return tuple(v for v in points if any(x.denominator != 1 for x in v))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,47 @@ def labels_by_rotation_walk(G):
     return [walk_border(J, G.shape.k, G.shape.n) for J in members]
 
 
+def marsh_scott_by_edges(chart):
+    """The summands ``(i, exponents over chart.labels)`` of the matching
+    expansion of the superpotential, one matching at a time.
+
+    For each i the matchings with boundary J^i = {i+1} and {i+k+1, ..., i-1}
+    cyclically come from ``matchings_by_edges``, in its order.  A matching
+    counts the labels behind the rim arcs from i - 1, i + 1, ..., i + k to
+    the next boundary vertex, and for every matched edge with a black end
+    the labels of the faces around that end that do not flank the edge;
+    every label of the chart counts minus one once.  Faces, their labels and
+    the faces behind the rim arcs come from the rotation walks above.
+    """
+    G, labels = chart.graph, chart.labels
+    k, n = G.shape.k, G.shape.n
+    _, of_dart, _, arc_face, _ = faces_by_rotation_walk(G)
+    label = labels_by_rotation_walk(G)
+
+    def cyc(j):
+        return (j - 1) % n + 1
+
+    out = []
+    for i in range(1, n + 1):
+        J = {cyc(i + 1)} | {cyc(i + k + j) for j in range(1, n - k)}
+        for matching in matchings_by_edges(G, J):
+            count = {lab: -1 for lab in labels}
+            found = [label[arc_face[cyc(j)]] for j in [i - 1] + list(range(i + 1, i + k + 1))]
+            for u, v in map(tuple, matching):
+                black = u if G.color[u] == "black" else v if G.color[v] == "black" else None
+                if black is None:
+                    continue
+                for w in G.rot[black]:
+                    f = of_dart[(black, w)]
+                    if f not in (of_dart[(u, v)], of_dart[(v, u)]):
+                        found.append(label[f])
+            for lab in found:
+                if lab:
+                    count[lab] += 1
+            out.append((i, tuple(count[lab] for lab in labels)))
+    return out
+
+
 def orientation_by_sort_and_pop(G, matching):
     """``(head, topo)`` of the perfect orientation of ``matching``: each
     edge points at its white end when matched and away from it otherwise,

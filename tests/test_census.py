@@ -298,14 +298,26 @@ def test_verify_core_g35(census35):
     assert "move-transport" in names
 
 
-def test_verify_flags_a_half_integral_vertex_on_an_integral_class(census35):
-    doc = json.loads(json.dumps(census35.to_json()))
+def _spoil_a_zero_of_an_integral_vertex(doc, entry):
     rec = doc["classes"][1]
     assert rec["integral"] is True
-    # a 0 turned into 1/2: truncating it with int() would give back the
-    # original vertex, which is a lattice point
     v = next(v for v in rec["vertices"] if "0" in v)
-    v[v.index("0")] = "1/2"
+    v[v.index("0")] = entry
+
+
+def test_census_json_refuses_a_half_integral_vertex_on_an_integral_class(census35):
+    # a 0 turned into 1/2 makes the class fractional, against its verdict
+    doc = json.loads(json.dumps(census35.to_json()))
+    _spoil_a_zero_of_an_integral_vertex(doc, "1/2")
+    with pytest.raises(ValueError, match="not its vertices' verdict"):
+        CensusReport.from_json(doc)
+
+
+def test_verify_flags_an_integral_vertex_off_the_lattice(census35):
+    # a 0 turned into 7 keeps the class integral, and the vertex is no
+    # degree-one lattice point
+    doc = json.loads(json.dumps(census35.to_json()))
+    _spoil_a_zero_of_an_integral_vertex(doc, "7")
     rep = verify_core(GridShape(3, 5), report=CensusReport.from_json(doc))
     assert [c.name for c in rep.checks if not c.ok] == ["integral-vertices-are-lattice-points"]
 
@@ -610,6 +622,58 @@ def test_census_json_refuses_a_census_it_could_not_have_written(census35, spoil,
     spoil(doc)
     with pytest.raises(ValueError, match=message):
         CensusReport.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["key", "path", "parent", "graph", "vertices", "lattice", "integral", "nonintegral_vertices"],
+)
+def test_census_json_names_a_missing_class_field(census35, field):
+    doc = json.loads(json.dumps(census35.to_json()))
+    del doc["classes"][1][field]
+    with pytest.raises(ValueError, match=f"class record .* lacks {field}"):
+        CensusReport.from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["k", "n", "seed", "elapsed_seconds", "classes"])
+def test_census_json_names_a_missing_report_field(census35, field):
+    doc = json.loads(json.dumps(census35.to_json()))
+    del doc[field]
+    with pytest.raises(ValueError, match=f"census lacks {field}"):
+        CensusReport.from_json(doc)
+
+
+def _flip_integral(doc):
+    doc["classes"][1]["integral"] = not doc["classes"][1]["integral"]
+
+
+def _invent_nonintegral_vertex(doc):
+    doc["classes"][1]["nonintegral_vertices"].append(["1/2"] * len(doc["classes"][1]["vertices"][0]))
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_flip_integral, "not its vertices' verdict"),
+        (_invent_nonintegral_vertex, "not its fractional vertices"),
+    ],
+    ids=["integral-flipped", "invented-fractional-vertex"],
+)
+def test_census_json_refuses_integrality_other_than_the_vertices(census35, spoil, message):
+    doc = json.loads(json.dumps(census35.to_json()))
+    spoil(doc)
+    with pytest.raises(ValueError, match=message):
+        CensusReport.from_json(doc)
+
+
+def test_integrality_is_read_off_the_vertices(census36):
+    # the two fractional classes keep their verdict and their fractional
+    # vertex through the JSON and through a replaced polytope
+    back = CensusReport.from_json(json.loads(json.dumps(census36.to_json())))
+    for c in census36.classes:
+        for same in (back.record(c.key), dataclasses.replace(c, polytope=None)):
+            assert (same.integral, same.nonintegral_vertices) == (c.integral, c.nonintegral_vertices)
+    assert [len(c.nonintegral_vertices) for c in census36.classes if not c.integral] == [1, 1]
 
 
 def test_census_json_refuses_a_vertex_record_without_rotation(census35):

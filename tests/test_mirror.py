@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from okbodies.census import census
 from okbodies.charts import NetworkChart, maxdiag_valuation
 from okbodies.mirror import (
     TropMutation,
-    frozen_boundary_labels,
     gamma_polytope,
     gamma_qpolytope,
     gamma_system,
@@ -142,11 +142,28 @@ def test_marsh_scott_positive_after_square_moves():
             assert len(exps) == len(chart.labels) and all(type(e) is int for e in exps)
 
 
-def test_frozen_boundary_labels_match_closed_form():
-    for k, n in [(3, 5), (3, 6), (2, 5)]:
-        chart = rec_chart(k, n)
-        mu = frozen_boundary_labels(chart)
-        assert mu == {j: frozen_mu(j, chart.shape) for j in range(1, n + 1)}
+def test_frozen_boundary_labels_match_closed_form(census36_graphs):
+    # frozen_mu(j) labels the face behind the rim arc from j to j + 1
+    graphs = [rec_chart(k, n).graph for k, n in [(3, 5), (3, 6), (2, 5)]]
+    graphs += [c.graph for c in census36_graphs[0].classes]
+    for G in graphs:
+        _, _, _, arc_face, _ = oracles.faces_by_rotation_walk(G)
+        label = oracles.labels_by_rotation_walk(G)
+        n = G.shape.n
+        assert {j: label[arc_face[j]] for j in range(1, n + 1)} == {
+            j: frozen_mu(j, G.shape) for j in range(1, n + 1)
+        }
+
+
+def test_marsh_scott_agrees_with_the_edge_list_oracle(census36_graphs):
+    # summands and their order, on every class chart of (2,5), (3,5) and
+    # (3,6) and on the charts of the 120 graphs the (3,6) square moves return
+    report, moved = census36_graphs
+    charts = [c.chart for shape in (GridShape(2, 5), G35) for c in census(shape).classes]
+    charts += [c.chart for c in report.classes] + [NetworkChart.of(G) for G in moved]
+    assert len(charts) == 5 + 5 + 34 + 120
+    for chart in charts:
+        assert list(marsh_scott_expansion(chart).summands) == oracles.marsh_scott_by_edges(chart)
 
 
 # -- gamma systems ----------------------------------------------------------
@@ -228,10 +245,9 @@ def test_frozen_ratio_trop_identity():
         chart = rec_chart(k, n)
         shape = chart.shape
         exp = marsh_scott_expansion(chart)
-        mu = frozen_boundary_labels(chart)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                e_j = maxdiag_valuation(mu[j], chart.labels)
+                e_j = maxdiag_valuation(frozen_mu(j, shape), chart.labels)
                 want = (1 if i == j else 0) - (1 if i == shape.rows else 0)
                 assert trop_value(exp, i, e_j) == want
 

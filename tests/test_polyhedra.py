@@ -24,6 +24,7 @@ from okbodies.polyhedra import (
     hull_of_points,
     laplace_minors,
     lattice_points,
+    nonintegral_points,
     qpolytope,
     rank_det,
     same_hrep,
@@ -65,7 +66,7 @@ def test_cube_vertices_and_volume():
         P = cube(d)
         assert len(P.vertices) == 2 ** d
         assert volume(P) == 1
-        assert P.is_integral()
+        assert not nonintegral_points(P.vertices)
         assert len(canonical_hrep(P)) == 2 * d
 
 
