@@ -8,10 +8,12 @@ checks that the class set is closed, that no orbit mixes verdicts, and
 reports the divisibility constraint this imposes on the counts.
 
 Second, for every class the audit re-derives all half-integral vertices
-from the facet description alone: exact simplex bounds give a safe box,
-the second dilation's lattice points are swept inside it, and a point
-counts as a vertex when its tight rows have full rank.  The result is
-compared against the recorded fractional vertex list per class.
+from the facet description alone: exact simplex bounds give a safe box
+(the d maxima on one tableau and the d minima on another, each program
+starting where the one before it ended), the second dilation's lattice
+points are swept inside it, and a point counts as a vertex when its tight
+rows have full rank.  The result is compared against the recorded
+fractional vertex list per class.
 
     okbodies census --k 3 --n 7 --deep --out g37.json
     python3 scripts/deep_census_audit.py g37.json
@@ -38,19 +40,19 @@ def rotate_key(key, shape):
     return tuple(sorted(img, key=label_sort_key))
 
 
-def simplex_max(rows, c):
-    """Exact max of c.x over {x : a.x + b >= 0 for (a, b) in rows}.
+def slack_tableau(rows):
+    """The simplex tableau of {x : a.x + b >= 0 for (a, b) in rows} at the
+    slack basis, and that basis.
 
-    The origin is feasible for every system audited here (all b >= 0),
-    which the function asserts.  Free coordinates are split as x = u - w;
-    Bland's rule guarantees termination.  Returns the optimum, or None if
-    unbounded.
+    Free coordinates are split as x = u - w over nonnegative variables
+    (u_1..u_d, w_1..w_d, s_1..s_m), and row i reads s_i = b_i + sum_j
+    a_ij (u_j - w_j), its last entry the right-hand side.  The origin is
+    feasible for every system audited here (all b >= 0), which the function
+    asserts, so the slack basis is feasible.
     """
     m = len(rows)
     d = len(rows[0][0])
     assert all(b >= 0 for _, b in rows), "origin must be feasible"
-    # tableau over nonnegative variables (u_1..u_d, w_1..w_d, s_1..s_m):
-    # s_i = b_i + sum_j a_ij (u_j - w_j), maximize sum c_j (u_j - w_j)
     nv = 2 * d + m
     T = []
     for i, (a, b) in enumerate(rows):
@@ -61,11 +63,29 @@ def simplex_max(rows, c):
         row[2 * d + i] = Fraction(1)
         row[nv] = Fraction(b)
         T.append(row)
+    return T, list(range(2 * d, nv))
+
+
+def maximize(T, basis, c):
+    """Exact max of c.x from the feasible ``basis`` of the tableau ``T``,
+    pivoting both in place; None if unbounded.
+
+    The objective row is priced out on the basis first, so any feasible
+    basis is a start, and every basis a pivot reaches stays feasible: the
+    ratio test keeps the right-hand side nonnegative.  Bland's rule
+    guarantees termination.
+    """
+    d = len(c)
+    nv = len(T[0]) - 1
     z = [Fraction(0)] * (nv + 1)
     for j in range(d):
         z[j] = -Fraction(c[j])
         z[d + j] = Fraction(c[j])
-    basis = list(range(2 * d, nv))
+    for i, j in enumerate(basis):
+        if z[j]:
+            f = z[j]
+            z = [x - f * y if y else x for x, y in zip(z, T[i])]
+    m = len(T)
     while True:
         enter = next((j for j in range(nv) if z[j] < 0), None)
         if enter is None:
@@ -93,18 +113,22 @@ def simplex_max(rows, c):
 
 
 def coordinate_box(rows, d):
-    lo, hi = [], []
-    for j in range(d):
-        c = [0] * d
-        c[j] = 1
-        top = simplex_max(rows, c)
-        c[j] = -1
-        bot = simplex_max(rows, c)
-        if top is None or bot is None:
-            raise ValueError("polytope is unbounded")
-        hi.append(top)
-        lo.append(-bot)
-    return lo, hi
+    """The least and the greatest value of each coordinate over the system.
+
+    The d maxima share one tableau and the d minima another: each program
+    starts from the basis the one before it ended on, which is feasible for
+    every objective, so only its objective row is priced anew.  Programs in
+    one direction end on nearby vertices; alternating the directions on
+    one tableau would walk across the polytope between any two of them.
+    """
+    bounds = []
+    for sign in (1, -1):
+        T, basis = slack_tableau(rows)
+        bounds.append([maximize(T, basis, [sign * (i == j) for i in range(d)]) for j in range(d)])
+    hi, neg_lo = bounds
+    if None in hi or None in neg_lo:
+        raise ValueError("polytope is unbounded")
+    return [-x for x in neg_lo], hi
 
 
 def integer_rows(rows):

@@ -7,12 +7,17 @@ Python integers, and a result is turned into Fractions once, on exit.
 Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
 and emptiness and unboundedness are read off them exactly.
-Volumes come from a pulling triangulation on vertex bitmasks, lattice
-points from a box sweep that bounds each coordinate to an integer interval
-before it branches.  Ranks and determinants, here and in the rest of the
-package, come from one fraction-free integer elimination step (Bareiss),
-shared by ``rank_det`` and ``volume``; the mod-p checks take many maximal
-minors of one integer matrix from one Laplace expansion (``laplace_minors``).
+Volumes come from a pulling triangulation on vertex bitmasks that pulls
+the vertices lying on the most rows first, and that closes a chain of
+apices at the first simplex face it meets with one square elimination.
+Lattice points come from a box sweep that bounds each coordinate to an
+integer interval before it branches, from the rows that coordinate moves
+alone: a row the coordinate leaves alone keeps the slack its previous
+coordinate was chosen within.  Ranks and determinants, here and in the rest
+of the package, come from one fraction-free integer elimination (Bareiss,
+``_eliminate``), shared by ``rank_det`` and ``volume``; the mod-p checks
+take many maximal minors of one integer matrix from one Laplace expansion
+(``laplace_minors``).
 The Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
 change of variables that relates it to the rectangles-cluster polytope live
 here too.
@@ -243,7 +248,17 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
     as the minors themselves.  A column with no pivot is skipped.
     """
     m = [list(row) for row in mat]
-    rank, sign, prev = 0, 1, 1
+    rank, det = _eliminate(m, 1)
+    if any(len(row) != len(m) for row in m):
+        return rank, None
+    return rank, det if rank == len(m) else 0
+
+
+def _eliminate(m: list[list[int]], prev: int) -> tuple[int, int]:
+    """Bareiss elimination of the rows ``m`` in place, continued from the
+    previous pivot ``prev``: the rank, and the last pivot times the sign of
+    the row swaps (``prev`` itself when no pivot is found)."""
+    rank, sign = 0, 1
     for c in range(len(m[0]) if m else 0):
         piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if piv is None:
@@ -257,9 +272,7 @@ def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
             m[r] = _bareiss_step(m[r], top, c, p, prev)
         prev = p
         rank += 1
-    if any(len(row) != len(m) for row in m):
-        return rank, None
-    return rank, sign * prev if rank == len(m) else 0
+    return rank, sign * prev
 
 
 def laplace_minors(
@@ -305,6 +318,18 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     The dilation stays in integers: the integer rows a.v + b >= 0 of P
     become a.v + r*b >= 0, and coordinate i runs over the box from the
     least ceil(r * v_i) to the greatest floor(r * v_i) over the vertices v.
+    The sweep fixes the coordinates in order, and each row bounds the next
+    coordinate to an integer interval, given the most the later
+    coordinates can add to it inside the box.  Coordinate c is bounded by
+    the rows with a nonzero entry in column c alone, and only their
+    partial sums move with it.  Each row is met in full at its last
+    nonzero column, where no later coordinate adds to it, so the points
+    are those of a sweep that tests every row at every column.  Nor is a
+    dead end lost: a row that column c leaves alone cannot fail at c, since
+    its slack at c equals its slack at c - 1 and x_{c-1} was chosen inside
+    that row's interval (or, if column c - 1 leaves the row alone too, the
+    same holds further up).  Only the root has no earlier choice, so it
+    tests the rows that column 0 leaves alone before it branches.
     """
     if r in P._lattice:
         return P._lattice[r]
@@ -320,41 +345,44 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     hi = [max(r * x.numerator // x.denominator for x in col) for col in zip(*P.vertices)]
     rows = [(a, b * r) for a, b in _integer_rows(P.hrep.ineqs)]
 
-    cols = [[a[c] for a, _ in rows] for c in range(d)]
-    # slack[c][t]: the most the coordinates after c can add to row t inside
-    # the box
-    slack = [[0] * len(rows) for _ in range(d)]
-    for c in range(d - 1, 0, -1):
-        slack[c - 1] = [s + max(a * lo[c], a * hi[c]) for a, s in zip(cols[c], slack[c])]
+    # slack[t]: the most the coordinates after c can add to row t inside the
+    # box, for c from d - 1 down; moves[c]: (t, a_t[c], slack[t]) for the
+    # rows that column c moves
+    slack = [0] * len(rows)
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    for c in range(d - 1, -1, -1):
+        for t, (a, _) in enumerate(rows):
+            if a[c]:
+                moves[c].append((t, a[c], slack[t]))
+                slack[t] += max(a[c] * lo[c], a[c] * hi[c])
 
     out: list[tuple[int, ...]] = []
     # depth first over the coordinates, each coordinate's values pushed in
-    # decreasing order so that the points come out sorted: every row t
-    # needs a*x_c + partial[t] + slack[c][t] >= 0, which bounds x_c to one
-    # integer interval
-    stack = [((), [b for _, b in rows])] if d else []
+    # decreasing order so that the points come out sorted: every row t that
+    # column c moves needs a*x_c + partial[t] + slack >= 0, which bounds
+    # x_c to one integer interval
+    partial = [b for _, b in rows]
+    root = d and all(p + s >= 0 for (a, _), p, s in zip(rows, partial, slack) if not a[0])
+    stack = [((), partial)] if root else []
     while stack:
         prefix, partial = stack.pop()
         c = len(prefix)
         low, high = lo[c], hi[c]
-        for a, p, s in zip(cols[c], partial, slack[c]):
+        for t, a, s in moves[c]:
+            s += partial[t]
             if a > 0:
-                if -((p + s) // a) > low:
-                    low = -((p + s) // a)
-            elif a < 0:
-                if (p + s) // -a < high:
-                    high = (p + s) // -a
-            elif p + s < 0:
-                break
-        else:
-            if c + 1 == d:
-                out.extend(prefix + (val,) for val in range(low, high + 1))
-            else:
-                col = cols[c]
-                stack.extend(
-                    (prefix + (val,), [p + a * val for a, p in zip(col, partial)])
-                    for val in range(high, low - 1, -1)
-                )
+                if -(s // a) > low:
+                    low = -(s // a)
+            elif s // -a < high:
+                high = s // -a
+        if c + 1 == d:
+            out.extend(prefix + (val,) for val in range(low, high + 1))
+            continue
+        for val in range(high, low - 1, -1):
+            q = partial.copy()
+            for t, a, _ in moves[c]:
+                q[t] += a * val
+            stack.append((prefix + (val,), q))
     if not d:
         out.append(())
     pts = tuple(sorted(out))
@@ -370,22 +398,31 @@ def volume(P: QPolytope) -> Fraction:
     """Exact Lebesgue volume; 0 (with a warning) for lower-dimensional P.
 
     A pulling triangulation (Bueeler, Enge & Fukuda 2000) on the vertices
-    scaled to integers by their common denominator L.  A face is a bitmask
-    of vertices, its facets the maximal nonempty proper meets with the
-    rows' tight masks, and its cells its least vertex coned over the cells
-    of its facets that miss it.  Each chain of apices shares one Bareiss
-    elimination: entering a face, its apex's reduced difference row from
-    vertex 0 eliminates the face's other rows, and the chain's last pivot is
-    its cell's determinant up to sign.  Volume = sum |det| / (L**d * d!).
+    scaled to integers by their common denominator L.  The vertices are
+    pulled in decreasing order of the number of rows they lie on, ties in
+    lexicographic order, and each face's apex is its first vertex in that
+    order: a vertex on many facets, pulled early, is the apex of many
+    faces, so fewer faces are left to cone over.  A face is a bitmask of
+    vertices, its facets the maximal nonempty proper meets with the rows'
+    tight masks, and its cells its apex coned over the cells of its facets
+    that miss it.  Each chain of apices shares one Bareiss elimination:
+    entering a face, its apex's reduced difference row from the first
+    vertex eliminates the face's other rows, and a face that is a simplex
+    finishes the chain's elimination on its square block, whose last pivot
+    is its cell's determinant up to sign.  Volume = sum |det| / (L**d * d!).
     """
     d = P.hrep.dim
     L, verts = clear_denominators(P.vertices)
+    rows = _integer_rows(P.hrep.ineqs)
+    on = [[sum(map(mul, a, v)) + b * L == 0 for a, b in rows] for v in verts]
+    order = sorted(range(len(verts)), key=lambda t: (-sum(on[t]), verts[t]))
+    verts = [verts[t] for t in order]
     diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts] if verts else []
-    if len(verts) <= d or rank_det(diffs)[0] < d:
+    # the rank of the d x n transpose: d pivots eliminate d rows, not n
+    if len(verts) <= d or rank_det(list(zip(*diffs)))[0] < d:
         warnings.warn("polytope is not full-dimensional; volume is 0")
         return Fraction(0)
-    rows = _integer_rows(P.hrep.ineqs)
-    tight = [sum(1 << t for t, v in enumerate(verts) if sum(map(mul, a, v)) + b * L == 0) for a, b in rows]
+    tight = [sum(1 << s for s, t in enumerate(order) if on[t][i]) for i in range(len(rows))]
     rest = {t: row for t, row in enumerate(diffs) if t}
     total = _cone((1 << len(verts)) - 1, rest, 1, 0, d, tight, {})
     return Fraction(total, L**d * factorial(d))
@@ -395,12 +432,20 @@ def _cone(face: int, reduced: dict, pivot: int, depth: int, d: int, tight: list[
     """Sum of |det| over the cells of ``face`` coned from the chain of
     apices that led to it.  ``reduced`` maps each vertex but the apex to
     its difference row, eliminated by the chain's apices down to this face
-    (pivot columns dropped); ``bases`` caches each face's facets that miss
-    its apex."""
-    if face & (face - 1) == 0:
-        if depth != d:
+    (pivot columns dropped, d - depth left); ``bases`` caches each face's
+    facets that miss its apex.
+
+    A face with at most d - depth + 1 vertices is one cell, the simplex on
+    them, and needs no facets: the chain's elimination continued on its
+    reduced rows (``_eliminate`` from ``pivot``) ends on the cell's
+    determinant up to sign.  Too few vertices or a zero determinant is a
+    degenerate cell, which a pulling triangulation never makes.
+    """
+    if len(reduced) <= d - depth:
+        rank, det = _eliminate(list(reduced.values()), pivot)
+        if rank < d - depth:
             raise AssertionError("triangulation produced a degenerate cell")
-        return abs(pivot)
+        return abs(det)
     if face not in bases:
         # facets by decreasing size, so a non-maximal mask meets a kept superset
         kept: list[int] = []

@@ -2,6 +2,7 @@
 re-derives every class's fractional vertices from its facets alone, on the
 bodies of the 3x3 grid."""
 
+import ast
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,43 @@ def test_half_integral_sweep_finds_the_recorded_vertices(bodies36):
     assert found == [sorted(c.nonintegral_vertices) for c, _ in bodies36]
     assert sorted(map(len, found)) == [0] * 32 + [1, 1]
     assert all(x.denominator in (1, 2) for v in sum(found, []) for x in v)
+
+
+def test_warm_started_box_matches_the_cold_start_and_the_vertices(bodies36):
+    # the 2d programs on shared tableaus give the box that 2d programs from
+    # the slack basis give, and that box is spanned by the doubled vertices
+    for c, H in bodies36:
+        doubled = [(a, 2 * Fraction(b)) for a, b in H.ineqs]
+        lo, hi = audit.coordinate_box(doubled, H.dim)
+        unit = [[int(i == j) for i in range(H.dim)] for j in range(H.dim)]
+        assert hi == [audit.maximize(*audit.slack_tableau(doubled), e) for e in unit]
+        assert lo == [-audit.maximize(*audit.slack_tableau(doubled), [-x for x in e]) for e in unit]
+        assert lo == [2 * min(col) for col in zip(*c.polytope.vertices)]
+        assert hi == [2 * max(col) for col in zip(*c.polytope.vertices)]
+
+
+def test_coordinate_box_refuses_an_unbounded_system():
+    # x >= 0 and y >= 0 alone: the origin is feasible, no coordinate is
+    # bounded above
+    rows = [((1, 0), 0), ((0, 1), 0)]
+    assert audit.maximize(*audit.slack_tableau(rows), [-1, 0]) == 0
+    assert audit.maximize(*audit.slack_tableau(rows), [1, 0]) is None
+    with pytest.raises(ValueError, match="unbounded"):
+        audit.coordinate_box(rows, 2)
+
+
+def test_audit_keeps_its_own_engines():
+    # the audit is an independent certificate: it may read the census and
+    # build the facet systems, but solves them with no code of the library's
+    # polytope engine, under any name
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(SCRIPT.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    engine = {"lattice_points", "enumerate_vertices", "qpolytope", "hull_of_points", "rank_det"}
+    assert [(m, n) for m, n in imports if m == "okbodies.polyhedra" or n in engine] == []
 
 
 def test_lattice_sweep_matches_the_package_on_the_doubled_bodies(bodies36):

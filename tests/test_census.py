@@ -20,6 +20,7 @@ from okbodies import census as census_module
 from okbodies import charts as charts_module
 from okbodies import cli as cli_module
 from okbodies import plabic as plabic_module
+from okbodies import polyhedra as polyhedra_module
 from okbodies.census import (
     CensusGuardError,
     CensusReport,
@@ -44,7 +45,14 @@ from okbodies.plabic import (
     square_move,
 )
 from okbodies.mirror import TropMutation, trop_mutate_polytope
-from okbodies.polyhedra import hull_of_points, lattice_points, qpolytope, volume, volume_formula
+from okbodies.polyhedra import (
+    gt_pattern_count,
+    hull_of_points,
+    lattice_points,
+    qpolytope,
+    volume,
+    volume_formula,
+)
 
 F = Fraction
 
@@ -337,6 +345,34 @@ def test_verify_core_g36(census36):
     # one loop decides both non-integrality checks and is billed to the first
     assert by_name["degree-two-scan-misses-only-the-doubled-vertex"].seconds == 0
     assert by_name["nonintegral-vertex-unique"].seconds > 0
+
+
+def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
+    # the full suite reads every vertex set off the census; the counter sits
+    # on every binding of enumerate_vertices in the loaded okbodies modules,
+    # found by identity, so a caller that imported it by name is counted too
+    real = polyhedra_module.enumerate_vertices
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "okbodies" or module_name.startswith("okbodies.")
+        for name, value in list(vars(module).items())
+        if value is real
+    ]
+    assert {module.__name__ for module, _ in bindings} >= {"okbodies.polyhedra", "okbodies.mirror"}
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, counting)
+    assert verify_core(GridShape(3, 6), suite="full", report=census36).ok
+    assert calls == []
+    # the counter does count: one polytope built from its rows is one call
+    polyhedra_module.qpolytope(census36.classes[0].polytope.hrep)
+    assert len(calls) == 1
 
 
 def test_verify_builds_one_chart_per_class(monkeypatch):
@@ -846,6 +882,18 @@ def test_library_does_not_import_the_cli():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.deep
+def test_deep_g37_dilations_hold_the_pattern_counts():
+    # every class, the 42 fractional ones included, holds as many lattice
+    # points in its second and third dilation as there are interlacing
+    # patterns
+    shape = GridShape(3, 7)
+    rep = census(shape, deep=True)
+    for r, count in ((2, 490), (3, 4116)):
+        assert gt_pattern_count(shape, r) == count
+        assert [c.key_str for c in rep.classes if len(lattice_points(c.polytope, r)) != count] == []
 
 
 @pytest.mark.deep

@@ -3,6 +3,7 @@ the interlacing-pattern machinery, pinned on cubes, simplices and the
 frozen pattern counts."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,11 @@ import oracles
 from okbodies.partitions import GridShape
 from okbodies.polyhedra import (
     HPolytope,
+    QPolytope,
     UnboundedError,
+    _bareiss_step,
+    _cone,
+    _eliminate,
     canonical_hrep,
     enumerate_vertices,
     gamma_coords,
@@ -59,6 +64,43 @@ def simplex(d):
         ineqs.append((tuple(a), F(0)))
     ineqs.append((tuple([F(-1)] * d), F(1)))
     return qpolytope(HPolytope(axis_coords(d), tuple(ineqs)))
+
+
+def cross_polytope(d):
+    """The convex hull of the 2d points +-e_i: every vertex on 2^(d-1) of
+    its 2^d facets."""
+    ineqs = tuple(
+        (tuple(F(-1 if bits >> i & 1 else 1) for i in range(d)), F(1)) for bits in range(2**d)
+    )
+    return qpolytope(HPolytope(axis_coords(d), ineqs))
+
+
+def pyramid(d):
+    """The pyramid of height 1 over the unit cube in d - 1 dimensions: the
+    apex lies on 2(d - 1) facets, each base vertex on d."""
+    ineqs = [(tuple(F(i == d - 1) for i in range(d)), F(0))]
+    for i in range(d - 1):
+        # 2 x_i >= x_d and 2 (1 - x_i) >= x_d
+        ineqs.append((tuple(F(2 * (j == i) - (j == d - 1)) for j in range(d)), F(0)))
+        ineqs.append((tuple(F(-2 * (j == i) - (j == d - 1)) for j in range(d)), F(2)))
+    return qpolytope(HPolytope(axis_coords(d), tuple(ineqs)))
+
+
+def permuted(P, rnd):
+    """P with its vertex tuple shuffled, and P with its coordinates
+    shuffled."""
+    verts = list(P.vertices)
+    rnd.shuffle(verts)
+    perm = list(range(P.hrep.dim))
+    rnd.shuffle(perm)
+    swapped = HPolytope(
+        tuple(P.hrep.coords[i] for i in perm),
+        tuple((tuple(a[i] for i in perm), b) for a, b in P.hrep.ineqs),
+    )
+    return (
+        QPolytope(P.hrep, tuple(verts)),
+        QPolytope(swapped, tuple(tuple(v[i] for i in perm) for v in verts)),
+    )
 
 
 def test_cube_vertices_and_volume():
@@ -198,6 +240,28 @@ def test_lattice_points_of_a_zero_dimensional_region():
     assert oracles.lattice_points_by_box_sweep(P.hrep.ineqs, P.vertices, 2) == ((),)
 
 
+def test_lattice_points_when_the_box_misses_a_row_column_zero_leaves_alone():
+    # x0 in [0, 1] times the triangle x1 <= 1/2, x2 <= 3/2, x1 + x2 >= 3/2:
+    # the integer box [0, 1] x [0, 0] x [1, 1] meets both rows of x0 but
+    # misses x1 + x2 >= 3/2, a row that column 0 leaves alone, so the
+    # root's test of such rows ends the sweep before it branches on x0
+    rows = (
+        ((F(1), F(0), F(0)), F(0)),
+        ((F(-1), F(0), F(0)), F(1)),
+        ((F(0), F(1), F(0)), F(0)),
+        ((F(0), F(-1), F(0)), F(1, 2)),
+        ((F(0), F(0), F(-1)), F(3, 2)),
+        ((F(0), F(1), F(1)), F(-3, 2)),
+    )
+    P = qpolytope(HPolytope(axis_coords(3), rows))
+    assert len(P.vertices) == 6
+    assert lattice_points(P, 1) == ()
+    for r in (0, 1, 2, 3):
+        assert lattice_points(P, r) == oracles.lattice_points_by_box_sweep(rows, P.vertices, r)
+    # the doubled triangle holds (0, 3), (1, 2), (1, 3); x0 runs over 0..2
+    assert len(lattice_points(P, 2)) == 9
+
+
 def test_polytope_json_does_not_depend_on_cached_lattice_points():
     P = cube(3)
     before = P.to_json()
@@ -294,6 +358,53 @@ def test_volume_matches_the_pulling_oracle(pts):
 
 
 @settings(max_examples=40, deadline=None)
+@given(rational_point_clouds(), st.randoms(use_true_random=False))
+def test_volume_ignores_the_order_of_vertices_and_coordinates(pts, rnd):
+    # the pull order is read off the vertices and rows, not off the tuple
+    # order, and a coordinate permutation is volume-preserving
+    d = len(pts[0])
+    assume(oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) == d)
+    P = hull_of_points(axis_coords(d), pts)
+    assert [volume(Q) for Q in permuted(P, rnd)] == [volume(P)] * 2
+
+
+@pytest.mark.parametrize(
+    "make, d, expected",
+    [
+        (cube, 3, F(1)),
+        (cube, 4, F(1)),
+        (cross_polytope, 3, F(8, 6)),
+        (cross_polytope, 4, F(16, 24)),
+        (pyramid, 3, F(1, 3)),
+        (pyramid, 4, F(1, 4)),
+    ],
+)
+def test_volume_with_ties_in_facet_incidence_matches_the_pulling_oracle(make, d, expected):
+    # non-simple or all-tied vertex incidences: the cube and the
+    # cross-polytope tie every vertex, a pyramid pulls its apex first
+    P = make(d)
+    assert volume(P) == oracles.volume_by_pulling(P) == expected
+    rnd = random.Random(d)
+    assert [volume(Q) for Q in permuted(P, rnd)] == [expected] * 2
+
+
+def test_cone_refuses_a_degenerate_simplex():
+    # three collinear points of the plane: a face with d + 1 vertices
+    # whose square block is singular
+    with pytest.raises(AssertionError, match="degenerate cell"):
+        _cone(0b111, {1: [1, 1], 2: [2, 2]}, 1, 0, 2, [], {})
+    # too few vertices for the dimension left
+    with pytest.raises(AssertionError, match="degenerate cell"):
+        _cone(0b11, {1: [1, 0]}, 1, 0, 2, [], {})
+    with pytest.raises(AssertionError, match="degenerate cell"):
+        _cone(0b1, {}, 5, 1, 2, [], {})
+    # independent rows make one cell, |det| = 3; a lone vertex at full
+    # depth ends its chain on the chain's pivot
+    assert _cone(0b111, {1: [1, 1], 2: [2, -1]}, 1, 0, 2, [], {}) == 3
+    assert _cone(0b1, {}, -5, 2, 2, [], {}) == 5
+
+
+@settings(max_examples=40, deadline=None)
 @given(rational_point_clouds())
 def test_hull_of_rational_points_matches_the_oracles(pts):
     # mixed denominators: the hull scales the points to integers over their
@@ -382,6 +493,22 @@ def test_shared_laplace_minors_match_the_cofactor_oracle(case):
     exact = [oracles.minor(mat, range(len(mat)), cs) for cs in col_sets]
     assert laplace_minors(mat, col_sets) == exact
     assert laplace_minors(mat, col_sets, p) == [m % p for m in exact]
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices(square=True))
+def test_elimination_continued_from_a_pivot_ends_on_the_determinant(mat):
+    # one Bareiss step by a row with a nonzero first entry, then the rest
+    # eliminated from that row's pivot, as a chain of apices in volume ends
+    # on a simplex face
+    k = next((k for k, row in enumerate(mat) if row[0]), None)
+    assume(k is not None)
+    top = mat[k]
+    sub = [_bareiss_step(row, top, 0, top[0], 1)[1:] for t, row in enumerate(mat) if t != k]
+    rank, det = _eliminate(sub, top[0])
+    full_rank, full_det = rank_det(mat)
+    assert rank + 1 == full_rank
+    assert abs(det) == abs(full_det) if rank == len(sub) else full_det == 0
 
 
 def test_rank_det_of_empty_and_zero_matrices():
