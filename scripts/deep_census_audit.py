@@ -150,40 +150,52 @@ def lattice_sweep(rows, lo, hi):
     a time from an explicit stack: with the earlier ones fixed, every row
     bounds the next coordinate to an integer interval, given the most the
     later coordinates can add to it inside the box, and only the values in
-    that interval are pushed."""
+    that interval are pushed.  Coordinate j is bounded by the rows that
+    column j moves alone, and only their partial sums change with it.  A
+    row that column j leaves alone cannot fail at j: its partial sum and
+    slack are those it had where it was last moved, and the value chosen
+    there kept it satisfiable.  Only the root has no earlier choice, so it
+    tests the rows that column 0 leaves alone before it branches."""
     d = len(lo)
     lo_i = [-(-x.numerator // x.denominator) for x in map(Fraction, lo)]
     hi_i = [x.numerator // x.denominator for x in map(Fraction, hi)]
     scaled = integer_rows(rows)
     if not d:
         return [()] if all(b >= 0 for _, b in scaled) else []
-    cols = [[a[j] for a, _ in scaled] for j in range(d)]
-    # slack[j][t]: the most coordinates after j can add to row t in the box
-    slack = [[0] * len(scaled) for _ in range(d)]
-    for j in range(d - 1, 0, -1):
-        slack[j - 1] = [s + max(a * lo_i[j], a * hi_i[j]) for a, s in zip(cols[j], slack[j])]
+    # moves[j]: (t, a_t[j], the most the coordinates after j can add to row
+    # t in the box) for each row t that column j moves
+    slack = [0] * len(scaled)
+    moves = [[] for _ in range(d)]
+    for j in range(d - 1, -1, -1):
+        for t, (a, _) in enumerate(scaled):
+            if a[j]:
+                moves[j].append((t, a[j], slack[t]))
+                slack[t] += max(a[j] * lo_i[j], a[j] * hi_i[j])
+    partial = [b for _, b in scaled]
+    if any(p + s < 0 for (a, _), p, s in zip(scaled, partial, slack) if not a[0]):
+        return []
 
     out = []
-    stack = [((), [b for _, b in scaled])]
+    stack = [((), partial)]
     while stack:
         prefix, partial = stack.pop()
         j = len(prefix)
         low, high = lo_i[j], hi_i[j]
-        for a, p, s in zip(cols[j], partial, slack[j]):
+        for t, a, s in moves[j]:
+            s += partial[t]
             if a > 0:
-                low = max(low, -((p + s) // a))
-            elif a < 0:
-                high = min(high, (p + s) // -a)
-            elif p + s < 0:
-                high = low - 1
+                low = max(low, -(s // a))
+            else:
+                high = min(high, s // -a)
         if j + 1 == d:
             out.extend(prefix + (v,) for v in range(low, high + 1))
-        else:
-            # pushed in decreasing order, so the points come out sorted
-            stack.extend(
-                (prefix + (v,), [p + a * v for a, p in zip(cols[j], partial)])
-                for v in range(high, low - 1, -1)
-            )
+            continue
+        # pushed in decreasing order, so the points come out sorted
+        for v in range(high, low - 1, -1):
+            q = partial.copy()
+            for t, a, _ in moves[j]:
+                q[t] += a * v
+            stack.append((prefix + (v,), q))
     return out
 
 

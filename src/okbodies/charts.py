@@ -26,7 +26,6 @@ from .partitions import (
     all_partitions,
     cyclic_shift_iter,
     diag0,
-    label_sort_key,
     max_diag,
     partition_str,
     partition_to_south_steps,
@@ -67,9 +66,7 @@ class NetworkChart:
     def of(cls, G: PlabicGraph) -> "NetworkChart":
         labeling = face_labels(G)
         orientation = perfect_orientation(G)
-        labels = tuple(
-            lam for lam in sorted(labeling.face_of_partition, key=label_sort_key) if lam != ()
-        )
+        labels = tuple(lam for lam in labeling.labels if lam != ())
         return cls(G, labeling, orientation, labels)
 
     @property
@@ -111,10 +108,10 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
     popcount(F & minus) for two edge masks per face.
     """
     G, shape, labeling = chart.graph, chart.shape, chart.labeling
-    faces, head = labeling.faces, chart.orientation.head
+    faces, head, n = labeling.faces, chart.orientation.head, shape.n
     edges, matchings = boundary_matchings(G)
     bit = {e: 1 << t for t, e in enumerate(edges)}
-    trace = (1 << shape.n) - 1
+    trace = (1 << n) - 1
     sources = [m for m in matchings if m & trace == (1 << shape.rows) - 1]
     if sources != [sum(bit[e] for e in edges if G.color[head[e]] == WHITE)]:
         raise AssertionError("the source matching does not give the chart's orientation")
@@ -122,12 +119,14 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
     root = labeling.face_of_partition[()]
     heights, tree = {root: (0, 0)}, [root]
     for f in tree:
-        for g, e in faces.adj[f]:
+        for u, v in faces.darts_of[f]:
+            if u <= n and v <= n:
+                continue  # a rim dart crosses no edge
+            g = faces.of_dart[(v, u)]
             if g not in heights:
-                (t,) = e - {head[e]}
+                e = frozenset((u, v))
                 plus, minus = heights[f]
-                left = faces.of_dart[(t, head[e])] == f
-                heights[g] = (plus, minus | bit[e]) if left else (plus | bit[e], minus)
+                heights[g] = (plus, minus | bit[e]) if head[e] == v else (plus | bit[e], minus)
                 tree.append(g)
     masks = [heights[labeling.face_of_partition[mu]] for mu in chart.labels]
 

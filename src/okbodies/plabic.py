@@ -14,7 +14,9 @@ Faces are traced with virtual rim arcs between consecutive boundary
 vertices; each dart (directed edge) then lies on the boundary of exactly
 one face, the face to its left.  Trips turn maximally right at black and
 maximally left at white vertices, and the face labelled by a set S of trip
-indices is the face lying to the left of exactly the trips in S.
+indices is the face lying to the left of exactly the trips in S.  The labels
+are read off one crossing of each edge: the two trips along an edge, one
+each way, are the only trips that separate the faces on its two sides.
 """
 
 from __future__ import annotations
@@ -177,7 +179,9 @@ def build_rectangles(shape: GridShape) -> PlabicGraph:
     and south).  Sources 1..n-k sit on the east edge, top to bottom, each
     behind a degree-2 white buffer; sinks n-k+1..n are attached along the
     bottom from right to left.  All internal vertices are trivalent or of
-    degree 2, so the graph is its own normal form.
+    degree 2.  The graph is not its own normal form: ``normalize`` merges
+    some degree-2 vertices away ((3,6): 27 vertices to 23), and every
+    caller runs it.
     """
     if shape.n < 3:
         raise ValueError("the disk picture needs n >= 3")
@@ -232,7 +236,6 @@ class Faces:
     darts_of: list[tuple[Dart, ...]]
     of_dart: dict[Dart, int]
     boundary: frozenset[int]
-    adj: dict[int, list[tuple[int, Edge]]]
 
     def __len__(self) -> int:
         return len(self.darts_of)
@@ -280,36 +283,7 @@ def faces_of(G: PlabicGraph) -> Faces:
             if u <= n and v <= n:
                 boundary.add(idx)
 
-    adj: dict[int, list[tuple[int, Edge]]] = {i: [] for i in range(len(orbits))}
-    for (u, v), f in of_dart.items():
-        if u <= n and v <= n:
-            continue
-        g = of_dart[(v, u)]
-        if f != g:
-            adj[f].append((g, frozenset((u, v))))
-
-    return Faces(orbits, of_dart, frozenset(boundary), adj)
-
-
-def region_left(darts: Iterable[Dart], faces: Faces) -> frozenset[int]:
-    """Faces to the left of a boundary-to-boundary walk.
-
-    The walk's own edges act as walls; the region is the union of the faces
-    seeded by the walk's darts, flooded across all non-wall edges.  The rim
-    is an implicit wall because face adjacency only crosses real edges.
-    """
-    darts = list(darts)
-    walls = {frozenset(d) for d in darts}
-    frontier = {faces.of_dart[d] for d in darts}
-    region = set(frontier)
-    while frontier:
-        f = frontier.pop()
-        for g, e in faces.adj[f]:
-            if e in walls or g in region:
-                continue
-            region.add(g)
-            frontier.add(g)
-    return frozenset(region)
+    return Faces(orbits, of_dart, frozenset(boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +327,13 @@ def trip(G: PlabicGraph, i: int, turn: Optional[dict[Dart, int]] = None) -> list
 
 @dataclass
 class FaceLabeling:
+    """Disk faces and their labels; ``labels`` lists them in canonical order."""
+
     faces: Faces
     partition_of_face: list[Partition]
     face_of_partition: dict[Partition, int]
     frozen: frozenset[Partition]
-
-    @property
-    def labels(self) -> list[Partition]:
-        """All labels in canonical order."""
-        return sorted(self.face_of_partition, key=label_sort_key)
+    labels: tuple[Partition, ...]
 
     @property
     def mutable(self) -> list[Partition]:
@@ -371,9 +343,15 @@ class FaceLabeling:
 def face_labels(G: PlabicGraph) -> FaceLabeling:
     """Label every disk face by the set of trips passing it on the left.
 
-    Traced once per graph and cached on it.  Raises if the labels are not
-    ``n-k`` sized, pairwise distinct and ``N + 1`` in number, which is how
-    non-reduced graphs announce themselves here.
+    The face right of a dart (u, v) is left of the trip along (v, u) in
+    place of the one along (u, v), and on the same side of every other
+    trip, so one breadth-first crossing of the edges from face 0 gives each
+    label up to face 0's; trip i's first dart, whose face is left of trip
+    i, fixes whether face 0 is.  Traced once per graph and cached on it.
+    Raises if a trip is closed, two crossings disagree or a face is out of
+    reach, or if the labels are not ``n-k`` sized, pairwise distinct and
+    ``N + 1`` in number, which is how non-reduced graphs announce
+    themselves here.
     """
     if G._labeling is None:
         G._labeling = _trace_labels(G)
@@ -381,18 +359,38 @@ def face_labels(G: PlabicGraph) -> FaceLabeling:
 
 
 def _trace_labels(G: PlabicGraph) -> FaceLabeling:
-    shape = G.shape
+    shape, n = G.shape, G.shape.n
     faces = faces_of(G)
     turn = _turn_table(G)
-    members: list[list[int]] = [[] for _ in range(len(faces))]
-    for i in range(1, shape.n + 1):
-        for f in region_left(trip(G, i, turn), faces):
-            members[f].append(i)
+    # bit i - 1 marks trip i's darts; a dart left unmarked lies on a closed trip
+    trip_bit: dict[Dart, int] = {}
+    for i in range(1, n + 1):
+        trip_bit.update(dict.fromkeys(trip(G, i, turn), 1 << (i - 1)))
+    if len(trip_bit) != sum(map(len, G.rot.values())):
+        raise AssertionError("a trip is closed; graph is not reduced")
 
+    # diff[f]: the trips that separate face f from face 0
+    diff: list[Optional[int]] = [0] + [None] * (len(faces) - 1)
+    order = [0]
+    for f in order:
+        for u, v in faces.darts_of[f]:
+            if u <= n and v <= n:
+                continue  # a rim dart crosses no edge
+            g = faces.of_dart[(v, u)]
+            across = diff[f] ^ trip_bit[(u, v)] ^ trip_bit[(v, u)]
+            if diff[g] is None:
+                diff[g] = across
+                order.append(g)
+            elif diff[g] != across:
+                raise AssertionError("face labels disagree across an edge; graph is not reduced")
+    if len(order) != len(faces):
+        raise AssertionError("a face is out of reach; graph is not reduced")
+    root = sum(~diff[faces.of_dart[(i, G.rot[i][0])]] & 1 << (i - 1) for i in range(1, n + 1))
+    members = [[i for i in range(1, n + 1) if (root ^ d) >> (i - 1) & 1] for d in diff]
     for s in members:
         if len(s) != shape.rows:
             raise AssertionError(
-                f"face label {sorted(s)} has size {len(s)}, expected {shape.rows}"
+                f"face label {s} has size {len(s)}, expected {shape.rows}"
             )
     partitions = [south_steps_to_partition(s, shape) for s in members]
     if len(set(partitions)) != len(partitions):
@@ -403,7 +401,8 @@ def _trace_labels(G: PlabicGraph) -> FaceLabeling:
         )
     face_of = {lam: idx for idx, lam in enumerate(partitions)}
     frozen = frozenset(partitions[f] for f in faces.boundary)
-    return FaceLabeling(faces, partitions, face_of, frozen)
+    labels = tuple(sorted(partitions, key=label_sort_key))
+    return FaceLabeling(faces, partitions, face_of, frozen, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +491,7 @@ def quiver_of(G: PlabicGraph) -> Quiver:
         add(lf, rf, 1)
         add(rf, lf, -1)
 
-    labels = tuple(sorted(labeling.face_of_partition, key=label_sort_key))
-    return Quiver(labels, labeling.frozen, b)
+    return Quiver(labeling.labels, labeling.frozen, b)
 
 
 # ---------------------------------------------------------------------------
@@ -894,5 +892,4 @@ def movable_faces(G: PlabicGraph) -> list[Partition]:
     contracted graph (quadrilateral faces away from the boundary)."""
     H = contract(G)
     labeling = face_labels(H)
-    out = [lam for lam in labeling.mutable if _internal_square(H, labeling, lam) is not None]
-    return sorted(out, key=label_sort_key)
+    return [lam for lam in labeling.mutable if _internal_square(H, labeling, lam) is not None]

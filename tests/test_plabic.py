@@ -8,6 +8,7 @@ from okbodies import plabic
 from okbodies.census import census
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import (
+    BLACK,
     BOUNDARY,
     WHITE,
     PlabicGraph,
@@ -20,7 +21,6 @@ from okbodies.plabic import (
     normalize,
     perfect_orientation,
     quiver_of,
-    region_left,
     square_move,
     trip,
 )
@@ -139,10 +139,31 @@ def test_faces_and_labels_agree_with_the_rotation_walk(census36_graphs):
         assert faces.darts_of == orbits
         assert faces.of_dart == of_dart
         assert faces.boundary == boundary
-        assert faces.adj == adj
         for i in range(1, G.shape.n + 1):
             assert trip(G, i) == oracles.trip_by_rotation_walk(G, i)
         assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
+
+
+@pytest.mark.deep
+def test_labels_agree_with_the_rotation_walk_on_the_deep_g37_classes():
+    classes = [c.graph for c in census(GridShape(3, 7), deep=True).classes]
+    assert len(classes) == 259
+    for G in classes + [contract(G) for G in classes]:
+        assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
+
+
+def test_labels_refuse_a_closed_trip(rec35):
+    # the (3,5) rectangles graph beside a disjoint alternating 4-cycle of
+    # degree-2 vertices: a valid rotation system, but the trips round the
+    # cycle are closed, and its two faces lie left of no boundary trip
+    a = max(rec35.rot) + 1
+    b, c, d = a + 1, a + 2, a + 3
+    color, rot = dict(rec35.color), dict(rec35.rot)
+    color.update({a: BLACK, b: WHITE, c: BLACK, d: WHITE})
+    rot.update({a: (b, d), b: (a, c), c: (b, d), d: (c, a)})
+    G = PlabicGraph(rec35.shape, color, rot)
+    with pytest.raises(AssertionError, match="not reduced"):
+        face_labels(G)
 
 
 def test_orientation_agrees_with_the_sort_and_pop_oracle(census36_graphs):
@@ -277,10 +298,10 @@ def test_label_sets_are_class_invariants_under_flips(rec36):
 
 def test_region_left_of_trip_sizes(rec35):
     # every face collects exactly n-k trips, by definition of the labels
-    lab = face_labels(rec35)
-    counts = [0] * len(lab.faces)
+    orbits, of_dart, _, _, adj = oracles.faces_by_rotation_walk(rec35)
+    counts = [0] * len(orbits)
     for i in range(1, 6):
-        for f in region_left(trip(rec35, i), lab.faces):
+        for f in oracles._faces_left_of(trip(rec35, i), of_dart, adj):
             counts[f] += 1
     assert all(c == G35.rows for c in counts)
 
