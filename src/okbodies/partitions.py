@@ -14,7 +14,9 @@ border words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cache
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 Partition = tuple[int, ...]
 
@@ -139,6 +141,16 @@ def west_steps_to_partition(J: Iterable[int], shape: GridShape) -> Partition:
     if len(west) != shape.k or any(not 1 <= j <= shape.n for j in west):
         raise ValueError(f"J={sorted(west)} is not a {shape.k}-subset of 1..{shape.n}")
     return south_steps_to_partition(set(range(1, shape.n + 1)) - west, shape)
+
+
+@cache
+def partitions_by_south_mask(shape: GridShape) -> Mapping[int, Partition]:
+    """Every partition in the box keyed by its south steps as an n-bit mask,
+    bit j - 1 for step j; built once per shape and shared read-only."""
+    return MappingProxyType({
+        sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape)): lam
+        for lam in all_partitions(shape)
+    })
 
 
 def partition_to_west_steps(lam: Partition, shape: GridShape) -> frozenset[int]:

@@ -17,12 +17,14 @@ maximally left at white vertices, and the face labelled by a set S of trip
 indices is the face lying to the left of exactly the trips in S.  The labels
 are read off one crossing of each edge: the two trips along an edge, one
 each way, are the only trips that separate the faces on its two sides.
+A square move does its surgery and the table steps of ``normalize`` on one
+copy of the rotation tables, builds only the moved graph and traces it
+from scratch.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -33,7 +35,7 @@ from .partitions import (
     label_sort_key,
     partition_str,
     partition_to_south_steps,
-    south_steps_to_partition,
+    partitions_by_south_mask,
 )
 from .polyhedra import laplace_minors
 
@@ -67,43 +69,39 @@ class PlabicGraph:
         self._validate()
 
     def _validate(self) -> None:
-        n = self.shape.n
-        if self.color.keys() != self.rot.keys():
+        n, color, rot = self.shape.n, self.color, self.rot
+        if color.keys() != rot.keys():
             raise ValueError("the colour and rotation tables name different vertices")
         for i in range(1, n + 1):
-            if self.color.get(i) != BOUNDARY:
+            if color.get(i) != BOUNDARY:
                 raise ValueError(f"vertex {i} must be the boundary vertex with index {i}")
-            if len(self.rot[i]) != 1:
+            if len(rot[i]) != 1:
                 raise ValueError(f"boundary vertex {i} must have degree 1")
-        for v, nbrs in self.rot.items():
-            cv = self.color[v]
+        for v, nbrs in rot.items():
+            cv = color[v]
             if cv not in (BLACK, WHITE, BOUNDARY):
                 raise ValueError(f"vertex {v} has unknown colour {cv!r}")
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"parallel edges at vertex {v}")
             for u in nbrs:
-                if u not in self.rot:
+                if u not in rot:
                     raise ValueError(f"rotation at {v} names unknown vertex {u}")
-                if v not in self.rot[u]:
+                if v not in rot[u]:
                     raise ValueError(f"rotation system is not symmetric at {u}-{v}")
             if cv == BOUNDARY:
                 if not 1 <= v <= n:
                     raise ValueError(f"boundary vertex {v} has no boundary index in 1..{n}")
-                if self.color[nbrs[0]] != WHITE:
+                if color[nbrs[0]] != WHITE:
                     raise ValueError(f"boundary vertex {v} must attach to a white vertex")
             else:
                 for u in nbrs:
-                    cu = self.color[u]
-                    if cu == cv:
+                    if color[u] == cv:
                         raise ValueError(f"edge {v}-{u} joins two {cv} vertices")
 
     # -- elementary queries -------------------------------------------------
 
     def vertices(self) -> list[int]:
         return sorted(self.rot)
-
-    def internal_vertices(self) -> list[int]:
-        return [v for v in sorted(self.rot) if self.color[v] != BOUNDARY]
 
     def edges(self) -> list[Edge]:
         """Every edge once, in the order of its sorted endpoints."""
@@ -251,9 +249,8 @@ def faces_of(G: PlabicGraph) -> Faces:
     for v, rot in G.rot.items():
         if v <= n:
             rot = (rot[0], (v - 2) % n + 1, v % n + 1)
-        last = len(rot) - 1
-        for j, u in enumerate(rot):
-            succ[(u, v)] = (v, rot[j + 1 if j < last else 0])
+        for u, w in zip(rot, rot[1:] + rot[:1]):
+            succ[u, v] = (v, w)
 
     # each orbit takes its darts out of succ, so a dart met twice is missing
     orbits: list[tuple[Dart, ...]] = []
@@ -269,21 +266,21 @@ def faces_of(G: PlabicGraph) -> Faces:
                 raise AssertionError("face orbits must be disjoint cycles")
         orbits.append(tuple(orbit))
 
-    # rim darts join two boundary vertices
-    outer = [idx for idx, orbit in enumerate(orbits) if all(u <= n and v <= n for u, v in orbit)]
+    # rim darts join two boundary vertices; the ascending ones (v, v + 1)
+    # follow one another, so they make up one such orbit, and the outer face
+    # is the one orbit of rim darts alone
+    outer = [
+        idx for idx, orbit in enumerate(orbits)
+        if orbit[0][1] <= n and all(u <= n and v <= n for u, v in orbit)
+    ]
     if len(outer) != 1:
         raise AssertionError(f"expected a unique outer face, found {len(outer)}")
     orbits.pop(outer[0])
 
-    of_dart: dict[Dart, int] = {}
-    boundary = set()
-    for idx, orbit in enumerate(orbits):
-        for u, v in orbit:
-            of_dart[(u, v)] = idx
-            if u <= n and v <= n:
-                boundary.add(idx)
-
-    return Faces(orbits, of_dart, frozenset(boundary))
+    of_dart = {d: idx for idx, orbit in enumerate(orbits) for d in orbit}
+    # the faces on the boundary hold the descending rim darts
+    boundary = frozenset(of_dart[v % n + 1, v] for v in range(1, n + 1))
+    return Faces(orbits, of_dart, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +296,24 @@ def _turn_table(G: PlabicGraph) -> dict[Dart, int]:
         c = G.color[v]
         if c == BOUNDARY:
             continue
-        step = -1 if c == BLACK else 1
-        d = len(rot)
-        for j, u in enumerate(rot):
-            turn[(u, v)] = rot[(j + step) % d]
+        nxt = rot[-1:] + rot[:-1] if c == BLACK else rot[1:] + rot[:1]
+        for u, w in zip(rot, nxt):
+            turn[u, v] = w
     return turn
 
 
 def trip(G: PlabicGraph, i: int, turn: Optional[dict[Dart, int]] = None) -> list[Dart]:
     """The trip starting at boundary vertex i: maximal right turns at black
     vertices, maximal left turns at white ones, read off ``turn``
-    (``_turn_table(G)`` when None)."""
+    (``_turn_table(G)`` when None).  A trip that does not end has met some
+    dart into an internal vertex twice, that is, taken more such darts than
+    ``turn`` holds."""
     if turn is None:
         turn = _turn_table(G)
     n = G.shape.n
     darts: list[Dart] = []
     u, v = i, G.neighbor_of_boundary(i)
-    limit = 4 * sum(map(len, G.rot.values()))
+    limit = len(turn)
     while True:
         darts.append((u, v))
         if v <= n:
@@ -370,14 +368,18 @@ def _trace_labels(G: PlabicGraph) -> FaceLabeling:
         raise AssertionError("a trip is closed; graph is not reduced")
 
     # diff[f]: the trips that separate face f from face 0
+    darts_of, of_dart = faces.darts_of, faces.of_dart
     diff: list[Optional[int]] = [0] + [None] * (len(faces) - 1)
     order = [0]
     for f in order:
-        for u, v in faces.darts_of[f]:
+        here = diff[f]
+        for dart in darts_of[f]:
+            u, v = dart
             if u <= n and v <= n:
                 continue  # a rim dart crosses no edge
-            g = faces.of_dart[(v, u)]
-            across = diff[f] ^ trip_bit[(u, v)] ^ trip_bit[(v, u)]
+            back = (v, u)
+            g = of_dart[back]
+            across = here ^ trip_bit[dart] ^ trip_bit[back]
             if diff[g] is None:
                 diff[g] = across
                 order.append(g)
@@ -385,14 +387,18 @@ def _trace_labels(G: PlabicGraph) -> FaceLabeling:
                 raise AssertionError("face labels disagree across an edge; graph is not reduced")
     if len(order) != len(faces):
         raise AssertionError("a face is out of reach; graph is not reduced")
-    root = sum(~diff[faces.of_dart[(i, G.rot[i][0])]] & 1 << (i - 1) for i in range(1, n + 1))
-    members = [[i for i in range(1, n + 1) if (root ^ d) >> (i - 1) & 1] for d in diff]
-    for s in members:
-        if len(s) != shape.rows:
+    root = sum(~diff[of_dart[i, G.rot[i][0]]] & 1 << (i - 1) for i in range(1, n + 1))
+    # a trip mask names a partition exactly when it has n - k bits
+    by_mask = partitions_by_south_mask(shape)
+    partitions = []
+    for d in diff:
+        lam = by_mask.get(root ^ d)
+        if lam is None:
+            s = [i for i in range(1, n + 1) if (root ^ d) >> (i - 1) & 1]
             raise AssertionError(
                 f"face label {s} has size {len(s)}, expected {shape.rows}"
             )
-    partitions = [south_steps_to_partition(s, shape) for s in members]
+        partitions.append(lam)
     if len(set(partitions)) != len(partitions):
         raise AssertionError("face labels are not distinct; graph is not reduced")
     if len(partitions) != shape.num_boxes + 1:
@@ -422,29 +428,31 @@ class Quiver:
     def entry(self, x: Partition, y: Partition) -> int:
         return self.b.get(x, {}).get(y, 0)
 
-    def _set(self, x, y, val):
-        if val:
-            self.b.setdefault(x, {})[y] = val
-        else:
-            self.b.get(x, {}).pop(y, None)
-
     def mutate(self, nu: Partition) -> "Quiver":
-        """Matrix mutation at a mutable label."""
+        """Matrix mutation at a mutable label.
+
+        Entries at nu change sign.  Any other b[x][y] gains
+        (b[x][nu] |b[nu][y]| + |b[x][nu]| b[nu][y]) / 2, which is 0 unless
+        both factors are nonzero, so only the pairs of nu's column and row
+        are visited; pairs of frozen labels stay untracked."""
         if nu in self.frozen or nu not in self.labels:
             raise ValueError(f"cannot mutate at {nu}")
-        out = Quiver(self.labels, self.frozen, {})
-        for x in self.labels:
-            for y in self.labels:
+        b = {x: {y: -m if nu in (x, y) else m for y, m in row.items()} for x, row in self.b.items()}
+        into = [(x, row[nu]) for x, row in self.b.items() if nu in row]
+        out_of = self.b.get(nu, {}).items()
+        for x, bxn in into:
+            for y, bny in out_of:
                 if x == y or (x in self.frozen and y in self.frozen):
                     continue
-                bxy = self.entry(x, y)
-                if nu in (x, y):
-                    new = -bxy
+                row = b.setdefault(x, {})
+                new = row.get(y, 0) + (bxn * abs(bny) + abs(bxn) * bny) // 2
+                if new:
+                    row[y] = new
                 else:
-                    bxn, bny = self.entry(x, nu), self.entry(nu, y)
-                    new = bxy + (bxn * abs(bny) + abs(bxn) * bny) // 2
-                out._set(x, y, new)
-        return out
+                    row.pop(y, None)
+                    if not row:
+                        del b[x]
+        return Quiver(self.labels, self.frozen, b)
 
     def relabel(self, old: Partition, new: Partition) -> "Quiver":
         """Rename one label (after a square move), keeping the labels in
@@ -508,8 +516,16 @@ def contract(G: PlabicGraph) -> PlabicGraph:
     Computed once per graph and cached on it.
     """
     if G._contracted is None:
-        G._contracted = PlabicGraph(G.shape, *_contracted(G.color, G.rot))
+        color, rot = _tables(G)
+        _contract(color, rot)
+        G._contracted = PlabicGraph(G.shape, color, rot)
     return G._contracted
+
+
+def _tables(G: PlabicGraph) -> tuple[dict[int, str], dict[int, list[int]]]:
+    """Copies of G's colour and rotation tables for a surgery to change,
+    each rotation a list."""
+    return dict(G.color), {v: list(nbrs) for v, nbrs in G.rot.items()}
 
 
 def _mergeable(color: dict[int, str], rot: dict[int, list[int]], v: int) -> bool:
@@ -517,14 +533,12 @@ def _mergeable(color: dict[int, str], rot: dict[int, list[int]], v: int) -> bool
     return color[v] != BOUNDARY and len(nbrs) == 2 and all(color[u] != BOUNDARY for u in nbrs)
 
 
-def _contracted(color: dict[int, str], rot: dict[int, Sequence[int]]) -> tuple[dict, dict]:
-    """The tables of ``contract``: copies of ``color`` and ``rot`` with the
-    mergeable vertices merged away, always the smallest one first.  A merge
-    can only change whether the surviving neighbour is mergeable, so a heap
-    of candidates, re-checked when popped, finds them in that order."""
-    color = dict(color)
-    rot = {v: list(nbrs) for v, nbrs in rot.items()}
-    heap = [v for v in rot if _mergeable(color, rot, v)]
+def _contract(color: dict[int, str], rot: dict[int, list[int]]) -> None:
+    """The surgery of ``contract`` on its tables, in place: the mergeable
+    vertices merged away, always the smallest one first.  A merge can only
+    change whether the surviving neighbour is mergeable, so a heap of
+    candidates, re-checked when popped, finds them in that order."""
+    heap = [v for v, nbrs in rot.items() if len(nbrs) == 2 and _mergeable(color, rot, v)]
     heapify(heap)
     while heap:
         v = heappop(heap)
@@ -544,7 +558,6 @@ def _contracted(color: dict[int, str], rot: dict[int, Sequence[int]]) -> tuple[d
         del rot[v], color[v], rot[y], color[y]
         if _mergeable(color, rot, x):
             heappush(heap, x)
-    return color, rot
 
 
 def _split_vertex(color: dict[int, str], rot: dict[int, list[int]], v: int, j: int, twin: int) -> None:
@@ -581,26 +594,25 @@ def _renumbered(n: int, color: dict[int, str], rot: dict[int, Sequence[int]]) ->
     """The tables of ``canonicalize``: internal vertices renumbered n+1,
     n+2, ... in the order of a breadth-first search from the boundary that
     visits each vertex's neighbours clockwise after the one it came from."""
-    order: list[int] = []
-    seen = set(range(1, n + 1))
-    queue = deque((i, rot[i][0]) for i in range(1, n + 1))
-    while queue:
-        parent, v = queue.popleft()
-        if v in seen:
+    rename = {i: i for i in range(1, n + 1)}
+    # the queue of (parent, vertex) pairs grows while it is walked
+    queue = [(i, rot[i][0]) for i in range(1, n + 1)]
+    for parent, v in queue:
+        if v in rename:
             continue
-        seen.add(v)
-        order.append(v)
+        rename[v] = len(rename) + 1
         nbrs = rot[v]
         s = nbrs.index(parent)
-        queue.extend((v, u) for u in (*nbrs[s + 1 :], *nbrs[:s]))
-    if len(order) != len(rot) - n:
+        for u in nbrs[s + 1 :] + nbrs[:s]:
+            if u not in rename:
+                queue.append((v, u))
+    if len(rename) != len(rot):
         raise AssertionError("graph is not connected to the boundary")
 
-    rename = {i: i for i in range(1, n + 1)}
-    rename.update((v, n + 1 + idx) for idx, v in enumerate(order))
+    get = rename.__getitem__
     return (
-        {rename[v]: c for v, c in color.items()},
-        {rename[v]: tuple(rename[u] for u in nbrs) for v, nbrs in rot.items()},
+        {get(v): c for v, c in color.items()},
+        {get(v): tuple(map(get, nbrs)) for v, nbrs in rot.items()},
     )
 
 
@@ -614,11 +626,18 @@ def normalize(G: PlabicGraph) -> PlabicGraph:
     """Contract away internal degree-2 padding, split higher-degree
     vertices back to trivalent, renumber canonically.  Idempotent.
 
-    The three steps run on the rotation tables; only the result is built
-    and validated as a graph."""
-    color, rot = _contracted(G.color, G.rot)
+    The three steps run on the rotation tables (``_normal_tables``); only
+    the result is built and validated as a graph."""
+    return PlabicGraph(G.shape, *_normal_tables(G.shape.n, *_tables(G)))
+
+
+def _normal_tables(n: int, color: dict[int, str], rot: dict[int, list[int]]) -> tuple[dict, dict]:
+    """The tables of ``normalize`` from the colour and rotation tables of a
+    graph with n boundary vertices, which the first two steps change in
+    place."""
+    _contract(color, rot)
     _expand_to_trivalent(color, rot)
-    return PlabicGraph(G.shape, *_renumbered(G.shape.n, color, rot))
+    return _renumbered(n, color, rot)
 
 
 # ---------------------------------------------------------------------------
@@ -671,20 +690,27 @@ def _cover(
             _cover(nbrs, masks, full, covered | b, chosen | e, out)
 
 
-def _cover_tables(G: PlabicGraph) -> tuple[list, list[int], list[Edge]]:
-    """``nbrs``, ``masks`` and the edges by bit for ``_cover`` on the whole
-    graph, cached on it.  Bit i - 1 is boundary vertex i, then come the
-    internal vertices; edge bit t is ``G.edges()[t]``, so bit i - 1 is
-    also the edge at boundary vertex i."""
+def _cover_tables(G: PlabicGraph) -> tuple[list[int], list, list[int], list[Edge], list[tuple[int, int]]]:
+    """``verts``, ``nbrs``, ``masks``, ``edges`` and ``ends`` for ``_cover``
+    and ``perfect_orientation``, read off the rotation tables and cached on
+    the graph.  Vertex bit t is ``verts[t]``: the boundary vertices 1..n,
+    then the internal ones, in increasing order.  Edge bit t is
+    ``edges[t] == G.edges()[t]``, so bit i - 1 is also the edge at boundary
+    vertex i, and ``ends[t]`` holds the vertex bit positions of its two ends,
+    smaller vertex first."""
     if G._cover_tables is None:
-        verts = list(range(1, G.shape.n + 1)) + G.internal_vertices()
-        bit = {v: 1 << t for t, v in enumerate(verts)}
-        edges = G.edges()
-        index = {bit[u] | bit[v]: 1 << t for t, (u, v) in enumerate(map(tuple, edges))}
-        nbrs = [[(bit[u], index[bit[u] | bit[v]]) for u in G.rot[v]] for v in verts]
+        rot = G.rot
+        verts = sorted(rot)  # boundary vertices are 1..n, internal ones above n
+        index = {v: t for t, v in enumerate(verts)}
+        pairs = [(v, u) for v in verts for u in sorted(rot[v]) if v < u]
+        bit = {}
+        for t, (v, u) in enumerate(pairs):
+            bit[v, u] = bit[u, v] = 1 << t
+        nbrs = [[(1 << index[u], bit[v, u]) for u in rot[v]] for v in verts]
         # no parallel edges: the neighbour bits are distinct
-        masks = [sum(map(bit.__getitem__, G.rot[v])) for v in verts]
-        G._cover_tables = (nbrs, masks, edges)
+        masks = [sum([b for b, _ in row]) for row in nbrs]
+        ends = [(index[v], index[u]) for v, u in pairs]
+        G._cover_tables = (verts, nbrs, masks, list(map(frozenset, pairs)), ends)
     return G._cover_tables
 
 
@@ -694,7 +720,7 @@ def boundary_matchings(G: PlabicGraph, J: Optional[Iterable[int]] = None) -> tup
     exactly the boundary vertices in J, by one exact-cover search on vertex
     bitmasks.  With J None the boundary vertices are optional and every
     boundary trace is listed; a mask's low n bits are its boundary trace."""
-    nbrs, masks, edges = _cover_tables(G)
+    _, nbrs, masks, edges, _ = _cover_tables(G)
     n = G.shape.n
     if J is None:
         full, outside = (1 << len(nbrs)) - (1 << n), 0
@@ -721,33 +747,37 @@ def perfect_orientation(G: PlabicGraph) -> Orientation:
             f"expected a unique matching with boundary {sorted(srcs)}, found {len(found)}"
         )
 
-    # every edge has one white end (boundary-boundary edges cannot occur)
+    # on the vertex bits of _cover_tables; every edge has one white end
+    # (boundary-boundary edges cannot occur)
+    verts, _, _, _, ends = _cover_tables(G)
+    white = [G.color[v] == WHITE for v in verts]
+    matching = found[0]
     head: dict[Edge, int] = {}
-    out: dict[int, list[int]] = {v: [] for v in G.rot}
-    indeg = dict.fromkeys(G.rot, 0)
-    for t, e in enumerate(edges):
-        u, w = e
-        if G.color[u] == WHITE:
-            u, w = w, u
-        tail, h = (u, w) if found[0] >> t & 1 else (w, u)
-        head[e] = h
+    out: list[list[int]] = [[] for _ in verts]
+    indeg = [0] * len(verts)
+    for t, (e, (a, w)) in enumerate(zip(edges, ends)):
+        if white[a]:
+            a, w = w, a
+        tail, h = (a, w) if matching >> t & 1 else (w, a)
+        head[e] = verts[h]
         out[tail].append(h)
         indeg[h] += 1
 
-    # Kahn's algorithm, smallest vertex first; a cycle would mean the
-    # matching was not acyclic, which cannot happen here but is cheap to
-    # verify.
-    ready = [v for v, d in indeg.items() if d == 0]
-    heapify(ready)
+    # Kahn's algorithm, smallest vertex (lowest bit) first; a cycle would
+    # mean the matching was not acyclic, which cannot happen here but is
+    # cheap to verify.
+    ready = sum(1 << t for t, d in enumerate(indeg) if not d)
     topo: list[int] = []
     while ready:
-        v = heappop(ready)
-        topo.append(v)
-        for u in out[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heappush(ready, u)
-    if len(topo) != len(indeg):
+        low = ready & -ready
+        ready ^= low
+        t = low.bit_length() - 1
+        topo.append(verts[t])
+        for h in out[t]:
+            indeg[h] -= 1
+            if not indeg[h]:
+                ready |= 1 << h
+    if len(topo) != len(verts):
         raise AssertionError("perfect orientation has a directed cycle")
 
     return Orientation(head, srcs, tuple(topo))
@@ -766,29 +796,29 @@ class SquareMoveResult:
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 
 
-def pluecker_columns(lam: Partition, shape: GridShape) -> list[int]:
-    """The 0-based matrix columns of lam's south steps: P_lam is the
-    maximal minor on them."""
-    return sorted(j - 1 for j in partition_to_south_steps(lam, shape))
+def pluecker_columns(lam: Partition, shape: GridShape) -> int:
+    """The 0-based matrix columns of lam's south steps as a bitmask: P_lam
+    is the maximal minor on them."""
+    return sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape))
 
 
 def pluecker_mod_p(A: Sequence[Sequence[int]], labels: Sequence[Partition], shape: GridShape, p: int) -> dict:
     """The Pluecker coordinates p_lam, lam in ``labels``, of the (n-k) x n
     integer matrix ``A`` over F_p."""
-    return dict(zip(labels, laplace_minors(A, [pluecker_columns(lam, shape) for lam in labels], p)))
+    (minors,) = laplace_minors([A], [pluecker_columns(lam, shape) for lam in labels], p)
+    return dict(zip(labels, minors))
 
 
 def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random) -> None:
-    """Verify p_nu p_nu' = p_a p_c + p_b p_d at random points of the
-    Grassmannian over a large prime field."""
+    """Verify p_nu p_nu' = p_a p_c + p_b p_d at three random points of the
+    Grassmannian over a large prime field: three (n-k) x n matrices drawn
+    from ``rng`` one after the other, each row by row, and their six minors
+    from one expansion plan."""
     p = _SQUARE_PRIME
-    cols = {lam: pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)}
-    for _ in range(3):
-        mat = [[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)]
-        vals = dict(zip(cols, laplace_minors(mat, cols.values(), p)))
-        lhs = vals[nu] * vals[nu2] % p
-        rhs = (vals[diag1[0]] * vals[diag1[1]] + vals[diag2[0]] * vals[diag2[1]]) % p
-        if lhs != rhs:
+    cols = [pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)]
+    mats = [[[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)] for _ in range(3)]
+    for p_nu, p_nu2, a, c, b, d in laplace_minors(mats, cols, p):
+        if p_nu * p_nu2 % p != (a * c + b * d) % p:
             raise AssertionError(
                 f"exchange relation failed at {partition_str(nu)}: "
                 f"{partition_str(nu2)} is not the expected new label"
@@ -815,8 +845,9 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
     be an internal quadrilateral (its four corners may have any degree).
     Corners of degree above three are first split so that the square has
     trivalent corners, the corner colours are exchanged, bipartiteness is
-    restored with degree-2 buffers on the four outer legs, and the result
-    is normalized.  The new label is recomputed from scratch via trips and
+    restored with degree-2 buffers on the four outer legs, and the tables
+    are normalized (``_normal_tables``) before the one moved graph is built
+    and validated.  The new label is recomputed from scratch via trips and
     double-checked against the exchange relation
     p_nu p_nu' = p_a p_c + p_b p_d at random points over a prime field,
     drawn from ``rng`` or, when it is None, from a fixed seed.
@@ -838,8 +869,7 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         labeling.partition_of_face[labeling.faces.of_dart[(v, u)]] for (u, v) in darts
     )
 
-    color = dict(H.color)
-    rot = {v: list(r) for v, r in H.rot.items()}
+    color, rot = _tables(H)
     fresh = max(rot) + 1
     # the two face edges at corner j join it to its orbit neighbours
     side = {corners[j]: (corners[j - 1], corners[(j + 1) % 4]) for j in range(4)}
@@ -866,7 +896,7 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         rot[v][rot[v].index(leg)] = buf
         rot[leg][rot[leg].index(v)] = buf
 
-    moved = normalize(PlabicGraph(G.shape, color, rot))
+    moved = PlabicGraph(G.shape, *_normal_tables(G.shape.n, color, rot))
 
     new_labeling = face_labels(moved)
     old_set = set(labeling.face_of_partition)

@@ -16,8 +16,8 @@ alone: a row the coordinate leaves alone keeps the slack its previous
 coordinate was chosen within.  Ranks and determinants, here and in the rest
 of the package, come from one fraction-free integer elimination (Bareiss,
 ``_eliminate``), shared by ``rank_det`` and ``volume``; the mod-p checks
-take many maximal minors of one integer matrix from one Laplace expansion
-(``laplace_minors``).
+take many maximal minors of integer matrices of one shape from one Laplace
+expansion plan on column bitmasks (``laplace_minors``).
 The Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
 change of variables that relates it to the rectangles-cluster polytope live
 here too.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .partitions import (
@@ -165,15 +165,21 @@ def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
     added = 0  # bitmask of the rows added so far
     for i, row in enumerate(rows):
         bit = 1 << i
-        vals = [sum(map(mul, row, y)) for y, _ in rays]
-        lvals = [sum(map(mul, row, v)) for v in lines]
+        # the row over its nonzero entries only; two zero terms make the
+        # getter return a tuple for every row
+        support = [j for j, x in enumerate(row) if x]
+        coef = [row[j] for j in support] + [0, 0]
+        get = itemgetter(*support, 0, 0)
+        vals = [sum(map(mul, coef, get(y))) for y, _ in rays]
+        lvals = [sum(map(mul, coef, get(v))) for v in lines]
         k = next((k for k, s in enumerate(lvals) if s), None)
         if k is not None:
             line, s = lines.pop(k), lvals.pop(k)
             if s < 0:
                 line, s = tuple(-x for x in line), -s
-            lines = [_combine(s, v, t, line) for v, t in zip(lines, lvals)]
-            rays = [(_combine(s, y, t, line), m | bit) for (y, m), t in zip(rays, vals)]
+            # a vector the row is 0 on stays as it is: it is primitive and s > 0
+            lines = [_combine(s, v, t, line) if t else v for v, t in zip(lines, lvals)]
+            rays = [(_combine(s, y, t, line) if t else y, m | bit) for (y, m), t in zip(rays, vals)]
             rays.append((line, added))
         else:
             rank = d + 1 - len(lines)
@@ -276,29 +282,66 @@ def _eliminate(m: list[list[int]], prev: int) -> tuple[int, int]:
 
 
 def laplace_minors(
-    A: Sequence[Sequence[int]], col_sets: Iterable[Sequence[int]], p: Optional[int] = None
-) -> list[int]:
-    """The maximal minors of the integer matrix ``A`` on each increasing
-    column tuple of ``col_sets``, reduced mod ``p`` when it is given.
+    mats: Sequence[Sequence[Sequence[int]]], col_masks: Iterable[int], p: Optional[int] = None
+) -> list[list[int]]:
+    """For each r x n integer matrix of ``mats``, its maximal minors on the
+    columns of each r-bit mask of ``col_masks`` (bit c for column c), reduced
+    mod ``p`` when it is given.
 
     Laplace expansion along the rows in order: each minor of the first j
     rows is built once, from those of the first j - 1 rows, for every
-    column set that needs it.
+    column set that needs it.  The plan of that expansion depends only on
+    the masks, so it is built once and run on every matrix.
     """
-    col_sets = [tuple(cs) for cs in col_sets]
-    levels = [set(col_sets)]  # the column tuples needed, by decreasing size
-    while len(levels) < len(A):
-        levels.append({cs[:t] + cs[t + 1 :] for cs in levels[-1] for t in range(len(cs))})
-    minor = {(): 1}
-    for r, (row, level) in enumerate(zip(A, reversed(levels))):
-        for cs in level:
-            acc = 0
-            for t, c in enumerate(cs):
-                if row[c]:
-                    term = row[c] * minor[cs[:t] + cs[t + 1 :]]
-                    acc += -term if (r + t) % 2 else term
-            minor[cs] = acc % p if p else acc
-    return [minor[cs] for cs in col_sets]
+    col_masks = list(col_masks)
+    if not mats:
+        return []
+    # the column masks needed, by decreasing size
+    levels = [dict.fromkeys(col_masks)]
+    while len(levels) < len(mats[0]):
+        below: dict[int, None] = {}
+        for m in levels[-1]:
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                below[m ^ low] = None
+        levels.append(below)
+    # plan[j]: for each minor of the first j + 1 rows, the columns c of row j
+    # and the slots of their cofactor minors, split by the sign (-1)^(j + t)
+    # of c, the t-th column of the mask
+    slot = {0: 0}
+    plan = []
+    for j, level in enumerate(reversed(levels)):
+        steps = []
+        for m in level:
+            if m in slot:
+                continue  # the empty mask, for matrices without rows
+            plus: list[tuple[int, int]] = []
+            minus: list[tuple[int, int]] = []
+            rest, t = m, j
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                (minus if t & 1 else plus).append((low.bit_length() - 1, slot[m ^ low]))
+                t += 1
+            slot[m] = len(slot)
+            steps.append((plus, minus))
+        plan.append(steps)
+    wanted = [slot[m] for m in col_masks]
+    out = []
+    for A in mats:
+        minor = [1]
+        for row, steps in zip(A, plan):
+            for plus, minus in steps:
+                acc = 0
+                for c, k in plus:
+                    acc += row[c] * minor[k]
+                for c, k in minus:
+                    acc -= row[c] * minor[k]
+                minor.append(acc % p if p else acc)
+        out.append([minor[k] for k in wanted])
+    return out
 
 
 def _bareiss_step(row: Sequence[int], top: Sequence[int], c: int, p: int, prev: int) -> list[int]:
@@ -413,16 +456,29 @@ def volume(P: QPolytope) -> Fraction:
     """
     d = P.hrep.dim
     L, verts = clear_denominators(P.vertices)
-    rows = _integer_rows(P.hrep.ineqs)
-    on = [[sum(map(mul, a, v)) + b * L == 0 for a, b in rows] for v in verts]
-    order = sorted(range(len(verts)), key=lambda t: (-sum(on[t]), verts[t]))
+    # the vertices on each row, its value at all of them summed column by
+    # column over its nonzero entries only
+    cols = [[v[j] for v in verts] for j in range(d)]
+    on_row = []
+    for a, b in _integer_rows(P.hrep.ineqs):
+        vals = [b * L] * len(verts)
+        for x, col in zip(a, cols):
+            if x:
+                vals = [s + x * y for s, y in zip(vals, col)]
+        on_row.append([t for t, s in enumerate(vals) if not s])
+    count = [0] * len(verts)
+    for on in on_row:
+        for t in on:
+            count[t] += 1
+    order = sorted(range(len(verts)), key=lambda t: (-count[t], verts[t]))
     verts = [verts[t] for t in order]
     diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts] if verts else []
     # the rank of the d x n transpose: d pivots eliminate d rows, not n
     if len(verts) <= d or rank_det(list(zip(*diffs)))[0] < d:
         warnings.warn("polytope is not full-dimensional; volume is 0")
         return Fraction(0)
-    tight = [sum(1 << s for s, t in enumerate(order) if on[t][i]) for i in range(len(rows))]
+    rank = {t: s for s, t in enumerate(order)}
+    tight = [sum(1 << rank[t] for t in on) for on in on_row]
     rest = {t: row for t, row in enumerate(diffs) if t}
     total = _cone((1 << len(verts)) - 1, rest, 1, 0, d, tight, {})
     return Fraction(total, L**d * factorial(d))

@@ -6,8 +6,12 @@ step, diagonals are counted one at a time, Gelfand-Tsetlin patterns are
 enumerated recursively, matchings are grown one edge at a time, paths are
 followed one dart at a time.  Only containers are borrowed from the
 package: the polytope classes, to hand a dilation back in the form its
-callers compare, and ``LaurentPoly`` for path sums.  The oracles are slow
-and that is fine.
+callers compare, and ``LaurentPoly`` for path sums.  The one exception is
+the composed square move, a reference path rather than an oracle: it does
+the surgery on its own copies of the tables but builds, normalizes and
+labels the result with the package, so that the square move's fused table
+steps are compared with the graph-by-graph steps they replace.  The
+oracles are slow and that is fine.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from itertools import combinations
 from math import ceil, floor, lcm
 
 from okbodies.laurent import LaurentPoly
+from okbodies.plabic import PlabicGraph, contract, face_labels, normalize
 from okbodies.polyhedra import HPolytope, QPolytope
 
 
@@ -549,3 +554,74 @@ def boundary_matrix(chart):
             row.append(-total if (rows - i) % 2 else total)
         M.append(row)
     return M
+
+
+# -- quiver mutation -----------------------------------------------------------
+
+def mutate_over_all_pairs(Q, nu):
+    """Matrix mutation of the quiver ``Q`` at ``nu``, entry by entry over
+    every pair of labels: b'[x][y] = -b[x][y] when nu is x or y, else
+    b[x][y] + (b[x][nu] |b[nu][y]| + |b[x][nu]| b[nu][y]) / 2, keeping
+    neither zero entries nor pairs of frozen labels."""
+    def entry(x, y):
+        return Q.b.get(x, {}).get(y, 0)
+
+    b = {}
+    for x in Q.labels:
+        for y in Q.labels:
+            if x == y or (x in Q.frozen and y in Q.frozen):
+                continue
+            if nu in (x, y):
+                new = -entry(x, y)
+            else:
+                bxn, bny = entry(x, nu), entry(nu, y)
+                new = entry(x, y) + (bxn * abs(bny) + abs(bxn) * bny) // 2
+            if new:
+                b.setdefault(x, {})[y] = new
+    return type(Q)(Q.labels, Q.frozen, b)
+
+
+# -- the square move, composed graph by graph ----------------------------------
+
+def square_move_composed(G, nu):
+    """The square move at the face labelled ``nu`` of G, composed step by
+    step: the surgery on copies of the contracted graph's tables (corners
+    of degree above three split off behind a buffer, corner colours
+    swapped, a buffer on each outer leg), a ``PlabicGraph`` of the result,
+    then ``normalize``.  Returns the moved graph and the one label it
+    gains."""
+    H = contract(G)
+    labeling = face_labels(H)
+    darts = labeling.faces.darts_of[labeling.face_of_partition[nu]]
+    corners = [d[0] for d in darts]
+    other = {"black": "white", "white": "black"}
+    color = dict(H.color)
+    rot = {v: list(r) for v, r in H.rot.items()}
+    fresh = max(rot) + 1
+    side = {corners[j]: (corners[j - 1], corners[(j + 1) % 4]) for j in range(4)}
+    for v in corners:
+        arcs = rot[v]
+        if len(arcs) > 3:
+            # the face edges, arcs j and j + 1, stay on v; the other arcs
+            # go in clockwise order to a twin behind a buffer
+            j, d = arcs.index(side[v][0]), len(arcs)
+            twin, buf = fresh, fresh + 1
+            fresh += 2
+            rest = [arcs[(j + t) % d] for t in range(2, d)]
+            color[twin], color[buf] = color[v], other[color[v]]
+            rot[twin] = [buf] + rest
+            rot[buf] = [v, twin]
+            rot[v] = [arcs[j], arcs[(j + 1) % d], buf]
+            for u in rest:
+                rot[u][rot[u].index(v)] = twin
+    for v in corners:
+        (leg,) = [x for x in rot[v] if x not in side[v]]
+        buf = fresh
+        fresh += 1
+        color[buf], color[v] = color[v], other[color[v]]
+        rot[buf] = [v, leg]
+        rot[v][rot[v].index(leg)] = buf
+        rot[leg][rot[leg].index(v)] = buf
+    moved = normalize(PlabicGraph(G.shape, color, rot))
+    (gained,) = set(face_labels(moved).labels) - set(labeling.labels)
+    return moved, gained

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+import okbodies.census as census_module
 from okbodies import plabic
 from okbodies.census import census
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
@@ -90,13 +91,25 @@ def test_quiver_mutation_involutive(rec35):
             assert Q.entry(x, y) == QQ.entry(x, y)
 
 
+def test_sparse_mutation_equals_the_all_pairs_oracle(census36_graphs):
+    report, _ = census36_graphs
+    checked = 0
+    for c in report.classes:
+        Q = c.quiver
+        for nu in Q.labels:
+            if nu not in Q.frozen:
+                assert Q.mutate(nu) == oracles.mutate_over_all_pairs(Q, nu)
+                checked += 1
+    assert checked == 34 * 4
+
+
 def test_normalize_idempotent_and_label_preserving(rec35, rec36):
     for G in (rec35, rec36):
         H = normalize(G)
         assert normalize(H) == H
         assert set(face_labels(H).labels) == set(face_labels(G).labels)
         assert set(face_labels(contract(G)).labels) == set(face_labels(G).labels)
-        assert all(len(H.rot[v]) <= 3 for v in H.internal_vertices())
+        assert all(len(H.rot[v]) <= 3 for v in H.rot if H.color[v] != BOUNDARY)
 
 
 def test_perfect_orientation(rec35):
@@ -104,11 +117,13 @@ def test_perfect_orientation(rec35):
     assert O.sources == frozenset({1, 2})
     assert len(O.topo) == len(rec35.vertices())
     # each internal white has exactly one incoming edge, blacks one outgoing
-    for v in rec35.internal_vertices():
+    for v, c in rec35.color.items():
+        if c == BOUNDARY:
+            continue
         incoming = sum(
             1 for u in rec35.rot[v] if O.head[frozenset((u, v))] == v
         )
-        if rec35.color[v] == "white":
+        if c == "white":
             assert incoming == 1
         else:
             assert len(rec35.rot[v]) - incoming == 1
@@ -284,6 +299,56 @@ def test_exchange_check_rejects_a_wrong_label(rec35, monkeypatch):
             continue
         with pytest.raises(AssertionError, match="exchange relation failed"):
             real(shape, nu, wrong, diag1, diag2, random.Random(1))
+
+
+def test_square_move_draws_three_matrices_from_its_rng(rec36):
+    # the exchange check draws 3 x (n-k) x n values mod 2^61 - 1 and nothing
+    # else, so a walk that shares the rng with its face choices stays pinned
+    G = normalize(rec36)
+    for nu in movable_faces(G):
+        rng, twin = random.Random(11), random.Random(11)
+        square_move(G, nu, rng)
+        for _ in range(3 * G36.rows * G36.n):
+            twin.randrange(2**61 - 1)
+        assert rng.getstate() == twin.getstate()
+
+
+def _census_moves(shape, deep=False):
+    """Every square move of the census of ``shape``: the graph, the face
+    and the result."""
+    moves = []
+    real = census_module.square_move
+
+    def recording(G, nu, rng=None):
+        res = real(G, nu, rng)
+        moves.append((G, nu, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "square_move", recording)
+        census(shape, deep=deep)
+    return moves
+
+
+def _assert_moves_equal_the_composed_path(moves):
+    for G, nu, res in moves:
+        graph, new_label = oracles.square_move_composed(G, nu)
+        assert res.graph.canonical_form() == graph.canonical_form()
+        assert res.new_label == new_label
+
+
+@pytest.mark.parametrize("shape, count", [(G35, 10), (G36, 120)], ids=["3x5", "3x6"])
+def test_square_move_equals_the_composed_path(shape, count):
+    moves = _census_moves(shape)
+    assert len(moves) == count
+    _assert_moves_equal_the_composed_path(moves)
+
+
+@pytest.mark.deep
+def test_square_move_equals_the_composed_path_on_the_deep_g37_census():
+    moves = _census_moves(GridShape(3, 7), deep=True)
+    assert len(moves) == 1288
+    _assert_moves_equal_the_composed_path(moves)
 
 
 def test_label_sets_are_class_invariants_under_flips(rec36):

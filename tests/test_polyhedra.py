@@ -474,25 +474,27 @@ def test_determinant_matches_oracles(mat):
 
 @st.composite
 def matrices_and_column_sets(draw):
-    """An r x n matrix, 1 <= r <= 5 and r <= n <= 7, with entries of either
-    sign up to 2^61, and up to eight r-subsets of its columns (repeats
-    allowed)."""
+    """One to four r x n matrices, 1 <= r <= 5 and r <= n <= 7, with entries
+    of either sign up to 2^61, and up to eight r-subsets of their columns
+    (repeats allowed)."""
     r = draw(st.integers(1, 5))
     n = draw(st.integers(r, 7))
     entry = st.integers(-(2**61), 2**61)
-    mat = draw(_matrix(r, n, entry))
+    mats = draw(st.lists(_matrix(r, n, entry), min_size=1, max_size=4))
     col_sets = draw(st.lists(st.sampled_from(list(combinations(range(n), r))), min_size=1, max_size=8))
-    return mat, col_sets
+    return mats, col_sets
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices_and_column_sets())
 def test_shared_laplace_minors_match_the_cofactor_oracle(case):
-    mat, col_sets = case
+    # one expansion plan, built from the column masks, run on every matrix
+    mats, col_sets = case
     p = (1 << 61) - 1  # the prime of the square-move exchange check
-    exact = [oracles.minor(mat, range(len(mat)), cs) for cs in col_sets]
-    assert laplace_minors(mat, col_sets) == exact
-    assert laplace_minors(mat, col_sets, p) == [m % p for m in exact]
+    masks = [sum(1 << c for c in cs) for cs in col_sets]
+    exact = [[oracles.minor(mat, range(len(mat)), cs) for cs in col_sets] for mat in mats]
+    assert laplace_minors(mats, masks) == exact
+    assert laplace_minors(mats, masks, p) == [[m % p for m in row] for row in exact]
 
 
 @settings(max_examples=100, deadline=None)
