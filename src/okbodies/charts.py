@@ -28,8 +28,8 @@ from .partitions import (
     diag0,
     max_diag,
     partition_str,
-    partition_to_south_steps,
     partition_to_west_steps,
+    south_mask_tables,
 )
 from .plabic import (
     WHITE,
@@ -130,14 +130,15 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
                 tree.append(g)
     masks = [heights[labeling.face_of_partition[mu]] for mu in chart.labels]
 
-    table: dict[Partition, dict[tuple[int, ...], int]] = {lam: {} for lam in all_partitions(shape)}
-    lam_of = {sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape)): lam for lam in table}
+    # the terms of each P_lam, keyed by lam's south-step mask
+    lam_of, _ = south_mask_tables(shape)
+    table: dict[int, dict[tuple[int, ...], int]] = {m: {} for m in lam_of}
     for m in matchings:
         F = m ^ sources[0]
         exps = tuple((F & p).bit_count() - (F & q).bit_count() for p, q in masks)
-        terms = table[lam_of[m & trace]]
+        terms = table[m & trace]
         terms[exps] = terms.get(exps, 0) + 1
-    return {lam: LaurentPoly(chart.labels, terms) for lam, terms in table.items()}
+    return {lam_of[m]: LaurentPoly(chart.labels, terms) for m, terms in table.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .polyhedra import (
     HPolytope,
     QPolytope,
     Vec,
+    as_fractions,
+    bit_list,
     clear_denominators,
     enumerate_vertices,
     frac_str,
@@ -89,10 +91,6 @@ def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
     return SuperpotentialExpansion(shape, labels, tuple(summands))
 
 
-def _bit_list(m: int) -> list[int]:
-    return [t for t in range(m.bit_length()) if m >> t & 1]
-
-
 def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
     """Matching expansion of the superpotential on an arbitrary chart.
 
@@ -140,7 +138,7 @@ def marsh_scott_expansion(chart: NetworkChart) -> SuperpotentialExpansion:
             slot = frozen[j % shape.n]
             if slot is not None:
                 base[slot] += 1
-        for M in sorted(matchings, key=_bit_list):
+        for M in sorted(matchings, key=bit_list):
             summands.append((i, tuple(b + (M & w).bit_count() for b, w in zip(base, weights))))
 
     return SuperpotentialExpansion(shape, labels, tuple(summands))
@@ -181,14 +179,9 @@ def gamma_system(expansion: SuperpotentialExpansion, r_vec: Sequence) -> TropSys
 
 def gamma_polytope(system: TropSystem) -> HPolytope:
     """Deduplicated inequality description Trop(p_M)(v) + r_i >= 0."""
-    seen = set()
-    ineqs = []
-    for exps, i in system.entries:
-        b = system.shift(i)
-        if (exps, b) not in seen:
-            seen.add((exps, b))
-            ineqs.append((tuple(map(Fraction, exps)), b))
-    return HPolytope(system.coords, tuple(ineqs))
+    rows = list(dict.fromkeys((exps, system.shift(i)) for exps, i in system.entries))
+    forms = as_fractions((exps for exps, _ in rows), 1)
+    return HPolytope(system.coords, tuple(zip(forms, (b for _, b in rows))))
 
 
 def gamma_qpolytope(expansion: SuperpotentialExpansion, r_vec: Sequence) -> QPolytope:
@@ -305,8 +298,9 @@ def trop_mutate_polytope(
     The bend hyperplane (out - into).v = 0 splits P into two pieces, on
     each of which the mutation is linear, so the image is the union of the
     images of the two pieces and its hull is spanned by the images of
-    their vertices.  The vertices are scaled to integers by their common
-    denominator L and mutated as integers, which is exact since the
+    their vertices.  Each piece is P cut by one more row, so its vertices
+    continue P's double description.  They are scaled to integers by their
+    common denominator L and mutated as integers, which is exact since the
     mutation is positively homogeneous; the distinct images are divided by
     L once.  The result is the image itself exactly when the image is
     convex, as it is for the superpotential polytopes of two charts
@@ -316,10 +310,11 @@ def trop_mutate_polytope(
     if not P.vertices:
         return QPolytope(P.hrep, ())
     move = TropMutation.of(quiver, nu, coords, nu)  # no relabelling: only .mutate is used
-    bend = tuple(Fraction(o - i) for i, o in zip(move.into, move.out))
-    pieces = [P.hrep.with_ineqs([(half, Fraction(0))]) for half in (bend, tuple(-x for x in bend))]
-    L, ints = clear_denominators(v for piece in pieces for v in enumerate_vertices(piece))
-    images = [tuple(Fraction(x, L) for x in w) for w in {move.mutate(u) for u in ints}]
+    bend = [o - i for i, o in zip(move.into, move.out)]
+    halves = as_fractions((bend, [-x for x in bend]), 1)
+    pieces = [P.hrep.with_ineqs([(half, Fraction(0))]) for half in halves]
+    L, ints = clear_denominators(v for piece in pieces for v in enumerate_vertices(piece, P))
+    images = as_fractions({move.mutate(u) for u in ints}, L)
     if len(images) == 1:
         (pt,) = images
         point_hrep = HPolytope(
@@ -346,9 +341,10 @@ def relabel_polytope(
     ineqs = tuple(
         (tuple(a[s] for s in perm), b) for a, b in P.hrep.ineqs
     )
-    verts = [tuple(v[s] for s in perm) for v in P.vertices]
     # lex order on the vertices is lex order on their integer images
-    _, keys = clear_denominators(verts)
-    order = sorted(range(len(verts)), key=keys.__getitem__)
-    return QPolytope(HPolytope(new_coords, ineqs), tuple(verts[t] for t in order))
+    _, ints = P.integer_vertices
+    keys = [tuple(v[s] for s in perm) for v in ints]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    verts = tuple(tuple(P.vertices[t][s] for s in perm) for t in order)
+    return QPolytope(HPolytope(new_coords, ineqs), verts)
 

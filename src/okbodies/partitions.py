@@ -144,13 +144,15 @@ def west_steps_to_partition(J: Iterable[int], shape: GridShape) -> Partition:
 
 
 @cache
-def partitions_by_south_mask(shape: GridShape) -> Mapping[int, Partition]:
+def south_mask_tables(shape: GridShape) -> tuple[Mapping[int, Partition], Mapping[Partition, int]]:
     """Every partition in the box keyed by its south steps as an n-bit mask,
-    bit j - 1 for step j; built once per shape and shared read-only."""
-    return MappingProxyType({
-        sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape)): lam
+    bit j - 1 for step j, and the inverse table, both in the order of
+    ``all_partitions``; built once per shape and shared read-only."""
+    masks = {
+        lam: sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape))
         for lam in all_partitions(shape)
-    })
+    }
+    return MappingProxyType({m: lam for lam, m in masks.items()}), MappingProxyType(masks)
 
 
 def partition_to_west_steps(lam: Partition, shape: GridShape) -> frozenset[int]:

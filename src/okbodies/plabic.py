@@ -34,8 +34,7 @@ from .partitions import (
     Partition,
     label_sort_key,
     partition_str,
-    partition_to_south_steps,
-    partitions_by_south_mask,
+    south_mask_tables,
 )
 from .polyhedra import laplace_minors
 
@@ -389,7 +388,7 @@ def _trace_labels(G: PlabicGraph) -> FaceLabeling:
         raise AssertionError("a face is out of reach; graph is not reduced")
     root = sum(~diff[of_dart[i, G.rot[i][0]]] & 1 << (i - 1) for i in range(1, n + 1))
     # a trip mask names a partition exactly when it has n - k bits
-    by_mask = partitions_by_south_mask(shape)
+    by_mask, _ = south_mask_tables(shape)
     partitions = []
     for d in diff:
         lam = by_mask.get(root ^ d)
@@ -799,7 +798,7 @@ _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 def pluecker_columns(lam: Partition, shape: GridShape) -> int:
     """The 0-based matrix columns of lam's south steps as a bitmask: P_lam
     is the maximal minor on them."""
-    return sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape))
+    return south_mask_tables(shape)[1][lam]
 
 
 def pluecker_mod_p(A: Sequence[Sequence[int]], labels: Sequence[Partition], shape: GridShape, p: int) -> dict:

@@ -1,19 +1,27 @@
 """Exact rational polytope engine.
 
 Everything here is exact integer or Fraction arithmetic; no floats.
-Fractions remain only at the inputs and outputs: rows and points are
-cleared to integers on entry (``clear_denominators``), the work runs on
-Python integers, and a result is turned into Fractions once, on exit.
+Fractions remain only at the inputs and outputs.  A ``QPolytope`` keeps
+one integer form, built on first use and shared by every kernel that reads
+it: its rows as primitive integer rows, the common denominator L of its
+vertices with the integer vertices L*v, and for each row the bitmask of
+the vertices it is tight on.  Other rows and points are cleared to
+integers on entry (``clear_denominators``), the work runs on Python
+integers, and a result is turned into Fractions once, on exit, by
+``as_fractions``, which builds one Fraction per distinct value.
 Vertex enumeration is a fraction-free double description of the
 homogenised cone: its primitive integer extreme rays give the vertices,
-and emptiness and unboundedness are read off them exactly.
+and emptiness and unboundedness are read off them exactly.  A system whose
+first rows are those of a polytope already enumerated continues from that
+polytope's vertices and adds only the remaining rows.
 Volumes come from a pulling triangulation on vertex bitmasks that pulls
 the vertices lying on the most rows first, and that closes a chain of
 apices at the first simplex face it meets with one square elimination.
-Lattice points come from a box sweep that bounds each coordinate to an
-integer interval before it branches, from the rows that coordinate moves
-alone: a row the coordinate leaves alone keeps the slack its previous
-coordinate was chosen within.  Ranks and determinants, here and in the rest
+Lattice points come from a box sweep that fixes the coordinates on the
+most rows first and bounds each to an integer interval before it
+branches, from the rows that coordinate moves alone: a row the coordinate
+leaves alone keeps the slack its previous coordinate was chosen within.
+Ranks and determinants, here and in the rest
 of the package, come from one fraction-free integer elimination (Bareiss,
 ``_eliminate``), shared by ``rank_det`` and ``volume``; the mod-p checks
 take many maximal minors of integer matrices of one shape from one Laplace
@@ -28,7 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
@@ -74,7 +82,9 @@ class HPolytope:
 
 @dataclass
 class QPolytope:
-    """H-representation plus its computed vertex set."""
+    """H-representation plus its computed vertex set, and the integer form
+    of both, each part built on first use.  The vertices must be those of
+    ``hrep``."""
 
     hrep: HPolytope
     vertices: tuple[Vec, ...]
@@ -83,6 +93,34 @@ class QPolytope:
     @property
     def coords(self):
         return self.hrep.coords
+
+    @cached_property
+    def integer_rows(self) -> list[tuple[tuple[int, ...], int]]:
+        """Each row a.v + b >= 0 as the primitive integer row on its ray."""
+        return _integer_rows(self.hrep.ineqs)
+
+    @cached_property
+    def integer_vertices(self) -> tuple[int, list[tuple[int, ...]]]:
+        """The least common denominator L of the vertices, and the integer
+        vertices L*v in the order of ``vertices``."""
+        L, verts = clear_denominators(self.vertices)
+        return L, list(map(tuple, verts))
+
+    @cached_property
+    def incidence(self) -> list[int]:
+        """For each row, the bitmask of the vertices it is tight on (bit t
+        for vertex t), its value at every vertex summed column by column
+        over the row's nonzero entries only."""
+        L, verts = self.integer_vertices
+        cols = list(zip(*verts))
+        out = []
+        for a, b in self.integer_rows:
+            vals = [b * L] * len(verts)
+            for x, col in zip(a, cols):
+                if x:
+                    vals = [s + x * y for s, y in zip(vals, col)]
+            out.append(sum(1 << t for t, s in enumerate(vals) if not s))
+        return out
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -106,6 +144,11 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def bit_list(m: int) -> list[int]:
+    """The indices of the set bits of m, ascending."""
+    return [t for t in range(m.bit_length()) if m >> t & 1]
+
+
 def nonintegral_points(points: Iterable[Vec]) -> tuple[Vec, ...]:
     """The points with a non-integer coordinate, in their order; for the
     vertices of a polytope, empty exactly when the polytope is integral."""
@@ -119,9 +162,18 @@ def nonintegral_points(points: Iterable[Vec]) -> tuple[Vec, ...]:
 def clear_denominators(points: Iterable[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """The least common denominator L of the coordinates of ``points``, and
     the integer points L*p."""
+    pairs = [[x.as_integer_ratio() for x in p] for p in points]
+    L = lcm(*{d for p in pairs for _, d in p})
+    return L, [[n * (L // d) for n, d in p] for p in pairs]
+
+
+def as_fractions(points: Iterable[Sequence[int]], den: int) -> list[Vec]:
+    """The integer points p as the points p / den, with one Fraction object
+    per distinct value: the coordinates of a polytope's points and rows
+    repeat a few values."""
     points = list(points)
-    L = lcm(*(x.denominator for p in points for x in p))
-    return L, [[x.numerator * (L // x.denominator) for x in p] for p in points]
+    of = {x: Fraction(x, den) for x in {x for p in points for x in p}}
+    return [tuple(map(of.__getitem__, p)) for p in points]
 
 
 def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
@@ -136,14 +188,18 @@ def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
     return rows
 
 
-def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray through s*u - t*v (nonzero)."""
-    z = [s * x - t * y for x, y in zip(u, v)]
+def _primitive(z: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through z (nonzero)."""
     g = gcd(*z)
     return tuple(x // g for x in z)
 
 
-def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
+def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through s*u - t*v (nonzero)."""
+    return _primitive([s * x - t * y for x, y in zip(u, v)])
+
+
+def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> tuple[Vec, ...]:
     """All vertices of a bounded H-polytope, deterministic lex order.
 
     Fraction-free homogeneous double description (Fukuda & Prodon 1996):
@@ -153,17 +209,40 @@ def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
     Rays with x0 > 0 are the vertices.  Without such a ray the region is
     empty and the result is ().  With one, a ray with x0 = 0 or a line in
     the cone is a recession direction and raises UnboundedError.
+
+    With ``start``, a polytope whose rows are the first rows of ``H``, the
+    description continues from there: the cone of ``start``'s rows is
+    pointed, its extreme rays are its vertices as primitive rays through
+    (1, v), with the start rows they lie on as their tight sets, so only
+    the remaining rows are added.  ValueError if ``start``'s rows are not
+    a prefix of ``H``'s.
     """
     d = H.dim
-    rows = [(1,) + (0,) * d] + [(b,) + a for a, b in _integer_rows(H.ineqs)]
     # The cone cut out so far is span(lines) + cone(rays).  A row that is
     # nonzero on a line turns that line, oriented into the row's half-space,
     # into a ray, and moves the other lines and rays along it onto the row's
     # hyperplane.  After the first row every line lies in x0 = 0.
-    lines = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
-    rays: list[tuple[tuple[int, ...], int]] = []
-    added = 0  # bitmask of the rows added so far
-    for i, row in enumerate(rows):
+    if start is None:
+        rows = [(1,) + (0,) * d] + [(b,) + a for a, b in _integer_rows(H.ineqs)]
+        lines = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+        rays: list[tuple[tuple[int, ...], int]] = []
+        first = 0
+    else:
+        m = len(start.hrep.ineqs)
+        if start.hrep.coords != H.coords or H.ineqs[:m] != start.hrep.ineqs:
+            raise ValueError("the start polytope's rows are not the first rows of H")
+        rows = [(b,) + a for a, b in _integer_rows(H.ineqs[m:])]
+        L, verts = start.integer_vertices
+        # start row i is row i + 1 here, after x0 >= 0, which no vertex is on
+        masks = [0] * len(verts)
+        for i, on in enumerate(start.incidence):
+            for t in bit_list(on):
+                masks[t] |= 2 << i
+        lines = []
+        rays = [(_primitive((L, *v)), mask) for v, mask in zip(verts, masks)]
+        first = m + 1
+    added = (1 << first) - 1  # bitmask of the rows added so far
+    for i, row in enumerate(rows, first):
         bit = 1 << i
         # the row over its nonzero entries only; two zero terms make the
         # getter return a tuple for every row
@@ -206,10 +285,10 @@ def enumerate_vertices(H: HPolytope) -> tuple[Vec, ...]:
     verts = [y for y, _ in rays if y[0]]
     if lines or len(verts) < len(rays):
         raise UnboundedError("region is unbounded")
-    # lex order on the vertices x / x0 is lex order on x * (L // x0), L = lcm of the x0
+    # the vertices x / x0 over L = lcm of the x0, whose lex order is that of
+    # the integer points x * (L // x0)
     L = lcm(*(y[0] for y in verts))
-    verts.sort(key=lambda y: [x * (L // y[0]) for x in y[1:]])
-    return tuple(tuple(map(Fraction, y[1:], repeat(y[0]))) for y in verts)
+    return tuple(as_fractions(sorted([x * (L // y[0]) for x in y[1:]] for y in verts), L))
 
 
 def qpolytope(H: HPolytope) -> QPolytope:
@@ -231,11 +310,12 @@ def hull_of_points(coords: tuple, points: Iterable[Sequence[Fraction]]) -> QPoly
     m = len(ints)
     S = [sum(col) for col in zip(*ints)]
     polar = HPolytope(coords, tuple((tuple(s - m * x for s, x in zip(S, q)), m * D) for q in ints))
-    facets = []
-    for y in enumerate_vertices(polar):
-        L, (Y,) = clear_denominators([y])  # 1 + y.c = (L*m*D + Y.S) / (L*m*D)
-        facets.append((tuple(-x for x in y), Fraction(L * m * D + sum(map(mul, Y, S)), L * m * D)))
-    H = HPolytope(coords, tuple(facets))
+    # each facet over the one denominator L*m*D, L that of the polar vertices:
+    # -y = -Y*m*D / (L*m*D) and 1 + y.c = (L*m*D + Y.S) / (L*m*D)
+    L, Ys = clear_denominators(enumerate_vertices(polar))
+    den = L * m * D
+    facets = as_fractions(([-x * m * D for x in Y] + [den + sum(map(mul, Y, S))] for Y in Ys), den)
+    H = HPolytope(coords, tuple((f[:-1], f[-1]) for f in facets))
     return QPolytope(H, enumerate_vertices(H))
 
 
@@ -361,7 +441,9 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     The dilation stays in integers: the integer rows a.v + b >= 0 of P
     become a.v + r*b >= 0, and coordinate i runs over the box from the
     least ceil(r * v_i) to the greatest floor(r * v_i) over the vertices v.
-    The sweep fixes the coordinates in order, and each row bounds the next
+    The sweep fixes the coordinates moved by the most rows first (ties in
+    index order; the points come back in P's coordinates, sorted), so that
+    the rows are met in full early, and each row bounds the next
     coordinate to an integer interval, given the most the later
     coordinates can add to it inside the box.  Coordinate c is bounded by
     the rows with a nonzero entry in column c alone, and only their
@@ -382,11 +464,15 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
     if P.is_empty():
         P._lattice[r] = ()
         return ()
-    # ceil and floor are monotone: bound each vertex coordinate, then take
-    # the extremes in integers
-    lo = [min(-(-r * x.numerator // x.denominator) for x in col) for col in zip(*P.vertices)]
-    hi = [max(r * x.numerator // x.denominator for x in col) for col in zip(*P.vertices)]
-    rows = [(a, b * r) for a, b in _integer_rows(P.hrep.ineqs)]
+    # ceil and floor are monotone: the extremes of the integer vertices L*v,
+    # scaled by r / L and rounded inwards
+    L, verts = P.integer_vertices
+    cols = list(zip(*verts))
+    moved_by = [sum(1 for a, _ in P.integer_rows if a[c]) for c in range(d)]
+    order = sorted(range(d), key=lambda c: (-moved_by[c], c))
+    lo = [-(-r * min(cols[c]) // L) for c in order]
+    hi = [r * max(cols[c]) // L for c in order]
+    rows = [(tuple(a[c] for c in order), b * r) for a, b in P.integer_rows]
 
     # slack[t]: the most the coordinates after c can add to row t inside the
     # box, for c from d - 1 down; moves[c]: (t, a_t[c], slack[t]) for the
@@ -400,10 +486,9 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
                 slack[t] += max(a[c] * lo[c], a[c] * hi[c])
 
     out: list[tuple[int, ...]] = []
-    # depth first over the coordinates, each coordinate's values pushed in
-    # decreasing order so that the points come out sorted: every row t that
-    # column c moves needs a*x_c + partial[t] + slack >= 0, which bounds
-    # x_c to one integer interval
+    # depth first over the coordinates: every row t that column c moves
+    # needs a*x_c + partial[t] + slack >= 0, which bounds x_c to one
+    # integer interval
     partial = [b for _, b in rows]
     root = d and all(p + s >= 0 for (a, _), p, s in zip(rows, partial, slack) if not a[0])
     stack = [((), partial)] if root else []
@@ -428,6 +513,10 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
             stack.append((prefix + (val,), q))
     if not d:
         out.append(())
+    if d > 1:
+        # back to P's coordinate order: coordinate c was swept at position pos[c]
+        pos = sorted(range(d), key=order.__getitem__)
+        out = list(map(itemgetter(*pos), out))
     pts = tuple(sorted(out))
     P._lattice[r] = pts
     return pts
@@ -455,17 +544,8 @@ def volume(P: QPolytope) -> Fraction:
     is its cell's determinant up to sign.  Volume = sum |det| / (L**d * d!).
     """
     d = P.hrep.dim
-    L, verts = clear_denominators(P.vertices)
-    # the vertices on each row, its value at all of them summed column by
-    # column over its nonzero entries only
-    cols = [[v[j] for v in verts] for j in range(d)]
-    on_row = []
-    for a, b in _integer_rows(P.hrep.ineqs):
-        vals = [b * L] * len(verts)
-        for x, col in zip(a, cols):
-            if x:
-                vals = [s + x * y for s, y in zip(vals, col)]
-        on_row.append([t for t, s in enumerate(vals) if not s])
+    L, verts = P.integer_vertices
+    on_row = [bit_list(on) for on in P.incidence]
     count = [0] * len(verts)
     for on in on_row:
         for t in on:
@@ -533,11 +613,11 @@ def canonical_hrep(P: QPolytope) -> frozenset:
     Requires a full-dimensional polytope; duplicates and redundant rows are
     dropped by checking that the tight vertex set spans a facet.
     """
-    L, verts = clear_denominators(P.vertices)
+    _, verts = P.integer_vertices
     out = set()
-    for a, b in _integer_rows(P.hrep.ineqs):
-        if _affine_rank([v for v in verts if sum(map(mul, a, v)) + b * L == 0]) == P.hrep.dim - 1:
-            out.add((a, b))
+    for row, on in zip(P.integer_rows, P.incidence):
+        if _affine_rank([verts[t] for t in bit_list(on)]) == P.hrep.dim - 1:
+            out.add(row)
     return frozenset(out)
 
 
@@ -546,12 +626,13 @@ def same_hrep(P: QPolytope, Q: QPolytope) -> bool:
 
 
 def same_vertex_set(P: QPolytope, Q: QPolytope) -> bool:
-    # enumerated vertices are distinct, so equal sizes and sets suffice
-    return (
-        P.hrep.coords == Q.hrep.coords
-        and len(P.vertices) == len(Q.vertices)
-        and set(P.vertices) == set(Q.vertices)
-    )
+    """Whether P and Q have the same coordinates and vertices, compared as
+    their integer vertices over their common denominators.  Enumerated
+    vertices are distinct, so equal sizes and sets suffice."""
+    if P.hrep.coords != Q.hrep.coords or len(P.vertices) != len(Q.vertices):
+        return False
+    (L, ps), (M, qs) = P.integer_vertices, Q.integer_vertices
+    return L == M and set(ps) == set(qs)
 
 
 def apply_linear(P: QPolytope, matrix: list[list[Fraction]], inverse: list[list[Fraction]]) -> QPolytope:

@@ -42,14 +42,24 @@ from okbodies.plabic import (
     face_labels,
     movable_faces,
     normalize,
+    quiver_of,
     square_move,
 )
-from okbodies.mirror import TropMutation, trop_mutate_polytope
+from okbodies.mirror import (
+    TropMutation,
+    gamma_qpolytope,
+    marsh_scott_expansion,
+    relabel_polytope,
+    standard_r_vec,
+    trop_mutate_polytope,
+)
 from okbodies.polyhedra import (
+    enumerate_vertices,
     gt_pattern_count,
     hull_of_points,
     lattice_points,
     qpolytope,
+    same_vertex_set,
     volume,
     volume_formula,
 )
@@ -347,16 +357,17 @@ def test_verify_core_g36(census36):
     assert by_name["nonintegral-vertex-unique"].seconds > 0
 
 
-def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
-    # the full suite reads every vertex set off the census; the counter sits
-    # on every binding of enumerate_vertices in the loaded okbodies modules,
-    # found by identity, so a caller that imported it by name is counted too
+def count_enumerations(monkeypatch) -> list[tuple[int, int]]:
+    """Put a counter on every binding of enumerate_vertices in the loaded
+    okbodies modules, found by identity, so that a caller that imported it
+    by name is counted too; each call appends its rows in and vertices out."""
     real = polyhedra_module.enumerate_vertices
     calls = []
 
-    def counting(H):
-        calls.append(H)
-        return real(H)
+    def counting(H, start=None):
+        out = real(H, start)
+        calls.append((len(H.ineqs), len(out)))
+        return out
 
     bindings = [
         (module, name)
@@ -368,11 +379,61 @@ def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
     assert {module.__name__ for module, _ in bindings} >= {"okbodies.polyhedra", "okbodies.mirror"}
     for module, name in bindings:
         monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
+    # the full suite reads every vertex set off the census
+    calls = count_enumerations(monkeypatch)
     assert verify_core(GridShape(3, 6), suite="full", report=census36).ok
     assert calls == []
     # the counter does count: one polytope built from its rows is one call
     polyhedra_module.qpolytope(census36.classes[0].polytope.hrep)
     assert len(calls) == 1
+
+
+def test_transport_walk_enumerates_30_systems(monkeypatch):
+    # the walk of scripts/transport_demo.py at seed 7 on the 3x3 grid, from
+    # the rectangles polytope: per step the two bend pieces, the polar and
+    # the facet system of the hull, and the polytope of the new chart; these
+    # are the counts the transport benchmark pins
+    shape = GridShape(3, 6)
+    rng = random.Random(7)
+    G = normalize(build_rectangles(shape))
+    P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
+    calls = count_enumerations(monkeypatch)
+    for _ in range(6):
+        nu = rng.choice(sorted(movable_faces(G)))
+        quiver = quiver_of(G)
+        res = square_move(G, nu, rng)
+        moved = relabel_polytope(trop_mutate_polytope(P, quiver, nu), nu, res.new_label)
+        G = res.graph
+        P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
+        assert same_vertex_set(moved, P)
+    assert len(calls) == 30
+    assert sum(rows for rows, _ in calls) == 470
+    assert sum(verts for _, verts in calls) == 531
+
+
+@pytest.mark.parametrize("grid", ["census35", "census36"])
+def test_bend_pieces_continue_the_parent_enumeration(grid, request):
+    # both pieces of every tree edge's parent polytope, cut at the bend of
+    # the edge's move, from the parent's vertices and from scratch
+    report = request.getfixturevalue(grid)
+    edges = 0
+    for c in report.classes:
+        if c.parent is None:
+            continue
+        parent = report.record(c.parent)
+        P = parent.polytope
+        nu, _ = c.path[-1]
+        move = TropMutation.of(parent.quiver, nu, P.coords, nu)
+        bend = tuple(F(o - i) for i, o in zip(move.into, move.out))
+        for half in (bend, tuple(-x for x in bend)):
+            H = P.hrep.with_ineqs([(half, F(0))])
+            assert enumerate_vertices(H, P) == enumerate_vertices(H), (c.key_str, nu)
+        edges += 1
+    assert edges == report.class_count - 1
 
 
 def test_verify_builds_one_chart_per_class(monkeypatch):

@@ -380,6 +380,22 @@ def test_same_vertex_set_needs_the_same_points_and_coordinate_order():
     assert not same_vertex_set(P, swapped)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_same_vertex_set_agrees_with_the_fraction_sets(data):
+    # Q is P's points shuffled, perhaps with one point replaced, so the two
+    # sets are equal or not and their denominators agree or not
+    point = st.tuples(*[st.builds(F, st.integers(-4, 4), st.integers(1, 4))] * 2)
+    pts = data.draw(st.lists(point, max_size=6, unique=True))
+    qs = list(data.draw(st.permutations(pts)))
+    if qs and data.draw(st.booleans()):
+        qs[data.draw(st.integers(0, len(qs) - 1))] = data.draw(point)
+    qs = list(dict.fromkeys(qs))  # vertex sets have no repeats
+    coords = ((1,), (2,))
+    P, Q = (QPolytope(HPolytope(coords, ()), tuple(vs)) for vs in (pts, qs))
+    assert same_vertex_set(P, Q) == (len(pts) == len(qs) and set(pts) == set(qs))
+
+
 def test_polytope_mutation_round_trip():
     rng = random.Random(43)
     chart = rec_chart(3, 5)

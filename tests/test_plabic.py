@@ -265,15 +265,15 @@ def test_square_move_refuses_boundary_faces_and_hexagons(rec36):
 
 def test_exchange_check_reads_each_label_once_per_move(rec36, monkeypatch):
     # six labels take part in the exchange relation; their column sets are
-    # found once per move, not once per random matrix
-    real = plabic.partition_to_south_steps
+    # looked up once per move, not once per random matrix
+    real = plabic.pluecker_columns
     looked_up = []
 
     def counting(lam, shape):
         looked_up.append(lam)
         return real(lam, shape)
 
-    monkeypatch.setattr(plabic, "partition_to_south_steps", counting)
+    monkeypatch.setattr(plabic, "pluecker_columns", counting)
     faces = movable_faces(rec36)
     for nu in faces:
         square_move(rec36, nu, random.Random(7))

@@ -224,6 +224,68 @@ def bounded_rational_systems():
     return st.integers(1, 4).flatmap(with_box)
 
 
+@settings(max_examples=60, deadline=None)
+@given(bounded_rational_systems(), st.data())
+def test_continued_enumeration_equals_a_cold_start(system, data):
+    # P cut by one or two rows, each free, through a vertex of P, redundant
+    # on P or emptying it; P itself may be empty or flat
+    d, rows = system
+    P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
+    cuts = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        a = data.draw(st.tuples(*[st.integers(-3, 3).map(F)] * d))
+        values = [sum(x * y for x, y in zip(a, v)) for v in P.vertices] or [F(0)]
+        kind = data.draw(st.sampled_from(("free", "vertex", "redundant", "empty")))
+        if kind == "free":
+            b = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        elif kind == "vertex":
+            b = -data.draw(st.sampled_from(values))
+        elif kind == "redundant":
+            b = -min(values) + data.draw(st.integers(0, 2))
+        else:
+            b = -max(values) - data.draw(st.integers(1, 2))
+        cuts.append((a, b))
+    H = P.hrep.with_ineqs(cuts)
+    assert enumerate_vertices(H, P) == enumerate_vertices(H)
+
+
+def test_continued_enumeration_of_no_new_row_and_of_an_empty_start():
+    P = cube(3)
+    assert enumerate_vertices(P.hrep, P) == P.vertices
+    empty = qpolytope(P.hrep.with_ineqs([((F(1), F(0), F(0)), F(-2))]))
+    assert empty.vertices == ()
+    H = empty.hrep.with_ineqs([((F(0), F(1), F(0)), F(0))])
+    assert enumerate_vertices(H, empty) == enumerate_vertices(H) == ()
+
+
+def test_continued_enumeration_refuses_a_start_that_is_not_a_prefix():
+    P = cube(2)
+    cut = ((F(1), F(1)), F(-1))
+    (first, *rest) = P.hrep.ineqs
+    for H in (
+        HPolytope(P.coords, (*rest, first, cut)),  # the same rows, reordered
+        HPolytope(P.coords, (*P.hrep.ineqs[:-1], cut)),  # a start row missing
+        HPolytope(tuple(reversed(P.coords)), P.hrep.ineqs + (cut,)),  # other coordinates
+    ):
+        with pytest.raises(ValueError, match="first rows"):
+            enumerate_vertices(H, P)
+
+
+def test_enumerated_vertices_hold_one_fraction_object_per_value(census36_graphs):
+    # a triangle whose vertices have different denominators, and the (3,6)
+    # bodies with a fractional vertex
+    tri = HPolytope(
+        axis_coords(2),
+        (((F(1), F(0)), F(0)), ((F(0), F(1)), F(0)), ((F(-2), F(-3)), F(1))),
+    )
+    report, _ = census36_graphs
+    fractional = [c.polytope.hrep for c in report.classes if not c.integral]
+    assert len(fractional) == 2
+    for H in (tri, *fractional):
+        values = [x for v in enumerate_vertices(H) for x in v]
+        assert len({id(x) for x in values}) == len(set(values)) < len(values)
+
+
 @settings(max_examples=40, deadline=None)
 @given(bounded_rational_systems())
 def test_lattice_points_match_the_box_sweep_oracle(system):
