@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -27,9 +28,9 @@ from .polyhedra import (
     HPolytope,
     QPolytope,
     Vec,
+    Vertices,
     as_fractions,
     bit_list,
-    clear_denominators,
     enumerate_vertices,
     frac_str,
     gamma_coords,
@@ -299,12 +300,14 @@ def trop_mutate_polytope(
     each of which the mutation is linear, so the image is the union of the
     images of the two pieces and its hull is spanned by the images of
     their vertices.  Each piece is P cut by one more row, so its vertices
-    continue P's double description.  They are scaled to integers by their
-    common denominator L and mutated as integers, which is exact since the
-    mutation is positively homogeneous; the distinct images are divided by
-    L once.  The result is the image itself exactly when the image is
-    convex, as it is for the superpotential polytopes of two charts
-    related by a square move; nothing here checks that.
+    continue P's double description, which hands them back as integer
+    vertices over their denominator.  The two pieces' integer vertices are
+    scaled to one denominator L and mutated as integers, which is exact
+    since the mutation is positively homogeneous, and the distinct images
+    are hulled as integer points over L.  The result is the image itself
+    exactly when the image is convex, as it is for the superpotential
+    polytopes of two charts related by a square move; nothing here checks
+    that.
     """
     coords = P.hrep.coords
     if not P.vertices:
@@ -312,11 +315,11 @@ def trop_mutate_polytope(
     move = TropMutation.of(quiver, nu, coords, nu)  # no relabelling: only .mutate is used
     bend = [o - i for i, o in zip(move.into, move.out)]
     halves = as_fractions((bend, [-x for x in bend]), 1)
-    pieces = [P.hrep.with_ineqs([(half, Fraction(0))]) for half in halves]
-    L, ints = clear_denominators(v for piece in pieces for v in enumerate_vertices(piece, P))
-    images = as_fractions({move.mutate(u) for u in ints}, L)
+    pieces = [enumerate_vertices(P.hrep.with_ineqs([(half, Fraction(0))]), P) for half in halves]
+    L = lcm(*(V.den for V in pieces))
+    images = list({move.mutate([x * (L // V.den) for x in v]) for V in pieces for v in V.ints})
     if len(images) == 1:
-        (pt,) = images
+        (pt,) = as_fractions(images, L)
         point_hrep = HPolytope(
             coords,
             tuple(
@@ -329,7 +332,7 @@ def trop_mutate_polytope(
             ),
         )
         return QPolytope(point_hrep, (pt,))
-    return hull_of_points(coords, images)
+    return hull_of_points(coords, images, L)
 
 
 def relabel_polytope(
@@ -341,10 +344,18 @@ def relabel_polytope(
     ineqs = tuple(
         (tuple(a[s] for s in perm), b) for a, b in P.hrep.ineqs
     )
-    # lex order on the vertices is lex order on their integer images
-    _, ints = P.integer_vertices
+    # lex order on the vertices is lex order on their integer images; the
+    # result carries those and the masks, which hold since the rows keep
+    # their order
+    L, ints = P.integer_vertices
     keys = [tuple(v[s] for s in perm) for v in ints]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    verts = tuple(tuple(P.vertices[t][s] for s in perm) for t in order)
+    masks = P.vertex_masks
+    verts = Vertices.of(
+        (tuple(P.vertices[t][s] for s in perm) for t in order),
+        L,
+        [keys[t] for t in order],
+        [masks[t] for t in order],
+        ineqs,
+    )
     return QPolytope(HPolytope(new_coords, ineqs), verts)
-

@@ -1,19 +1,24 @@
 """Exact rational polytope engine.
 
 Everything here is exact integer or Fraction arithmetic; no floats.
-Fractions remain only at the inputs and outputs.  A ``QPolytope`` keeps
-one integer form, built on first use and shared by every kernel that reads
-it: its rows as primitive integer rows, the common denominator L of its
-vertices with the integer vertices L*v, and for each row the bitmask of
-the vertices it is tight on.  Other rows and points are cleared to
-integers on entry (``clear_denominators``), the work runs on Python
-integers, and a result is turned into Fractions once, on exit, by
-``as_fractions``, which builds one Fraction per distinct value.
-Vertex enumeration is a fraction-free double description of the
-homogenised cone: its primitive integer extreme rays give the vertices,
-and emptiness and unboundedness are read off them exactly.  A system whose
-first rows are those of a polytope already enumerated continues from that
-polytope's vertices and adds only the remaining rows.
+Fractions remain only at the inputs and outputs.  Vertex enumeration is a
+fraction-free double description of the homogenised cone: its primitive
+integer extreme rays give the vertices, and emptiness and unboundedness
+are read off them exactly.  Its result, a ``Vertices`` tuple of Fraction
+points, also carries the integer form read off the final rays: the common
+denominator L, the integer vertices L*v and each vertex's tight-row mask.
+A ``QPolytope`` keeps one integer form, shared by every kernel that reads
+it: its rows as primitive integer rows, L with the integer vertices, each
+vertex's tight-row mask and, transposed, each row's tight-vertex mask.  A
+polytope built on an enumeration of its own rows starts with the carried
+form; one built from outside clears its vertices to integers
+(``clear_denominators``) and evaluates its rows on them, on first use.  A
+system whose first rows are those of a polytope already enumerated
+continues from that polytope's integer vertices and masks and adds only
+the remaining rows, and ``hull_of_points`` takes integer points over a
+denominator, so the transport step goes from rays to rays.  A result is
+turned into Fractions once, on exit, by ``as_fractions``, which builds one
+Fraction per distinct value.
 Volumes come from a pulling triangulation on vertex bitmasks that pulls
 the vertices lying on the most rows first, and that closes a chain of
 apices at the first simplex face it meets with one square elimination.
@@ -80,15 +85,41 @@ class HPolytope:
         return HPolytope(self.coords, self.ineqs + tuple(extra))
 
 
+class Vertices(tuple):
+    """The vertices of an enumerated system, a tuple of Fraction points in
+    lex order, carrying the enumeration's integer form: the common
+    denominator ``den`` of the vertices, the integer vertices ``ints``
+    (``den`` times each vertex, in the same order), for each vertex the
+    bitmask ``masks`` of the rows it is tight on (bit i for row i), and the
+    rows ``rows`` they were enumerated from."""
+
+    den: int
+    ints: list[tuple[int, ...]]
+    masks: list[int]
+    rows: tuple[Ineq, ...]
+
+    @classmethod
+    def of(cls, points: Iterable[Vec], den: int, ints: list, masks: list[int], rows: tuple) -> "Vertices":
+        out = cls(points)
+        out.den, out.ints, out.masks, out.rows = den, ints, masks, rows
+        return out
+
+
 @dataclass
 class QPolytope:
     """H-representation plus its computed vertex set, and the integer form
     of both, each part built on first use.  The vertices must be those of
-    ``hrep``."""
+    ``hrep``; vertices enumerated from ``hrep``'s own rows hand their
+    integer vertices and masks over at construction."""
 
     hrep: HPolytope
     vertices: tuple[Vec, ...]
     _lattice: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        V = self.vertices
+        if isinstance(V, Vertices) and V.rows is self.hrep.ineqs:
+            self.__dict__.update(integer_vertices=(V.den, V.ints), vertex_masks=V.masks)
 
     @property
     def coords(self):
@@ -107,19 +138,31 @@ class QPolytope:
         return L, list(map(tuple, verts))
 
     @cached_property
-    def incidence(self) -> list[int]:
-        """For each row, the bitmask of the vertices it is tight on (bit t
-        for vertex t), its value at every vertex summed column by column
-        over the row's nonzero entries only."""
+    def vertex_masks(self) -> list[int]:
+        """For each vertex, the bitmask of the rows it is tight on (bit i
+        for row i), each row's value at every vertex summed column by
+        column over the row's nonzero entries only."""
         L, verts = self.integer_vertices
         cols = list(zip(*verts))
-        out = []
-        for a, b in self.integer_rows:
+        masks = [0] * len(verts)
+        for i, (a, b) in enumerate(self.integer_rows):
             vals = [b * L] * len(verts)
             for x, col in zip(a, cols):
                 if x:
                     vals = [s + x * y for s, y in zip(vals, col)]
-            out.append(sum(1 << t for t, s in enumerate(vals) if not s))
+            for t, s in enumerate(vals):
+                if not s:
+                    masks[t] |= 1 << i
+        return masks
+
+    @cached_property
+    def incidence(self) -> list[int]:
+        """For each row, the bitmask of the vertices it is tight on (bit t
+        for vertex t): the vertex masks transposed."""
+        out = [0] * len(self.hrep.ineqs)
+        for t, mask in enumerate(self.vertex_masks):
+            for i in bit_list(mask):
+                out[i] |= 1 << t
         return out
 
     def is_empty(self) -> bool:
@@ -191,7 +234,7 @@ def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
 def _primitive(z: Sequence[int]) -> tuple[int, ...]:
     """The primitive integer vector on the ray through z (nonzero)."""
     g = gcd(*z)
-    return tuple(x // g for x in z)
+    return tuple(z) if g == 1 else tuple([x // g for x in z])
 
 
 def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> tuple[int, ...]:
@@ -199,7 +242,7 @@ def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> tuple[int, .
     return _primitive([s * x - t * y for x, y in zip(u, v)])
 
 
-def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> tuple[Vec, ...]:
+def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Vertices:
     """All vertices of a bounded H-polytope, deterministic lex order.
 
     Fraction-free homogeneous double description (Fukuda & Prodon 1996):
@@ -207,15 +250,18 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> tuple
     cone whose extreme rays are kept as primitive integer vectors, with
     their tight sets as bitmasks, while the rows are added one at a time.
     Rays with x0 > 0 are the vertices.  Without such a ray the region is
-    empty and the result is ().  With one, a ray with x0 = 0 or a line in
-    the cone is a recession direction and raises UnboundedError.
+    empty and the result is empty.  With one, a ray with x0 = 0 or a line
+    in the cone is a recession direction and raises UnboundedError.  The
+    result is a ``Vertices`` tuple that carries the final rays' integer
+    form: the vertices over their common denominator and their tight sets
+    as masks over H's rows.
 
     With ``start``, a polytope whose rows are the first rows of ``H``, the
     description continues from there: the cone of ``start``'s rows is
     pointed, its extreme rays are its vertices as primitive rays through
-    (1, v), with the start rows they lie on as their tight sets, so only
-    the remaining rows are added.  ValueError if ``start``'s rows are not
-    a prefix of ``H``'s.
+    (1, v), with their masks over the start rows as their tight sets, so
+    only the remaining rows are added.  ValueError if ``start``'s rows are
+    not a prefix of ``H``'s.
     """
     d = H.dim
     # The cone cut out so far is span(lines) + cone(rays).  A row that is
@@ -233,13 +279,9 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> tuple
             raise ValueError("the start polytope's rows are not the first rows of H")
         rows = [(b,) + a for a, b in _integer_rows(H.ineqs[m:])]
         L, verts = start.integer_vertices
-        # start row i is row i + 1 here, after x0 >= 0, which no vertex is on
-        masks = [0] * len(verts)
-        for i, on in enumerate(start.incidence):
-            for t in bit_list(on):
-                masks[t] |= 2 << i
         lines = []
-        rays = [(_primitive((L, *v)), mask) for v, mask in zip(verts, masks)]
+        # start row i is row i + 1 here, after x0 >= 0, which no vertex is on
+        rays = [(_primitive((L, *v)), mask << 1) for v, mask in zip(verts, start.vertex_masks)]
         first = m + 1
     added = (1 << first) - 1  # bitmask of the rows added so far
     for i, row in enumerate(rows, first):
@@ -271,50 +313,68 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> tuple
                 yu, mu = rays[u]
                 for w in neg:
                     common = mu & masks[w]
-                    # combinatorial adjacency: no third ray's tight set holds common
-                    if common.bit_count() < rank - 2 or any(
-                        common & m == common for t, m in enumerate(masks) if t != u and t != w
-                    ):
+                    if common.bit_count() < rank - 2:
                         continue
-                    nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
+                    # combinatorial adjacency: no third ray's tight set
+                    # holds common, beside those of u and w
+                    held = 0
+                    for m in masks:
+                        if common & m == common:
+                            held += 1
+                            if held == 3:
+                                break
+                    else:
+                        nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
             rays = nxt
         added |= bit
         if not any(y[0] for y, _ in rays):
-            return ()
+            return Vertices.of((), 1, [], [], H.ineqs)
 
-    verts = [y for y, _ in rays if y[0]]
+    verts = [(y, m) for y, m in rays if y[0]]
     if lines or len(verts) < len(rays):
         raise UnboundedError("region is unbounded")
     # the vertices x / x0 over L = lcm of the x0, whose lex order is that of
-    # the integer points x * (L // x0)
-    L = lcm(*(y[0] for y in verts))
-    return tuple(as_fractions(sorted([x * (L // y[0]) for x in y[1:]] for y in verts), L))
+    # the integer points x * (L // x0); no vertex is on x0 >= 0, row 0
+    L = lcm(*(y[0] for y, _ in verts))
+    pairs = sorted(
+        (y[1:] if y[0] == L else tuple([x * (L // y[0]) for x in y[1:]]), m >> 1) for y, m in verts
+    )
+    ints = [p for p, _ in pairs]
+    return Vertices.of(as_fractions(ints, L), L, ints, [m for _, m in pairs], H.ineqs)
 
 
 def qpolytope(H: HPolytope) -> QPolytope:
     return QPolytope(H, enumerate_vertices(H))
 
 
-def hull_of_points(coords: tuple, points: Iterable[Sequence[Fraction]]) -> QPolytope:
+def hull_of_points(coords: tuple, points: Iterable[Sequence], den: Optional[int] = None) -> QPolytope:
     """Facet description of a full-dimensional convex hull via polarity.
 
-    Over integers: the m distinct points, scaled to q = D*p by their common
-    denominator D, with sum S, give the polar rows (S - m*q).y + m*D >= 0,
-    m*D times (c - p).y + 1 >= 0 for the centroid c; each polar vertex y is
-    the facet -y.v + 1 + y.c >= 0.  ValueError if the hull is not full-dimensional.
+    The points are Fraction points, or, with ``den``, integer points q
+    standing for q / den.  Over integers: the m distinct points, scaled to
+    q = D*p by a common denominator D, with sum S, give the polar rows
+    (S - m*q).y + m*D >= 0, m*D times (c - p).y + 1 >= 0 for the centroid
+    c.  Each polar vertex y = Y / L, read off the polar enumeration's
+    integer form, is the facet -y.v + 1 + y.c >= 0, which is the primitive
+    integer row on (-m*D*Y, L*m*D + Y.S).  The polar region holds 0, so it
+    is never empty, and it is bounded exactly when the hull is
+    full-dimensional: ValueError if it is not, or if there are no points.
     """
-    D, ints = clear_denominators(points)
-    ints = sorted(set(map(tuple, ints)))
-    if _affine_rank(ints) != len(coords):
+    if den is None:
+        den, points = clear_denominators(points)
+    ints = sorted(set(map(tuple, points)))
+    if not ints:
         raise ValueError("hull is not full-dimensional")
-    m = len(ints)
+    m, mD = len(ints), len(ints) * den
     S = [sum(col) for col in zip(*ints)]
-    polar = HPolytope(coords, tuple((tuple(s - m * x for s, x in zip(S, q)), m * D) for q in ints))
-    # each facet over the one denominator L*m*D, L that of the polar vertices:
-    # -y = -Y*m*D / (L*m*D) and 1 + y.c = (L*m*D + Y.S) / (L*m*D)
-    L, Ys = clear_denominators(enumerate_vertices(polar))
-    den = L * m * D
-    facets = as_fractions(([-x * m * D for x in Y] + [den + sum(map(mul, Y, S))] for Y in Ys), den)
+    polar = HPolytope(coords, tuple((tuple(s - m * x for s, x in zip(S, q)), mD) for q in ints))
+    try:
+        Y = enumerate_vertices(polar)
+    except UnboundedError:
+        raise ValueError("hull is not full-dimensional") from None
+    facets = as_fractions(
+        (_primitive([*(-x * mD for x in y), Y.den * mD + sum(map(mul, y, S))]) for y in Y.ints), 1
+    )
     H = HPolytope(coords, tuple((f[:-1], f[-1]) for f in facets))
     return QPolytope(H, enumerate_vertices(H))
 

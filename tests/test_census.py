@@ -12,6 +12,7 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -392,6 +393,22 @@ def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
     assert len(calls) == 1
 
 
+def count_property_runs(monkeypatch, cls, names) -> Counter:
+    """Put a counter on the body of each cached property of ``cls`` named
+    in ``names``: a value seeded into an instance never runs it."""
+    runs = Counter()
+    for name in names:
+
+        def counting(self, func=vars(cls)[name].func, name=name):
+            runs[name] += 1
+            return func(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    return runs
+
+
 def test_transport_walk_enumerates_30_systems(monkeypatch):
     # the walk of scripts/transport_demo.py at seed 7 on the 3x3 grid, from
     # the rectangles polytope: per step the two bend pieces, the polar and
@@ -402,6 +419,16 @@ def test_transport_walk_enumerates_30_systems(monkeypatch):
     G = normalize(build_rectangles(shape))
     P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
     calls = count_enumerations(monkeypatch)
+    # every polytope of the walk comes with its enumeration's integer form,
+    # so only each enumeration's own rows are cleared of denominators
+    runs = count_property_runs(monkeypatch, polyhedra_module.QPolytope, ("integer_vertices", "incidence"))
+    real_clear = polyhedra_module.clear_denominators
+
+    def clear_counting(points):
+        runs["clear_denominators"] += 1
+        return real_clear(points)
+
+    monkeypatch.setattr(polyhedra_module, "clear_denominators", clear_counting)
     for _ in range(6):
         nu = rng.choice(sorted(movable_faces(G)))
         quiver = quiver_of(G)
@@ -413,6 +440,7 @@ def test_transport_walk_enumerates_30_systems(monkeypatch):
     assert len(calls) == 30
     assert sum(rows for rows, _ in calls) == 470
     assert sum(verts for _, verts in calls) == 531
+    assert runs == {"clear_denominators": 30}
 
 
 @pytest.mark.parametrize("grid", ["census35", "census36"])

@@ -21,6 +21,7 @@ from okbodies.polyhedra import (
     _cone,
     _eliminate,
     canonical_hrep,
+    clear_denominators,
     enumerate_vertices,
     gamma_coords,
     gt_pattern_count,
@@ -224,13 +225,10 @@ def bounded_rational_systems():
     return st.integers(1, 4).flatmap(with_box)
 
 
-@settings(max_examples=60, deadline=None)
-@given(bounded_rational_systems(), st.data())
-def test_continued_enumeration_equals_a_cold_start(system, data):
-    # P cut by one or two rows, each free, through a vertex of P, redundant
-    # on P or emptying it; P itself may be empty or flat
-    d, rows = system
-    P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
+def draw_cuts(data, P):
+    """One or two rows to cut P with, each free, through a vertex of P,
+    redundant on P or emptying it."""
+    d = P.hrep.dim
     cuts = []
     for _ in range(data.draw(st.integers(1, 2))):
         a = data.draw(st.tuples(*[st.integers(-3, 3).map(F)] * d))
@@ -245,8 +243,54 @@ def test_continued_enumeration_equals_a_cold_start(system, data):
         else:
             b = -max(values) - data.draw(st.integers(1, 2))
         cuts.append((a, b))
-    H = P.hrep.with_ineqs(cuts)
+    return cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_rational_systems(), st.data())
+def test_continued_enumeration_equals_a_cold_start(system, data):
+    # P itself may be empty or flat
+    d, rows = system
+    P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
+    H = P.hrep.with_ineqs(draw_cuts(data, P))
     assert enumerate_vertices(H, P) == enumerate_vertices(H)
+
+
+def assert_carries_its_integer_form(H, V):
+    """V, the vertices enumerated from H, carries the integer vertices over
+    their least common denominator and each vertex's tight rows, as the
+    Fraction vertices and rows give them."""
+    L, ints = clear_denominators(V)
+    assert (V.den, V.ints, V.rows) == (L, list(map(tuple, ints)), H.ineqs)
+    assert V.masks == [
+        sum(1 << i for i, (a, b) in enumerate(H.ineqs) if sum(x * y for x, y in zip(a, v)) + b == 0)
+        for v in V
+    ]
+    # a polytope built on them starts with that form
+    P = QPolytope(H, V)
+    assert P.integer_vertices == (V.den, V.ints) and P.vertex_masks == V.masks
+    assert P.incidence == QPolytope(H, tuple(V)).incidence
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_rational_systems(), st.data())
+def test_cold_and_continued_enumerations_carry_their_integer_form(system, data):
+    d, rows = system
+    P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
+    H = P.hrep.with_ineqs(draw_cuts(data, P))
+    for G, V in ((P.hrep, P.vertices), (H, enumerate_vertices(H)), (H, enumerate_vertices(H, P))):
+        assert_carries_its_integer_form(G, V)
+    # x_1 freed in every row, alone or with x_1 >= 0: the region is empty
+    # exactly when its projection is, and otherwise holds a line or a ray
+    free = tuple(((F(0), *a[1:]), b) for a, b in H.ineqs)
+    projection = enumerate_vertices(HPolytope(H.coords[1:], tuple((a[1:], b) for a, b in H.ineqs)))
+    for G in (HPolytope(H.coords, free), HPolytope(H.coords, free + (((F(1),) + (F(0),) * (d - 1), F(0)),))):
+        if projection:
+            with pytest.raises(UnboundedError):
+                enumerate_vertices(G)
+        else:
+            assert_carries_its_integer_form(G, enumerate_vertices(G))
+            assert enumerate_vertices(G) == ()
 
 
 def test_continued_enumeration_of_no_new_row_and_of_an_empty_start():
@@ -481,6 +525,22 @@ def test_hull_of_rational_points_matches_the_oracles(pts):
     for a, b in P.hrep.ineqs:
         tight = [p for p in pts if sum(x * y for x, y in zip(a, p)) + b == 0]
         assert tight and oracles.rank([[x - y for x, y in zip(p, tight[0])] for p in tight]) == d - 1
+    # the same points as integer points over a denominator, not the least one
+    D, ints = clear_denominators(pts)
+    Q = hull_of_points(axis_coords(d), [[2 * x for x in q] for q in ints], 2 * D)
+    assert Q.vertices == P.vertices
+    assert canonical_hrep(Q) == canonical_hrep(P)
+
+
+def test_hull_of_the_point_of_zero_dimensional_space():
+    for P in (hull_of_points((), [()]), hull_of_points((), [(), ()], 3)):
+        assert P.vertices == ((),)
+        assert P.hrep.ineqs == (((), F(1)),)
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        hull_of_points((), [])
+    # integer points over a denominator on a line of the plane
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        hull_of_points(axis_coords(2), [(0, 0), (1, 2), (3, 6)], 2)
 
 
 def test_hull_of_points_refuses_a_flat_or_empty_hull():
