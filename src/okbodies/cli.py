@@ -130,7 +130,7 @@ def _cmd_polytope(args) -> int:
     system = gamma_system(expansion, r_vec)
     P = qpolytope(gamma_polytope(system))
     doc = P.to_json()
-    doc["lattice"] = [list(p) for p in lattice_points(P, 1)] if not P.is_empty() else []
+    doc["lattice"] = [list(p) for p in lattice_points(P, 1)]
     doc["trop_system"] = trop_system_to_json(system)
     text = json.dumps(doc, indent=1)
     if args.out:

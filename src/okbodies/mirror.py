@@ -29,7 +29,6 @@ from .polyhedra import (
     QPolytope,
     Vec,
     Vertices,
-    as_fractions,
     bit_list,
     enumerate_vertices,
     frac_str,
@@ -179,10 +178,10 @@ def gamma_system(expansion: SuperpotentialExpansion, r_vec: Sequence) -> TropSys
 
 
 def gamma_polytope(system: TropSystem) -> HPolytope:
-    """Deduplicated inequality description Trop(p_M)(v) + r_i >= 0."""
-    rows = list(dict.fromkeys((exps, system.shift(i)) for exps, i in system.entries))
-    forms = as_fractions((exps for exps, _ in rows), 1)
-    return HPolytope(system.coords, tuple(zip(forms, (b for _, b in rows))))
+    """Deduplicated inequality description Trop(p_M)(v) + r_i >= 0, each
+    row the summand's integer exponent vector with its weight r_i."""
+    rows = dict.fromkeys((exps, system.shift(i)) for exps, i in system.entries)
+    return HPolytope(system.coords, tuple(rows))
 
 
 def gamma_qpolytope(expansion: SuperpotentialExpansion, r_vec: Sequence) -> QPolytope:
@@ -304,7 +303,9 @@ def trop_mutate_polytope(
     vertices over their denominator.  The two pieces' integer vertices are
     scaled to one denominator L and mutated as integers, which is exact
     since the mutation is positively homogeneous, and the distinct images
-    are hulled as integer points over L.  The result is the image itself
+    are hulled as integer points over L.  The mutation is a bijection, so a
+    single image means that P is a point, and the result is P translated
+    onto that image.  The result is the image itself
     exactly when the image is convex, as it is for the superpotential
     polytopes of two charts related by a square move; nothing here checks
     that.
@@ -313,25 +314,13 @@ def trop_mutate_polytope(
     if not P.vertices:
         return QPolytope(P.hrep, ())
     move = TropMutation.of(quiver, nu, coords, nu)  # no relabelling: only .mutate is used
-    bend = [o - i for i, o in zip(move.into, move.out)]
-    halves = as_fractions((bend, [-x for x in bend]), 1)
-    pieces = [enumerate_vertices(P.hrep.with_ineqs([(half, Fraction(0))]), P) for half in halves]
+    bend = tuple(o - i for i, o in zip(move.into, move.out))
+    halves = (bend, tuple(-x for x in bend))
+    pieces = [enumerate_vertices(P.hrep.with_ineqs([(half, 0)]), P) for half in halves]
     L = lcm(*(V.den for V in pieces))
     images = list({move.mutate([x * (L // V.den) for x in v]) for V in pieces for v in V.ints})
     if len(images) == 1:
-        (pt,) = as_fractions(images, L)
-        point_hrep = HPolytope(
-            coords,
-            tuple(
-                row
-                for s, x in enumerate(pt)
-                for row in (
-                    (tuple(Fraction(s == c) for c in range(len(coords))), -x),
-                    (tuple(-Fraction(s == c) for c in range(len(coords))), x),
-                )
-            ),
-        )
-        return QPolytope(point_hrep, (pt,))
+        return P.translated([Fraction(x, L) - y for x, y in zip(images[0], P.vertices[0])])
     return hull_of_points(coords, images, L)
 
 

@@ -1,24 +1,27 @@
 """Exact rational polytope engine.
 
 Everything here is exact integer or Fraction arithmetic; no floats.
-Fractions remain only at the inputs and outputs.  Vertex enumeration is a
-fraction-free double description of the homogenised cone: its primitive
-integer extreme rays give the vertices, and emptiness and unboundedness
-are read off them exactly.  Its result, a ``Vertices`` tuple of Fraction
-points, also carries the integer form read off the final rays: the common
-denominator L, the integer vertices L*v and each vertex's tight-row mask.
-A ``QPolytope`` keeps one integer form, shared by every kernel that reads
-it: its rows as primitive integer rows, L with the integer vertices, each
-vertex's tight-row mask and, transposed, each row's tight-vertex mask.  A
-polytope built on an enumeration of its own rows starts with the carried
-form; one built from outside clears its vertices to integers
-(``clear_denominators``) and evaluates its rows on them, on first use.  A
-system whose first rows are those of a polytope already enumerated
-continues from that polytope's integer vertices and masks and adds only
-the remaining rows, and ``hull_of_points`` takes integer points over a
-denominator, so the transport step goes from rays to rays.  A result is
-turned into Fractions once, on exit, by ``as_fractions``, which builds one
-Fraction per distinct value.
+Every row the package builds is an integer row a.v + b >= 0 (exponent
+vectors, bend rows, hull facets, interlacing rows); only a rational
+weight b, or a row given from outside, is a Fraction.  Vertex enumeration
+is a fraction-free double description of the homogenised cone: its
+primitive integer extreme rays give the vertices, and emptiness and
+unboundedness are read off them exactly.  Its result, a ``Vertices`` tuple
+of Fraction points, also carries the integer form read off the final rays:
+the common denominator L, the integer vertices L*v and each vertex's
+tight-row mask.  A ``QPolytope`` keeps one integer form, shared by every
+kernel that reads it: its rows as primitive integer rows, L with the
+integer vertices, each vertex's tight-row mask and, transposed, each row's
+tight-vertex mask.  A polytope built on an enumeration of its own rows
+starts with the carried form; one built from outside clears its vertices
+to integers (``clear_denominators``) and evaluates its rows on them, on
+first use.  A system whose first rows are those of a polytope already
+enumerated continues from that polytope's integer vertices and masks and
+adds only the remaining rows, and ``hull_of_points`` takes integer points
+over a denominator, so the transport step goes from rays to rays.  The
+vertices are turned into Fractions once, on exit, by ``as_fractions``,
+which builds one Fraction per distinct value.  A bounded polytope is the
+hull of its vertices, so ``same_vertex_set`` is the one polytope equality.
 Volumes come from a pulling triangulation on vertex bitmasks that pulls
 the vertices lying on the most rows first, and that closes a chain of
 apices at the first simplex face it meets with one square elimination.
@@ -31,9 +34,10 @@ of the package, come from one fraction-free integer elimination (Bareiss,
 ``_eliminate``), shared by ``rank_det`` and ``volume``; the mod-p checks
 take many maximal minors of integer matrices of one shape from one Laplace
 expansion plan on column bitmasks (``laplace_minors``).
-The Gelfand-Tsetlin polytope, its pattern-counting oracle and the unimodular
-change of variables that relates it to the rectangles-cluster polytope live
-here too.
+The Gelfand-Tsetlin polytope and its pattern-counting oracle live here
+too, with the unimodular integer map F that carries the rectangles-cluster
+polytope onto it: the image of a polytope is the hull of its vertices'
+images.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ from .partitions import (
 )
 
 Vec = tuple[Fraction, ...]
-Ineq = tuple[tuple[Fraction, ...], Fraction]  # a, b with a.v + b >= 0
+# a, b with a.v + b >= 0: ints from the package's builders, a Fraction b for
+# a rational weight, Fractions in a row given from outside
+Ineq = tuple[tuple[int | Fraction, ...], int | Fraction]
 
 
 class UnboundedError(ValueError):
@@ -212,8 +218,8 @@ def clear_denominators(points: Iterable[Sequence[Fraction]]) -> tuple[int, list[
 
 def as_fractions(points: Iterable[Sequence[int]], den: int) -> list[Vec]:
     """The integer points p as the points p / den, with one Fraction object
-    per distinct value: the coordinates of a polytope's points and rows
-    repeat a few values."""
+    per distinct value: the coordinates of a polytope's vertices repeat a
+    few values."""
     points = list(points)
     of = {x: Fraction(x, den) for x in {x for p in points for x in p}}
     return [tuple(map(of.__getitem__, p)) for p in points]
@@ -372,16 +378,9 @@ def hull_of_points(coords: tuple, points: Iterable[Sequence], den: Optional[int]
         Y = enumerate_vertices(polar)
     except UnboundedError:
         raise ValueError("hull is not full-dimensional") from None
-    facets = as_fractions(
-        (_primitive([*(-x * mD for x in y), Y.den * mD + sum(map(mul, y, S))]) for y in Y.ints), 1
-    )
+    facets = [_primitive([*(-x * mD for x in y), Y.den * mD + sum(map(mul, y, S))]) for y in Y.ints]
     H = HPolytope(coords, tuple((f[:-1], f[-1]) for f in facets))
     return QPolytope(H, enumerate_vertices(H))
-
-
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """The dimension of the affine hull of integer points, -1 for none."""
-    return rank_det([[x - y for x, y in zip(p, points[0])] for p in points])[0] if points else -1
 
 
 def rank_det(mat: Sequence[Sequence[int]]) -> tuple[int, Optional[int]]:
@@ -664,53 +663,19 @@ def _cone(face: int, reduced: dict, pivot: int, depth: int, d: int, tight: list[
 
 
 # ---------------------------------------------------------------------------
-# H-representation canonicalization and comparison
+# polytope equality
 # ---------------------------------------------------------------------------
 
-def canonical_hrep(P: QPolytope) -> frozenset:
-    """Facet-defining inequalities as primitive integer rows.
-
-    Requires a full-dimensional polytope; duplicates and redundant rows are
-    dropped by checking that the tight vertex set spans a facet.
-    """
-    _, verts = P.integer_vertices
-    out = set()
-    for row, on in zip(P.integer_rows, P.incidence):
-        if _affine_rank([verts[t] for t in bit_list(on)]) == P.hrep.dim - 1:
-            out.add(row)
-    return frozenset(out)
-
-
-def same_hrep(P: QPolytope, Q: QPolytope) -> bool:
-    return P.hrep.coords == Q.hrep.coords and canonical_hrep(P) == canonical_hrep(Q)
-
-
 def same_vertex_set(P: QPolytope, Q: QPolytope) -> bool:
-    """Whether P and Q have the same coordinates and vertices, compared as
-    their integer vertices over their common denominators.  Enumerated
-    vertices are distinct, so equal sizes and sets suffice."""
+    """Whether P and Q are the same polytope: the package's one polytope
+    equality, since a bounded polytope is the hull of its vertices.  P and
+    Q must have the same coordinates and vertices, compared as their
+    integer vertices over their common denominators; their rows may differ.
+    Enumerated vertices are distinct, so equal sizes and sets suffice."""
     if P.hrep.coords != Q.hrep.coords or len(P.vertices) != len(Q.vertices):
         return False
     (L, ps), (M, qs) = P.integer_vertices, Q.integer_vertices
     return L == M and set(ps) == set(qs)
-
-
-def apply_linear(P: QPolytope, matrix: list[list[Fraction]], inverse: list[list[Fraction]]) -> QPolytope:
-    """Image of P under v -> matrix.v, with the inverse supplied for the
-    H-representation substitution."""
-    d = P.hrep.dim
-    ineqs = []
-    for a, b in P.hrep.ineqs:
-        # a.(inverse.f) + b >= 0
-        new_a = tuple(
-            sum(a[r] * inverse[r][c] for r in range(d)) for c in range(d)
-        )
-        ineqs.append((new_a, b))
-    verts = tuple(
-        tuple(sum(matrix[r][c] * v[c] for c in range(d)) for r in range(d))
-        for v in P.vertices
-    )
-    return QPolytope(HPolytope(P.hrep.coords, tuple(ineqs)), tuple(sorted(verts)))
 
 
 # ---------------------------------------------------------------------------
@@ -728,64 +693,46 @@ def _rect(i: int, j: int) -> Partition:
 
 def gt_polytope(shape: GridShape, r) -> HPolytope:
     """Interlacing-pattern polytope in the f-coordinates indexed by
-    rectangles; exactly one inequality per superpotential summand."""
+    rectangles; exactly one integer row per superpotential summand, with
+    the dilation r on the row of the full rectangle."""
     coords = gamma_coords(shape)
     idx = {c: t for t, c in enumerate(coords)}
-    d = len(coords)
-    r = Fraction(r)
     rows_, cols_ = shape.rows, shape.k
 
-    def e(c: Partition, val: int, a: list) -> None:
-        a[idx[c]] += val
+    def row(plus, minus, b=0) -> Ineq:
+        # f at the rectangle ``plus`` minus f at ``minus``, each as (i, j) or None
+        a = [0] * len(coords)
+        for rect, x in ((plus, 1), (minus, -1)):
+            if rect:
+                a[idx[_rect(*rect)]] = x
+        return tuple(a), b
 
-    ineqs: list[Ineq] = []
-
-    a = [Fraction(0)] * d
-    e(_rect(1, 1), 1, a)
-    ineqs.append((tuple(a), Fraction(0)))
-
-    a = [Fraction(0)] * d
-    e(_rect(rows_, cols_), -1, a)
-    ineqs.append((tuple(a), r))
-
-    for i in range(2, rows_ + 1):
-        for j in range(1, cols_ + 1):
-            a = [Fraction(0)] * d
-            e(_rect(i, j), 1, a)
-            e(_rect(i - 1, j), -1, a)
-            ineqs.append((tuple(a), Fraction(0)))
-    for i in range(1, rows_ + 1):
-        for j in range(2, cols_ + 1):
-            a = [Fraction(0)] * d
-            e(_rect(i, j), 1, a)
-            e(_rect(i, j - 1), -1, a)
-            ineqs.append((tuple(a), Fraction(0)))
+    ineqs = [row((1, 1), None), row(None, (rows_, cols_), r)]
+    ineqs += [row((i, j), (i - 1, j)) for i in range(2, rows_ + 1) for j in range(1, cols_ + 1)]
+    ineqs += [row((i, j), (i, j - 1)) for i in range(1, rows_ + 1) for j in range(2, cols_ + 1)]
     return HPolytope(coords, tuple(ineqs))
 
 
-def gt_transform_matrices(shape: GridShape) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """The unimodular map F: f_{i x j} = v_{i x j} - v_{(i-1) x (j-1)} and
-    its telescoping inverse, as matrices over the canonical coordinates."""
+def gt_transform_matrix(shape: GridShape) -> list[list[int]]:
+    """The unimodular map F: f_{i x j} = v_{i x j} - v_{(i-1) x (j-1)}, as
+    an integer matrix over the canonical coordinates."""
     coords = gamma_coords(shape)
     idx = {c: t for t, c in enumerate(coords)}
-    d = len(coords)
-    F = [[Fraction(0)] * d for _ in range(d)]
-    Finv = [[Fraction(0)] * d for _ in range(d)]
+    F = [[int(s == t) for s in range(len(coords))] for t in range(len(coords))]
     for c in coords:
         i, j = len(c), c[0]
-        F[idx[c]][idx[c]] = Fraction(1)
         if i > 1 and j > 1:
-            F[idx[c]][idx[_rect(i - 1, j - 1)]] = Fraction(-1)
-        t = 0
-        while i - t >= 1 and j - t >= 1:
-            Finv[idx[c]][idx[_rect(i - t, j - t)]] = Fraction(1)
-            t += 1
-    return F, Finv
+            F[idx[c]][idx[_rect(i - 1, j - 1)]] = -1
+    return F
 
 
 def gt_transform_polytope(P: QPolytope, shape: GridShape) -> QPolytope:
-    F, Finv = gt_transform_matrices(shape)
-    return apply_linear(P, F, Finv)
+    """The image of a full-dimensional P under F: a linear bijection carries
+    the hull of P's vertices onto the hull of their images, which are
+    taken as integers over P's denominator."""
+    F = gt_transform_matrix(shape)
+    L, verts = P.integer_vertices
+    return hull_of_points(P.coords, [tuple(sum(map(mul, row, v)) for row in F) for v in verts], L)
 
 
 def gt_pattern_count(shape: GridShape, r: int) -> int:

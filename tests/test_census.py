@@ -48,7 +48,9 @@ from okbodies.plabic import (
 )
 from okbodies.mirror import (
     TropMutation,
+    gamma_polytope,
     gamma_qpolytope,
+    gamma_system,
     marsh_scott_expansion,
     relabel_polytope,
     standard_r_vec,
@@ -57,6 +59,7 @@ from okbodies.mirror import (
 from okbodies.polyhedra import (
     enumerate_vertices,
     gt_pattern_count,
+    gt_polytope,
     hull_of_points,
     lattice_points,
     qpolytope,
@@ -358,16 +361,16 @@ def test_verify_core_g36(census36):
     assert by_name["nonintegral-vertex-unique"].seconds > 0
 
 
-def count_enumerations(monkeypatch) -> list[tuple[int, int]]:
+def count_enumerations(monkeypatch) -> list[tuple]:
     """Put a counter on every binding of enumerate_vertices in the loaded
     okbodies modules, found by identity, so that a caller that imported it
-    by name is counted too; each call appends its rows in and vertices out."""
+    by name is counted too; each call appends its system and its vertices."""
     real = polyhedra_module.enumerate_vertices
     calls = []
 
     def counting(H, start=None):
         out = real(H, start)
-        calls.append((len(H.ineqs), len(out)))
+        calls.append((H, out))
         return out
 
     bindings = [
@@ -409,15 +412,34 @@ def count_property_runs(monkeypatch, cls, names) -> Counter:
     return runs
 
 
+def rectangles_start(shape):
+    """The rectangles graph of ``shape`` and its degree-one polytope."""
+    G = normalize(build_rectangles(shape))
+    return G, gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
+
+
+def transport_walk(G, P, steps=6, seed=7):
+    """The walk of scripts/transport_demo.py from the graph G and its
+    polytope P, each transported polytope checked against the polytope of
+    the new chart."""
+    rng = random.Random(seed)
+    r_vec = standard_r_vec(G.shape, 1)
+    for _ in range(steps):
+        nu = rng.choice(sorted(movable_faces(G)))
+        quiver = quiver_of(G)
+        res = square_move(G, nu, rng)
+        moved = relabel_polytope(trop_mutate_polytope(P, quiver, nu), nu, res.new_label)
+        G = res.graph
+        P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), r_vec)
+        assert same_vertex_set(moved, P)
+
+
 def test_transport_walk_enumerates_30_systems(monkeypatch):
     # the walk of scripts/transport_demo.py at seed 7 on the 3x3 grid, from
     # the rectangles polytope: per step the two bend pieces, the polar and
     # the facet system of the hull, and the polytope of the new chart; these
     # are the counts the transport benchmark pins
-    shape = GridShape(3, 6)
-    rng = random.Random(7)
-    G = normalize(build_rectangles(shape))
-    P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
+    G, P = rectangles_start(GridShape(3, 6))
     calls = count_enumerations(monkeypatch)
     # every polytope of the walk comes with its enumeration's integer form,
     # so only each enumeration's own rows are cleared of denominators
@@ -429,18 +451,37 @@ def test_transport_walk_enumerates_30_systems(monkeypatch):
         return real_clear(points)
 
     monkeypatch.setattr(polyhedra_module, "clear_denominators", clear_counting)
-    for _ in range(6):
-        nu = rng.choice(sorted(movable_faces(G)))
-        quiver = quiver_of(G)
-        res = square_move(G, nu, rng)
-        moved = relabel_polytope(trop_mutate_polytope(P, quiver, nu), nu, res.new_label)
-        G = res.graph
-        P = gamma_qpolytope(marsh_scott_expansion(NetworkChart.of(G)), standard_r_vec(shape, 1))
-        assert same_vertex_set(moved, P)
+    transport_walk(G, P)
     assert len(calls) == 30
-    assert sum(rows for rows, _ in calls) == 470
-    assert sum(verts for _, verts in calls) == 531
+    assert sum(len(H.ineqs) for H, _ in calls) == 470
+    assert sum(len(V) for _, V in calls) == 531
     assert runs == {"clear_denominators": 30}
+
+
+def integer_rows(ineqs, weights=False) -> bool:
+    """Whether every row a.v + b >= 0 has int coefficients a and an int b,
+    or with ``weights`` a b of denominator 1, the Fraction weight r_i of a
+    gamma row."""
+    return all(type(x) is int for a, _ in ineqs for x in a) and all(
+        F(b).denominator == 1 if weights else type(b) is int for _, b in ineqs
+    )
+
+
+def test_the_package_builds_integer_rows(census36, monkeypatch):
+    # exponent vectors, interlacing rows, hull facets, bend rows and polar
+    # systems are built as ints; only a gamma row's weight is a Fraction
+    shape = GridShape(3, 6)
+    c = census36.record(parse_key(G1_KEY))
+    H = gamma_polytope(gamma_system(marsh_scott_expansion(c.chart), standard_r_vec(shape, 1)))
+    assert integer_rows(H.ineqs, True)
+    assert integer_rows(gt_polytope(shape, 2).ineqs)
+    assert integer_rows(hull_of_points(c.polytope.coords, c.polytope.vertices).hrep.ineqs)
+    # every system of the seed-7 transport walk
+    G, P = rectangles_start(shape)
+    calls = count_enumerations(monkeypatch)
+    transport_walk(G, P)
+    assert len(calls) == 30
+    assert [H for H, _ in calls if not integer_rows(H.ineqs, True)] == []
 
 
 @pytest.mark.parametrize("grid", ["census35", "census36"])

@@ -23,7 +23,6 @@ PAPER_FACING = frozenset(
         "charts.PuiseuxWitness.valuation",
         "charts.highest_valuation",  # the highest-term valuation
         "mirror.translation_vector",  # the translation identity
-        "polyhedra.QPolytope.translated",
     }
 )
 

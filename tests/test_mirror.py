@@ -34,7 +34,6 @@ from okbodies.polyhedra import (
     QPolytope,
     lattice_points,
     qpolytope,
-    same_hrep,
     same_vertex_set,
     volume,
     volume_formula,
@@ -229,7 +228,9 @@ def test_dilation_scales_the_hrep():
     exp = marsh_scott_expansion(chart)
     P1 = gamma_qpolytope(exp, standard_r_vec(G35, 1))
     P3 = gamma_qpolytope(exp, standard_r_vec(G35, 3))
-    assert same_hrep(P3, oracles.dilate(P1, 3))
+    dilated = oracles.dilate(P1, 3)
+    assert same_vertex_set(P3, dilated)
+    assert same_vertex_set(P3, qpolytope(dilated.hrep))
 
 
 def trop_value(expansion, i, v):
@@ -260,7 +261,8 @@ def test_translation_identity_g35():
     shifted = gamma_qpolytope(exp, standard_r_vec(G35, 2)).translated(
         translation_vector(r_vec, chart)
     )
-    assert same_hrep(P, shifted)
+    assert same_vertex_set(P, shifted)
+    assert same_vertex_set(P, qpolytope(shifted.hrep))
     assert sorted(P.vertices) == sorted(shifted.vertices)
 
 
@@ -446,3 +448,11 @@ def test_mutating_a_point_polytope():
     P0 = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(G35, 0))
     out = trop_mutate_polytope(P0, Q, (2,))
     assert out.vertices == ((F(0),) * 6,)
+    # a point off the origin: the result is the point moved onto its image,
+    # and its rows cut out that image alone
+    P = gamma_qpolytope(marsh_scott_expansion(chart), (1, 0, 0, -1, 0))
+    out = trop_mutate_polytope(P, Q, (2,))
+    image = TropMutation.of(Q, (2,), P.coords, (2,)).mutate(P.vertices[0])
+    assert image != P.vertices[0]
+    assert out.vertices == (image,)
+    assert qpolytope(out.hrep).vertices == out.vertices
