@@ -1,12 +1,13 @@
 """Network charts on the open positroid cell: Pluecker coordinates in the
 face variables, valuations, Puiseux witnesses and the left twist.
 
-A chart is a reduced plabic graph with its acyclic perfect orientation with
-sources 1..n-k.  Its P_lam sums a Laurent monomial in the face variables
-over the flows from the sources to the south steps of lam: the symmetric
-differences M ^ M0 of the source matching M0 with the matchings M of that
-boundary set (Postnikov, Speyer and Williams), each weighed by its face
-heights (Talaska).  The strongly minimal and maximal terms of P_lam define
+A chart is a reduced plabic graph with its face labels.  Its P_lam sums a
+Laurent monomial in the face variables over the flows from the sources
+1..n-k to the south steps of lam.  These are the symmetric differences
+M ^ M0 of the matchings M of that boundary set with the source matching
+M0, the one matching with boundary trace {1..n-k} (Postnikov, Speyer and
+Williams), each weighed by its face heights (Talaska); M0 and the vertex
+colours direct every edge.  The strongly minimal and maximal terms of P_lam define
 the chart's two valuations, integer vectors over its ``labels``.
 """
 
@@ -34,13 +35,11 @@ from .partitions import (
 from .plabic import (
     WHITE,
     FaceLabeling,
-    Orientation,
     PlabicGraph,
     boundary_matchings,
     build_rectangles,
     face_labels,
     normalize,
-    perfect_orientation,
     pluecker_mod_p,
     quiver_of,
 )
@@ -49,7 +48,7 @@ from .polyhedra import rank_det
 
 @dataclass
 class NetworkChart:
-    """A plabic graph with its source-{1..n-k} orientation and face labels.
+    """A plabic graph with its face labels.
 
     ``labels`` lists the nonempty face labels in canonical order; they are
     the variables of every Laurent polynomial the chart produces.  The
@@ -59,15 +58,12 @@ class NetworkChart:
 
     graph: PlabicGraph
     labeling: FaceLabeling
-    orientation: Orientation
     labels: tuple[Partition, ...]
 
     @classmethod
     def of(cls, G: PlabicGraph) -> "NetworkChart":
         labeling = face_labels(G)
-        orientation = perfect_orientation(G)
-        labels = tuple(lam for lam in labeling.labels if lam != ())
-        return cls(G, labeling, orientation, labels)
+        return cls(G, labeling, tuple(lam for lam in labeling.labels if lam != ()))
 
     @property
     def shape(self) -> GridShape:
@@ -99,22 +95,27 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
     from one ``boundary_matchings`` search.
 
     A matching M's boundary trace has n - k elements, like that of the
-    matching M0 with trace {1..n-k}, so it is the south-step set of one lam;
-    M gives P_lam the monomial of the flow F = M ^ M0.  Its exponent at a
+    source matching M0 with trace {1..n-k}, which must be unique, so it is
+    the south-step set of one lam; M gives P_lam the monomial of the flow
+    F = M ^ M0.  M0 directs the edges: an edge points at its white end when
+    it lies in M0 and away from it otherwise.  A monomial's exponent at a
     face is the face's height over F: the face labelled () has height 0,
-    and crossing an edge of F out of the face left of its oriented dart
+    and crossing an edge of F out of the face left of its directed dart
     lowers the height by one, out of the face on its right raises it by one.
     Along a spanning tree of the faces that is popcount(F & plus) -
     popcount(F & minus) for two edge masks per face.
     """
     G, shape, labeling = chart.graph, chart.shape, chart.labeling
-    faces, head, n = labeling.faces, chart.orientation.head, shape.n
+    faces, n = labeling.faces, shape.n
     edges, matchings = boundary_matchings(G)
     bit = {e: 1 << t for t, e in enumerate(edges)}
     trace = (1 << n) - 1
     sources = [m for m in matchings if m & trace == (1 << shape.rows) - 1]
-    if sources != [sum(bit[e] for e in edges if G.color[head[e]] == WHITE)]:
-        raise AssertionError("the source matching does not give the chart's orientation")
+    if len(sources) != 1:
+        raise AssertionError(
+            f"expected a unique matching with boundary 1..{shape.rows}, found {len(sources)}"
+        )
+    (m0,) = sources
 
     root = labeling.face_of_partition[()]
     heights, tree = {root: (0, 0)}, [root]
@@ -124,9 +125,10 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
                 continue  # a rim dart crosses no edge
             g = faces.of_dart[(v, u)]
             if g not in heights:
-                e = frozenset((u, v))
+                b = bit[frozenset((u, v))]
                 plus, minus = heights[f]
-                heights[g] = (plus, minus | bit[e]) if head[e] == v else (plus | bit[e], minus)
+                points_at_v = bool(m0 & b) == (G.color[v] == WHITE)
+                heights[g] = (plus, minus | b) if points_at_v else (plus | b, minus)
                 tree.append(g)
     masks = [heights[labeling.face_of_partition[mu]] for mu in chart.labels]
 
@@ -134,7 +136,7 @@ def pluecker_table(chart: NetworkChart) -> dict[Partition, LaurentPoly]:
     lam_of, _ = south_mask_tables(shape)
     table: dict[int, dict[tuple[int, ...], int]] = {m: {} for m in lam_of}
     for m in matchings:
-        F = m ^ sources[0]
+        F = m ^ m0
         exps = tuple((F & p).bit_count() - (F & q).bit_count() for p, q in masks)
         terms = table[m & trace]
         terms[exps] = terms.get(exps, 0) + 1

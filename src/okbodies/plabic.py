@@ -640,22 +640,8 @@ def _normal_tables(n: int, color: dict[int, str], rot: dict[int, list[int]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# perfect orientations and matchings
+# matchings
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Orientation:
-    """An acyclic perfect orientation.
-
-    ``head`` maps each edge to the endpoint it points at.  Sources are the
-    boundary vertices whose edge points into the disk.  ``topo`` is the
-    topological order that always takes the smallest available vertex.
-    """
-
-    head: dict[Edge, int]
-    sources: frozenset[int]
-    topo: tuple[int, ...]
-
 
 def _cover(
     nbrs: list[list[tuple[int, int]]], masks: list[int], full: int,
@@ -689,14 +675,12 @@ def _cover(
             _cover(nbrs, masks, full, covered | b, chosen | e, out)
 
 
-def _cover_tables(G: PlabicGraph) -> tuple[list[int], list, list[int], list[Edge], list[tuple[int, int]]]:
-    """``verts``, ``nbrs``, ``masks``, ``edges`` and ``ends`` for ``_cover``
-    and ``perfect_orientation``, read off the rotation tables and cached on
-    the graph.  Vertex bit t is ``verts[t]``: the boundary vertices 1..n,
-    then the internal ones, in increasing order.  Edge bit t is
-    ``edges[t] == G.edges()[t]``, so bit i - 1 is also the edge at boundary
-    vertex i, and ``ends[t]`` holds the vertex bit positions of its two ends,
-    smaller vertex first."""
+def _cover_tables(G: PlabicGraph) -> tuple[list, list[int], list[Edge]]:
+    """``nbrs``, ``masks`` and ``edges`` for ``_cover``, read off the
+    rotation tables and cached on the graph.  Vertex bit t is the t-th
+    vertex in increasing order: the boundary vertices 1..n, then the
+    internal ones.  Edge bit t is ``edges[t] == G.edges()[t]``, so bit i - 1
+    is also the edge at boundary vertex i."""
     if G._cover_tables is None:
         rot = G.rot
         verts = sorted(rot)  # boundary vertices are 1..n, internal ones above n
@@ -708,8 +692,7 @@ def _cover_tables(G: PlabicGraph) -> tuple[list[int], list, list[int], list[Edge
         nbrs = [[(1 << index[u], bit[v, u]) for u in rot[v]] for v in verts]
         # no parallel edges: the neighbour bits are distinct
         masks = [sum([b for b, _ in row]) for row in nbrs]
-        ends = [(index[v], index[u]) for v, u in pairs]
-        G._cover_tables = (verts, nbrs, masks, list(map(frozenset, pairs)), ends)
+        G._cover_tables = (nbrs, masks, list(map(frozenset, pairs)))
     return G._cover_tables
 
 
@@ -719,7 +702,7 @@ def boundary_matchings(G: PlabicGraph, J: Optional[Iterable[int]] = None) -> tup
     exactly the boundary vertices in J, by one exact-cover search on vertex
     bitmasks.  With J None the boundary vertices are optional and every
     boundary trace is listed; a mask's low n bits are its boundary trace."""
-    _, nbrs, masks, edges, _ = _cover_tables(G)
+    nbrs, masks, edges = _cover_tables(G)
     n = G.shape.n
     if J is None:
         full, outside = (1 << len(nbrs)) - (1 << n), 0
@@ -729,57 +712,6 @@ def boundary_matchings(G: PlabicGraph, J: Optional[Iterable[int]] = None) -> tup
     found: list[int] = []
     _cover(nbrs, masks, full, outside, 0, found)
     return edges, found
-
-
-def perfect_orientation(G: PlabicGraph) -> Orientation:
-    """The acyclic perfect orientation with sources 1..n-k.
-
-    Matched edges point at their white end, unmatched edges away from it.
-    The matching with boundary trace {1..n-k} is unique for reduced graphs
-    of our type (the top Pluecker has a single flow, the empty one); this
-    is checked by exhaustive enumeration rather than assumed.
-    """
-    srcs = frozenset(range(1, G.shape.rows + 1))
-    edges, found = boundary_matchings(G, srcs)
-    if len(found) != 1:
-        raise AssertionError(
-            f"expected a unique matching with boundary {sorted(srcs)}, found {len(found)}"
-        )
-
-    # on the vertex bits of _cover_tables; every edge has one white end
-    # (boundary-boundary edges cannot occur)
-    verts, _, _, _, ends = _cover_tables(G)
-    white = [G.color[v] == WHITE for v in verts]
-    matching = found[0]
-    head: dict[Edge, int] = {}
-    out: list[list[int]] = [[] for _ in verts]
-    indeg = [0] * len(verts)
-    for t, (e, (a, w)) in enumerate(zip(edges, ends)):
-        if white[a]:
-            a, w = w, a
-        tail, h = (a, w) if matching >> t & 1 else (w, a)
-        head[e] = verts[h]
-        out[tail].append(h)
-        indeg[h] += 1
-
-    # Kahn's algorithm, smallest vertex (lowest bit) first; a cycle would
-    # mean the matching was not acyclic, which cannot happen here but is
-    # cheap to verify.
-    ready = sum(1 << t for t, d in enumerate(indeg) if not d)
-    topo: list[int] = []
-    while ready:
-        low = ready & -ready
-        ready ^= low
-        t = low.bit_length() - 1
-        topo.append(verts[t])
-        for h in out[t]:
-            indeg[h] -= 1
-            if not indeg[h]:
-                ready |= 1 << h
-    if len(topo) != len(verts):
-        raise AssertionError("perfect orientation has a directed cycle")
-
-    return Orientation(head, srcs, tuple(topo))
 
 
 # ---------------------------------------------------------------------------

@@ -494,9 +494,13 @@ def orientation_by_sort_and_pop(G, matching):
 
 def paths_between(chart, i, j):
     """All directed paths from boundary vertex i to boundary vertex j of the
-    chart's perfect orientation, as dart lists, by a depth-first search that
-    steps along every edge pointing away from the current vertex."""
-    G, head = chart.graph, chart.orientation.head
+    perfect orientation of the chart's matching with boundary 1..n-k, as
+    dart lists, by a depth-first search that steps along every edge
+    pointing away from the current vertex.  The matching and its
+    orientation come from the oracles above."""
+    G = chart.graph
+    (matching,) = matchings_by_edges(G, range(1, G.shape.rows + 1))
+    head, _ = orientation_by_sort_and_pop(G, matching)
     out = []
 
     def walk(darts):

@@ -361,10 +361,25 @@ def test_verify_core_g36(census36):
     assert by_name["nonintegral-vertex-unique"].seconds > 0
 
 
+def patch_every_binding(monkeypatch, real, replacement) -> set[str]:
+    """Replace every binding of the function ``real`` in the loaded okbodies
+    modules, found by identity, so that a caller that imported it by name
+    calls ``replacement`` too; returns the names of the patched modules."""
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "okbodies" or module_name.startswith("okbodies.")
+        for name, value in list(vars(module).items())
+        if value is real
+    ]
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, replacement)
+    return {module.__name__ for module, _ in bindings}
+
+
 def count_enumerations(monkeypatch) -> list[tuple]:
-    """Put a counter on every binding of enumerate_vertices in the loaded
-    okbodies modules, found by identity, so that a caller that imported it
-    by name is counted too; each call appends its system and its vertices."""
+    """Put a counter on every binding of enumerate_vertices; each call
+    appends its system and its vertices."""
     real = polyhedra_module.enumerate_vertices
     calls = []
 
@@ -373,16 +388,8 @@ def count_enumerations(monkeypatch) -> list[tuple]:
         calls.append((H, out))
         return out
 
-    bindings = [
-        (module, name)
-        for module_name, module in list(sys.modules.items())
-        if module_name == "okbodies" or module_name.startswith("okbodies.")
-        for name, value in list(vars(module).items())
-        if value is real
-    ]
-    assert {module.__name__ for module, _ in bindings} >= {"okbodies.polyhedra", "okbodies.mirror"}
-    for module, name in bindings:
-        monkeypatch.setattr(module, name, counting)
+    patched = patch_every_binding(monkeypatch, real, counting)
+    assert patched >= {"okbodies.polyhedra", "okbodies.mirror"}
     return calls
 
 
@@ -394,6 +401,22 @@ def test_verify_g36_enumerates_no_vertices(census36, monkeypatch):
     # the counter does count: one polytope built from its rows is one call
     polyhedra_module.qpolytope(census36.classes[0].polytope.hrep)
     assert len(calls) == 1
+
+
+def test_census_g36_searches_matchings_only_for_the_superpotential(monkeypatch):
+    # one search per boundary set J^i of each class's matching expansion;
+    # a chart alone, on a class or on a moved graph, searches none
+    real = plabic_module.boundary_matchings
+    searches = []
+
+    def counting(G, J=None):
+        searches.append(J)
+        return real(G, J)
+
+    patched = patch_every_binding(monkeypatch, real, counting)
+    assert patched >= {"okbodies.plabic", "okbodies.charts", "okbodies.mirror"}
+    census(GridShape(3, 6))
+    assert len(searches) == 34 * 6
 
 
 def count_property_runs(monkeypatch, cls, names) -> Counter:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from okbodies import charts as charts_module
 from okbodies.census import census
 from okbodies.charts import (
     G25_TWIST_ADJUSTMENT,
@@ -154,6 +155,28 @@ def test_pluecker_table_matches_both_oracles():
         for lam in c.plueckers:
             assert c.min_valuations[lam] == val_min(c, lam)
             assert c.max_valuations[lam] == val_max(c, lam)
+
+
+def test_a_chart_runs_no_matching_search():
+    # the chart traces the face labels; only its Pluecker table searches
+    G = normalize(build_rectangles(GridShape(3, 6)))
+    NetworkChart.of(G)
+    assert G._cover_tables is None
+
+
+def test_pluecker_table_refuses_a_second_source_matching(monkeypatch):
+    # the edge directions come from the one matching with boundary 1..n-k
+    real = charts_module.boundary_matchings
+
+    def doubled(G, J=None):
+        edges, masks = real(G, J)
+        sources = [m for m in masks if m & (1 << G.shape.n) - 1 == (1 << G.shape.rows) - 1]
+        return edges, masks + sources
+
+    monkeypatch.setattr(charts_module, "boundary_matchings", doubled)
+    chart = NetworkChart.of(normalize(build_rectangles(GridShape(3, 5))))
+    with pytest.raises(AssertionError, match="expected a unique matching with boundary 1..2, found 2"):
+        chart.plueckers
 
 
 @pytest.mark.parametrize("k,n", [(3, 5), (2, 4), (2, 5), (3, 6)])

@@ -20,7 +20,6 @@ from okbodies.plabic import (
     faces_of,
     movable_faces,
     normalize,
-    perfect_orientation,
     quiver_of,
     square_move,
     trip,
@@ -112,23 +111,6 @@ def test_normalize_idempotent_and_label_preserving(rec35, rec36):
         assert all(len(H.rot[v]) <= 3 for v in H.rot if H.color[v] != BOUNDARY)
 
 
-def test_perfect_orientation(rec35):
-    O = perfect_orientation(rec35)
-    assert O.sources == frozenset({1, 2})
-    assert len(O.topo) == len(rec35.vertices())
-    # each internal white has exactly one incoming edge, blacks one outgoing
-    for v, c in rec35.color.items():
-        if c == BOUNDARY:
-            continue
-        incoming = sum(
-            1 for u in rec35.rot[v] if O.head[frozenset((u, v))] == v
-        )
-        if c == "white":
-            assert incoming == 1
-        else:
-            assert len(rec35.rot[v]) - incoming == 1
-
-
 def test_matching_counts_match_flow_counts(rec35):
     # frozen counts: number of flows for each boundary subset of the
     # superpotential, cross-checked by hand against the flow polynomials
@@ -138,8 +120,8 @@ def test_matching_counts_match_flow_counts(rec35):
 
 
 def _matching_boundaries(shape):
-    # the source set of the perfect orientation and the boundary sets of
-    # the superpotential summands
+    # the source matching's boundary set and the boundary sets of the
+    # superpotential summands
     return [frozenset(range(1, shape.rows + 1))] + [
         boundary_target_set(i, shape) for i in range(1, shape.n + 1)
     ]
@@ -165,6 +147,8 @@ def test_labels_agree_with_the_rotation_walk_on_the_deep_g37_classes():
     assert len(classes) == 259
     for G in classes + [contract(G) for G in classes]:
         assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
+    for G in classes:
+        check_source_matching(G)
 
 
 def test_labels_refuse_a_closed_trip(rec35):
@@ -181,14 +165,29 @@ def test_labels_refuse_a_closed_trip(rec35):
         face_labels(G)
 
 
-def test_orientation_agrees_with_the_sort_and_pop_oracle(census36_graphs):
-    report, _ = census36_graphs
-    for c in report.classes:
-        G, orientation = c.graph, c.chart.orientation
-        (matching,) = oracles.matchings_by_edges(G, range(1, G.shape.rows + 1))
-        head, topo = oracles.orientation_by_sort_and_pop(G, matching)
-        assert orientation.head == head
-        assert orientation.topo == topo
+def check_source_matching(G):
+    """The search finds one matching with boundary 1..n-k, the oracle's, and
+    the oracle's orientation of it is an acyclic perfect orientation with
+    sources 1..n-k: one edge into each internal white vertex, one out of
+    each black vertex."""
+    J = range(1, G.shape.rows + 1)
+    edges, masks = boundary_matchings(G, J)
+    (matching,) = oracles.matchings_by_edges(G, J)
+    assert [frozenset(e for t, e in enumerate(edges) if m >> t & 1) for m in masks] == [matching]
+    head, topo = oracles.orientation_by_sort_and_pop(G, matching)
+    assert sorted(topo) == G.vertices()
+    assert [i for i in range(1, G.shape.n + 1) if head[frozenset((i, G.rot[i][0]))] != i] == list(J)
+    for v, c in G.color.items():
+        if c != BOUNDARY:
+            incoming = sum(1 for u in G.rot[v] if head[frozenset((u, v))] == v)
+            assert (incoming if c == WHITE else len(G.rot[v]) - incoming) == 1
+
+
+def test_source_matching_gives_an_acyclic_perfect_orientation(census36_graphs):
+    report, moved = census36_graphs
+    others = [build_rectangles(GridShape(k, n)) for k, n in ((2, 4), (1, 3), (2, 5), (4, 6))]
+    for G in [c.graph for c in report.classes] + moved + others:
+        check_source_matching(G)
 
 
 def test_matchings_agree_with_the_edge_recursion_oracle(rec36, census36_graphs):
@@ -435,5 +434,3 @@ def test_rectangles_graph_other_shapes():
         G = build_rectangles(shape)
         lab = face_labels(G)
         assert len(lab.labels) == shape.num_boxes + 1
-        per = perfect_orientation(G)
-        assert per.sources == frozenset(range(1, shape.rows + 1))
