@@ -183,11 +183,29 @@ def check_source_matching(G):
             assert (incoming if c == WHITE else len(G.rot[v]) - incoming) == 1
 
 
-def test_source_matching_gives_an_acyclic_perfect_orientation(census36_graphs):
-    report, moved = census36_graphs
+def test_perfect_orientation(rec35):
     others = [build_rectangles(GridShape(k, n)) for k, n in ((2, 4), (1, 3), (2, 5), (4, 6))]
-    for G in [c.graph for c in report.classes] + moved + others:
+    for G in [rec35] + others:
         check_source_matching(G)
+
+
+def test_orientation_agrees_with_the_sort_and_pop_oracle(census36_graphs):
+    # the Pluecker table takes its source matching from the search with the
+    # boundary optional and directs each dart out of an internal vertex v
+    # at v when (the edge is in it) == (v is white)
+    report, moved = census36_graphs
+    for G in [c.graph for c in report.classes] + moved:
+        check_source_matching(G)
+        n = G.shape.n
+        edges, masks = boundary_matchings(G)
+        (m0,) = [m for m in masks if m & (1 << n) - 1 == (1 << G.shape.rows) - 1]
+        source = frozenset(e for t, e in enumerate(edges) if m0 >> t & 1)
+        head, _ = oracles.orientation_by_sort_and_pop(G, source)
+        for v, c in G.color.items():
+            if c != BOUNDARY:
+                for u in G.rot[v]:
+                    e = frozenset((u, v))
+                    assert (head[e] == v) == ((e in source) == (c == WHITE)), (v, u)
 
 
 def test_matchings_agree_with_the_edge_recursion_oracle(rec36, census36_graphs):
