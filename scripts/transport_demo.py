@@ -21,7 +21,7 @@ from okbodies.mirror import (
     trop_mutate_polytope,
 )
 from okbodies.partitions import GridShape, partition_str
-from okbodies.plabic import build_rectangles, movable_faces, normalize, quiver_of, square_move
+from okbodies.plabic import build_rectangles, movable_faces, quiver_of, square_move
 from okbodies.polyhedra import lattice_points, same_vertex_set, volume
 
 
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
 
     shape = GridShape(k=args.k, n=args.n)
     rng = random.Random(args.seed)
-    G = normalize(build_rectangles(shape))
+    G = build_rectangles(shape)
     chart = NetworkChart.of(G)
     P = gamma_qpolytope(marsh_scott_expansion(chart), standard_r_vec(shape, 1))
     print(f"start at rectangles: {len(P.vertices)} vertices, volume {volume(P)}")

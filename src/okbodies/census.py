@@ -39,7 +39,6 @@ from .plabic import (
     Quiver,
     build_rectangles,
     movable_faces,
-    normalize,
     quiver_of,
     square_move,
 )
@@ -284,7 +283,7 @@ def census(
         return _degenerate_census(shape, seed, t0)
 
     rng = random.Random(seed)
-    G0 = normalize(build_rectangles(shape))
+    G0 = build_rectangles(shape)
     chart0 = NetworkChart.of(G0)
     root = class_key(chart0.labels)
 

@@ -39,7 +39,6 @@ from .plabic import (
     boundary_matchings,
     build_rectangles,
     face_labels,
-    normalize,
     pluecker_mod_p,
     quiver_of,
 )
@@ -386,7 +385,7 @@ def check_twist_diagram(p: int, rng, trials: int = 20) -> None:
     open cell just resamples.
     """
     shape = GridShape(3, 5)
-    G = normalize(build_rectangles(shape))
+    G = build_rectangles(shape)
     chart = NetworkChart.of(G)
     Bt = adjusted_exchange(quiver_of(G), G25_TWIST_ADJUSTMENT)
     cluster = [(), (1,), (2,), (3,), (1, 1), (2, 2)]

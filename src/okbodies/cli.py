@@ -41,7 +41,7 @@ from .partitions import (
     parse_partition,
     partition_str,
 )
-from .plabic import build_rectangles, normalize
+from .plabic import build_rectangles
 from .polyhedra import gamma_coords, lattice_points, qpolytope
 
 
@@ -100,7 +100,7 @@ def _class_chart(shape: GridShape, cls: str, deep: bool, seed: int) -> Optional[
     if shape.n < 3:
         return None
     if cls in ("rec", "rectangles"):
-        return NetworkChart.of(normalize(build_rectangles(shape)))
+        return NetworkChart.of(build_rectangles(shape))
     report = census(shape, deep=deep, seed=seed)
     return _resolve_class(report, cls).chart
 

@@ -17,9 +17,13 @@ maximally left at white vertices, and the face labelled by a set S of trip
 indices is the face lying to the left of exactly the trips in S.  The labels
 are read off one crossing of each edge: the two trips along an edge, one
 each way, are the only trips that separate the faces on its two sides.
-A square move does its surgery and the table steps of ``normalize`` on one
-copy of the rotation tables, builds only the moved graph and traces it
-from scratch.
+A graph in normal form has no mergeable vertex, that is, no internal
+degree-2 vertex between two internal ones; merging one with its neighbours
+(Postnikov's moves M2/M3) keeps every face, label and matching.
+``build_rectangles``, ``normalize`` and ``square_move`` return normal forms;
+``movable_faces`` and ``square_move`` refuse other graphs.  A square move
+does its surgery and the table steps of ``normalize`` on one copy of the
+rotation tables, builds only the moved graph and traces it from scratch.
 """
 
 from __future__ import annotations
@@ -51,19 +55,18 @@ class PlabicGraph:
 
     A graph is an immutable value: nothing changes ``color`` or ``rot``
     after construction, and every surgery below builds a new graph from
-    copies.  Its face labelling, contracted form and matching tables are
-    therefore computed on first use by ``face_labels``, ``contract`` and
-    ``_cover_tables`` and cached on the graph.
+    copies.  Its face labelling and matching tables are therefore computed
+    on first use by ``face_labels`` and ``_cover_tables`` and cached on the
+    graph.
     """
 
-    __slots__ = ("shape", "color", "rot", "_labeling", "_contracted", "_cover_tables")
+    __slots__ = ("shape", "color", "rot", "_labeling", "_cover_tables")
 
     def __init__(self, shape: GridShape, color: dict[int, str], rot: dict[int, tuple[int, ...]]):
         self.shape = shape
         self.color = dict(color)
         self.rot = {v: tuple(nbrs) for v, nbrs in rot.items()}
         self._labeling: Optional[FaceLabeling] = None
-        self._contracted: Optional[PlabicGraph] = None
         self._cover_tables: Optional[tuple] = None
         self._validate()
 
@@ -175,10 +178,9 @@ def build_rectangles(shape: GridShape) -> PlabicGraph:
     short diagonal edge to a white vertex (emitting the edges to the west
     and south).  Sources 1..n-k sit on the east edge, top to bottom, each
     behind a degree-2 white buffer; sinks n-k+1..n are attached along the
-    bottom from right to left.  All internal vertices are trivalent or of
-    degree 2.  The graph is not its own normal form: ``normalize`` merges
-    some degree-2 vertices away ((3,6): 27 vertices to 23), and every
-    caller runs it.
+    bottom from right to left.  The grid is not in normal form, so its
+    mergeable degree-2 vertices are merged away ((3,6): 27 vertices to 19)
+    and the normal form is returned.
     """
     if shape.n < 3:
         raise ValueError("the disk picture needs n >= 3")
@@ -214,7 +216,7 @@ def build_rectangles(shape: GridShape) -> PlabicGraph:
     for j in range(rows + 1, n + 1):
         rot[j] = (B(rows - 1, n - j),)
 
-    return canonicalize(PlabicGraph(shape, color, rot))
+    return normalize(PlabicGraph(shape, color, rot))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +471,11 @@ def quiver_of(G: PlabicGraph) -> Quiver:
     """Quiver of a plabic graph: one arrow per internal edge, crossing it
     from the left face to the right face of the black-to-white dart.
 
-    Computed on the degree-2 contracted form: padding vertices subdivide
-    edges, and each subdivided edge would contribute a cancelling pair of
-    opposite arrows.
+    Read off G's own labelling, in normal form or not: a degree-2 vertex
+    splits an edge in two, whose arrows cancel, so every reduced graph of
+    a class gives the same quiver.
     """
-    H = contract(G)
-    labeling = face_labels(H)
+    labeling = face_labels(G)
     faces = labeling.faces
     b: dict[Partition, dict[Partition, int]] = {}
 
@@ -486,11 +487,11 @@ def quiver_of(G: PlabicGraph) -> Quiver:
             if not row:
                 del b[x]
 
-    for e in H.edges():
+    for e in G.edges():
         u, v = sorted(e)
-        if H.color[u] == BOUNDARY or H.color[v] == BOUNDARY:
+        if G.color[u] == BOUNDARY or G.color[v] == BOUNDARY:
             continue
-        blk, wht = (u, v) if H.color[u] == BLACK else (v, u)
+        blk, wht = (u, v) if G.color[u] == BLACK else (v, u)
         lf = labeling.partition_of_face[faces.of_dart[(blk, wht)]]
         rf = labeling.partition_of_face[faces.of_dart[(wht, blk)]]
         if lf in labeling.frozen and rf in labeling.frozen:
@@ -502,24 +503,8 @@ def quiver_of(G: PlabicGraph) -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# contraction, expansion, canonical form
+# the normal form
 # ---------------------------------------------------------------------------
-
-def contract(G: PlabicGraph) -> PlabicGraph:
-    """Remove internal degree-2 vertices by merging their two neighbours.
-
-    Both neighbours of an internal degree-2 vertex share its opposite
-    colour, so each removal is a merge of two same-coloured vertices.
-    White vertices attached to the boundary are kept: they are the
-    mandatory buffers between the boundary and the black interior.
-    Computed once per graph and cached on it.
-    """
-    if G._contracted is None:
-        color, rot = _tables(G)
-        _contract(color, rot)
-        G._contracted = PlabicGraph(G.shape, color, rot)
-    return G._contracted
-
 
 def _tables(G: PlabicGraph) -> tuple[dict[int, str], dict[int, list[int]]]:
     """Copies of G's colour and rotation tables for a surgery to change,
@@ -527,16 +512,24 @@ def _tables(G: PlabicGraph) -> tuple[dict[int, str], dict[int, list[int]]]:
     return dict(G.color), {v: list(nbrs) for v, nbrs in G.rot.items()}
 
 
-def _mergeable(color: dict[int, str], rot: dict[int, list[int]], v: int) -> bool:
+def _mergeable(color: dict[int, str], rot: dict[int, Sequence[int]], v: int) -> bool:
     nbrs = rot[v]
     return color[v] != BOUNDARY and len(nbrs) == 2 and all(color[u] != BOUNDARY for u in nbrs)
 
 
+def _require_normal(G: PlabicGraph) -> None:
+    """Raise ``ValueError`` naming a mergeable vertex of G, if it has one."""
+    for v in G.rot:
+        if _mergeable(G.color, G.rot, v):
+            raise ValueError(f"vertex {v} has degree 2 and internal neighbours: graph not in normal form")
+
+
 def _contract(color: dict[int, str], rot: dict[int, list[int]]) -> None:
-    """The surgery of ``contract`` on its tables, in place: the mergeable
-    vertices merged away, always the smallest one first.  A merge can only
-    change whether the surviving neighbour is mergeable, so a heap of
-    candidates, re-checked when popped, finds them in that order."""
+    """Merge the mergeable vertices away, in place, always the smallest one
+    first.  Both neighbours of such a vertex share its opposite colour, so
+    each step merges two same-coloured vertices.  A merge can only change
+    whether the surviving neighbour is mergeable, so a heap of candidates,
+    re-checked when popped, finds them in that order."""
     heap = [v for v, nbrs in rot.items() if len(nbrs) == 2 and _mergeable(color, rot, v)]
     heapify(heap)
     while heap:
@@ -576,23 +569,10 @@ def _split_vertex(color: dict[int, str], rot: dict[int, list[int]], v: int, j: i
         rot[u][rot[u].index(v)] = twin
 
 
-def _expand_to_trivalent(color: dict[int, str], rot: dict[int, list[int]]) -> None:
-    """Split internal vertices of degree > 3 with degree-2 buffers, in
-    place, keeping the rotation system planar.  Deterministic given the
-    stored rotations."""
-    fresh = max(rot) + 1
-    for v in sorted(v for v in rot if color[v] != BOUNDARY and len(rot[v]) > 3):
-        while len(rot[v]) > 3:
-            # keep the first two arcs on v, hand the rest to a twin vertex
-            _split_vertex(color, rot, v, 0, fresh)
-            v = fresh
-            fresh += 2
-
-
 def _renumbered(n: int, color: dict[int, str], rot: dict[int, Sequence[int]]) -> tuple[dict, dict]:
-    """The tables of ``canonicalize``: internal vertices renumbered n+1,
-    n+2, ... in the order of a breadth-first search from the boundary that
-    visits each vertex's neighbours clockwise after the one it came from."""
+    """The tables with internal vertices renumbered n+1, n+2, ... in the
+    order of a breadth-first search from the boundary that visits each
+    vertex's neighbours clockwise after the one it came from."""
     rename = {i: i for i in range(1, n + 1)}
     # the queue of (parent, vertex) pairs grows while it is walked
     queue = [(i, rot[i][0]) for i in range(1, n + 1)]
@@ -615,27 +595,20 @@ def _renumbered(n: int, color: dict[int, str], rot: dict[int, Sequence[int]]) ->
     )
 
 
-def canonicalize(G: PlabicGraph) -> PlabicGraph:
-    """Renumber internal vertices by a rotation-guided search from the
-    boundary.  Structural no-op; makes serialized forms comparable."""
-    return PlabicGraph(G.shape, *_renumbered(G.shape.n, G.color, G.rot))
-
-
 def normalize(G: PlabicGraph) -> PlabicGraph:
-    """Contract away internal degree-2 padding, split higher-degree
-    vertices back to trivalent, renumber canonically.  Idempotent.
+    """The normal form of G: its mergeable vertices merged away and its
+    internal vertices renumbered canonically, so that equal normal forms
+    compare equal.  Keeps every face and label.  Idempotent.
 
-    The three steps run on the rotation tables (``_normal_tables``); only
-    the result is built and validated as a graph."""
+    Both steps run on the rotation tables (``_normal_tables``); only the
+    result is built and validated as a graph."""
     return PlabicGraph(G.shape, *_normal_tables(G.shape.n, *_tables(G)))
 
 
 def _normal_tables(n: int, color: dict[int, str], rot: dict[int, list[int]]) -> tuple[dict, dict]:
     """The tables of ``normalize`` from the colour and rotation tables of a
-    graph with n boundary vertices, which the first two steps change in
-    place."""
+    graph with n boundary vertices, which the merges change in place."""
     _contract(color, rot)
-    _expand_to_trivalent(color, rot)
     return _renumbered(n, color, rot)
 
 
@@ -757,39 +730,40 @@ def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random)
 
 
 def _internal_square(
-    H: PlabicGraph, labeling: FaceLabeling, lam: Partition
+    G: PlabicGraph, labeling: FaceLabeling, lam: Partition
 ) -> Optional[tuple[Dart, ...]]:
-    """The darts around the face labelled ``lam`` of the contracted graph
-    ``H`` when that face is a quadrilateral with no boundary corner, else
-    None."""
+    """The darts around the face labelled ``lam`` of ``G`` when that face
+    is a quadrilateral with no boundary corner, else None."""
     darts = labeling.faces.darts_of[labeling.face_of_partition[lam]]
     corners = {d[0] for d in darts}
-    if len(darts) == 4 and len(corners) == 4 and all(H.color[v] != BOUNDARY for v in corners):
+    if len(darts) == 4 and len(corners) == 4 and all(G.color[v] != BOUNDARY for v in corners):
         return darts
     return None
 
 
 def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = None) -> SquareMoveResult:
-    """Apply the square move at the face labelled ``nu``.
+    """Apply the square move at the face labelled ``nu`` of G, which must
+    be in normal form (``ValueError`` otherwise), and return the moved
+    graph in normal form.
 
-    Applicability is decided on the contracted graph, where the face must
-    be an internal quadrilateral (its four corners may have any degree).
-    Corners of degree above three are first split so that the square has
-    trivalent corners, the corner colours are exchanged, bipartiteness is
-    restored with degree-2 buffers on the four outer legs, and the tables
-    are normalized (``_normal_tables``) before the one moved graph is built
-    and validated.  The new label is recomputed from scratch via trips and
-    double-checked against the exchange relation
-    p_nu p_nu' = p_a p_c + p_b p_d at random points over a prime field,
-    drawn from ``rng`` or, when it is None, from a fixed seed.
+    The face must be an internal quadrilateral of G (its four corners may
+    have any degree).  Corners of degree above three are first split so
+    that the square has trivalent corners, the corner colours are
+    exchanged, bipartiteness is restored with degree-2 buffers on the four
+    outer legs, and the tables are normalized (``_normal_tables``) before
+    the one moved graph is built and validated.  The new label is
+    recomputed from scratch via trips and double-checked against the
+    exchange relation p_nu p_nu' = p_a p_c + p_b p_d at random points over
+    a prime field, drawn from ``rng`` or, when it is None, from a fixed
+    seed.
     """
-    H = contract(G)
-    labeling = face_labels(H)
+    _require_normal(G)
+    labeling = face_labels(G)
     if nu not in labeling.face_of_partition:
         raise ValueError(f"no face labelled {partition_str(nu)}")
     if nu in labeling.frozen:
         raise ValueError(f"face {partition_str(nu)} is frozen")
-    darts = _internal_square(H, labeling, nu)
+    darts = _internal_square(G, labeling, nu)
     if darts is None:
         raise ValueError(
             f"face {partition_str(nu)} is not a quadrilateral away from the boundary"
@@ -800,7 +774,7 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         labeling.partition_of_face[labeling.faces.of_dart[(v, u)]] for (u, v) in darts
     )
 
-    color, rot = _tables(H)
+    color, rot = _tables(G)
     fresh = max(rot) + 1
     # the two face edges at corner j join it to its orbit neighbours
     side = {corners[j]: (corners[j - 1], corners[(j + 1) % 4]) for j in range(4)}
@@ -849,8 +823,9 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
 
 
 def movable_faces(G: PlabicGraph) -> list[Partition]:
-    """Mutable face labels where the square move applies, decided on the
-    contracted graph (quadrilateral faces away from the boundary)."""
-    H = contract(G)
-    labeling = face_labels(H)
-    return [lam for lam in labeling.mutable if _internal_square(H, labeling, lam) is not None]
+    """Mutable face labels where the square move applies: the faces of G
+    that are quadrilaterals away from the boundary.  G must be in normal
+    form (``ValueError`` otherwise)."""
+    _require_normal(G)
+    labeling = face_labels(G)
+    return [lam for lam in labeling.mutable if _internal_square(G, labeling, lam) is not None]

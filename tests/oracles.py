@@ -21,7 +21,7 @@ from itertools import combinations
 from math import ceil, floor, lcm
 
 from okbodies.laurent import LaurentPoly
-from okbodies.plabic import PlabicGraph, contract, face_labels, normalize
+from okbodies.plabic import PlabicGraph, face_labels, normalize
 from okbodies.polyhedra import HPolytope, QPolytope
 
 
@@ -585,22 +585,43 @@ def mutate_over_all_pairs(Q, nu):
     return type(Q)(Q.labels, Q.frozen, b)
 
 
+# -- a graph out of normal form ------------------------------------------------
+
+def subdivided(G):
+    """G with every edge between two internal vertices u and v replaced by
+    a path u - a - b - v through two new degree-2 vertices, a of v's colour
+    and b of u's.  Each new vertex has two internal neighbours, so the
+    result is out of normal form, and merging either one away gives back
+    the edge u - v: the faces, labels and matchings are G's."""
+    color = dict(G.color)
+    rot = {v: list(r) for v, r in G.rot.items()}
+    fresh = max(rot) + 1
+    for u, v in sorted((u, v) for u in G.rot for v in G.rot[u] if u < v):
+        if "boundary" in (G.color[u], G.color[v]):
+            continue
+        a, b = fresh, fresh + 1
+        fresh += 2
+        color[a], color[b] = G.color[v], G.color[u]
+        rot[a], rot[b] = [u, b], [a, v]
+        rot[u][rot[u].index(v)] = a
+        rot[v][rot[v].index(u)] = b
+    return PlabicGraph(G.shape, color, rot)
+
+
 # -- the square move, composed graph by graph ----------------------------------
 
 def square_move_composed(G, nu):
     """The square move at the face labelled ``nu`` of G, composed step by
-    step: the surgery on copies of the contracted graph's tables (corners
-    of degree above three split off behind a buffer, corner colours
-    swapped, a buffer on each outer leg), a ``PlabicGraph`` of the result,
-    then ``normalize``.  Returns the moved graph and the one label it
-    gains."""
-    H = contract(G)
-    labeling = face_labels(H)
+    step: the surgery on copies of G's tables (corners of degree above
+    three split off behind a buffer, corner colours swapped, a buffer on
+    each outer leg), a ``PlabicGraph`` of the result, then ``normalize``.
+    Returns the moved graph and the one label it gains."""
+    labeling = face_labels(G)
     darts = labeling.faces.darts_of[labeling.face_of_partition[nu]]
     corners = [d[0] for d in darts]
     other = {"black": "white", "white": "black"}
-    color = dict(H.color)
-    rot = {v: list(r) for v, r in H.rot.items()}
+    color = dict(G.color)
+    rot = {v: list(r) for v, r in G.rot.items()}
     fresh = max(rot) + 1
     side = {corners[j]: (corners[j - 1], corners[(j + 1) % 4]) for j in range(4)}
     for v in corners:

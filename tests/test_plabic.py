@@ -7,6 +7,8 @@ import oracles
 import okbodies.census as census_module
 from okbodies import plabic
 from okbodies.census import census
+from okbodies.charts import NetworkChart
+from okbodies.mirror import marsh_scott_expansion
 from okbodies.partitions import GridShape, all_partitions, boundary_target_set, frozen_mu
 from okbodies.plabic import (
     BLACK,
@@ -15,7 +17,6 @@ from okbodies.plabic import (
     PlabicGraph,
     boundary_matchings,
     build_rectangles,
-    contract,
     face_labels,
     faces_of,
     movable_faces,
@@ -107,8 +108,42 @@ def test_normalize_idempotent_and_label_preserving(rec35, rec36):
         H = normalize(G)
         assert normalize(H) == H
         assert set(face_labels(H).labels) == set(face_labels(G).labels)
-        assert set(face_labels(contract(G)).labels) == set(face_labels(G).labels)
-        assert all(len(H.rot[v]) <= 3 for v in H.rot if H.color[v] != BOUNDARY)
+        # the normal form: no internal degree-2 vertex between two internal ones
+        assert not any(
+            len(H.rot[v]) == 2 and all(H.color[u] != BOUNDARY for u in H.rot[v])
+            for v in H.rot
+            if H.color[v] != BOUNDARY
+        )
+    for k, n in [(3, 5), (3, 6), (2, 4), (1, 3), (2, 5), (4, 6)]:
+        G = build_rectangles(GridShape(k, n))
+        assert normalize(G) == G
+
+
+def test_a_subdivided_graph_keeps_its_answers_and_is_refused_by_the_moves(census36_graphs, rec36):
+    # old-form graphs (here every internal edge subdivided by a degree-2
+    # pair) give the same labels, quiver, Pluecker table and summands as
+    # their normal form, normalize back to it, and are refused by the moves
+    report, _ = census36_graphs
+    graphs = [c.graph for c in report.classes] + [rec36]
+    assert len(graphs) == 35
+    for G in graphs:
+        S = oracles.subdivided(G)
+        assert len(S.rot) > len(G.rot)
+        lab_g, lab_s = face_labels(G), face_labels(S)
+        assert lab_s.labels == lab_g.labels
+        assert lab_s.frozen == lab_g.frozen
+        assert quiver_of(S) == quiver_of(G)
+        chart_g, chart_s = NetworkChart.of(G), NetworkChart.of(S)
+        assert chart_s.plueckers == chart_g.plueckers
+        assert sorted(marsh_scott_expansion(chart_s).summands) == sorted(
+            marsh_scott_expansion(chart_g).summands
+        )
+        assert normalize(S) == G
+        with pytest.raises(ValueError, match="not in normal form"):
+            movable_faces(S)
+        for nu in movable_faces(G):
+            with pytest.raises(ValueError, match="not in normal form"):
+                square_move(S, nu)
 
 
 def test_matching_counts_match_flow_counts(rec35):
@@ -130,7 +165,7 @@ def _matching_boundaries(shape):
 def test_faces_and_labels_agree_with_the_rotation_walk(census36_graphs):
     report, moved = census36_graphs
     classes = [c.graph for c in report.classes]
-    for G in classes + [contract(G) for G in classes] + moved:
+    for G in classes + moved:
         faces = faces_of(G)
         orbits, of_dart, boundary, arc_face, adj = oracles.faces_by_rotation_walk(G)
         assert faces.darts_of == orbits
@@ -145,9 +180,8 @@ def test_faces_and_labels_agree_with_the_rotation_walk(census36_graphs):
 def test_labels_agree_with_the_rotation_walk_on_the_deep_g37_classes():
     classes = [c.graph for c in census(GridShape(3, 7), deep=True).classes]
     assert len(classes) == 259
-    for G in classes + [contract(G) for G in classes]:
-        assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
     for G in classes:
+        assert face_labels(G).partition_of_face == oracles.labels_by_rotation_walk(G)
         check_source_matching(G)
 
 
@@ -261,12 +295,11 @@ def test_square_move_refuses_frozen_and_missing(rec35):
 
 def test_square_move_refuses_boundary_faces_and_hexagons(rec36):
     G = normalize(rec36)
-    H = contract(G)
-    lab = face_labels(H)
+    lab = face_labels(G)
     touching = {
         lab.partition_of_face[f]
         for f, darts in enumerate(lab.faces.darts_of)
-        if any(H.color[d[0]] == BOUNDARY for d in darts)
+        if any(G.color[d[0]] == BOUNDARY for d in darts)
     }
     # the faces at the boundary are the frozen ones
     assert touching == set(lab.frozen)
