@@ -288,6 +288,8 @@ def census(
     root = class_key(chart0.labels)
 
     records: dict[tuple, ClassRecord] = {}
+    # the class graphs by value: a move that lands on one returns it
+    known = {G0: G0}
     # each entry carries the parent's quiver mutated at the move, or None
     # at the root
     queue = deque([(root, G0, chart0, (), None, None)])
@@ -307,12 +309,13 @@ def census(
                 f"class {rec.key_str}: its quiver is not its parent's mutated at the move"
             )
         for nu in movable_faces(G):
-            res = square_move(G, nu, rng)
+            res = square_move(G, nu, rng, known)
             chart2 = NetworkChart.of(res.graph)
             key2 = class_key(chart2.labels)
             if key2 in seen:
                 continue
             seen.add(key2)
+            known[res.graph] = res.graph
             moved = rec.quiver.mutate(nu).relabel(nu, res.new_label)
             queue.append((key2, res.graph, chart2, path + ((nu, res.new_label),), key, moved))
 

@@ -23,7 +23,10 @@ degree-2 vertex between two internal ones; merging one with its neighbours
 ``build_rectangles``, ``normalize`` and ``square_move`` return normal forms;
 ``movable_faces`` and ``square_move`` refuse other graphs.  A square move
 does its surgery and the table steps of ``normalize`` on one copy of the
-rotation tables, builds only the moved graph and traces it from scratch.
+rotation tables and builds only the moved graph.  It traces that graph
+from scratch unless the caller knows an equal graph, already traced, which
+it then returns: a census traces each of its graphs once, when it is first
+built.
 """
 
 from __future__ import annotations
@@ -55,17 +58,18 @@ class PlabicGraph:
 
     A graph is an immutable value: nothing changes ``color`` or ``rot``
     after construction, and every surgery below builds a new graph from
-    copies.  Its face labelling and matching tables are therefore computed
-    on first use by ``face_labels`` and ``_cover_tables`` and cached on the
-    graph.
+    copies.  Its canonical form, face labelling and matching tables are
+    therefore computed on first use by ``canonical_form``, ``face_labels``
+    and ``_cover_tables`` and cached on the graph.
     """
 
-    __slots__ = ("shape", "color", "rot", "_labeling", "_cover_tables")
+    __slots__ = ("shape", "color", "rot", "_canonical", "_labeling", "_cover_tables")
 
     def __init__(self, shape: GridShape, color: dict[int, str], rot: dict[int, tuple[int, ...]]):
         self.shape = shape
         self.color = dict(color)
         self.rot = {v: tuple(nbrs) for v, nbrs in rot.items()}
+        self._canonical: Optional[tuple] = None
         self._labeling: Optional[FaceLabeling] = None
         self._cover_tables: Optional[tuple] = None
         self._validate()
@@ -115,14 +119,18 @@ class PlabicGraph:
     # -- equality and serialization -----------------------------------------
 
     def canonical_form(self):
-        rows = []
-        for v in self.vertices():
-            rot = self.rot[v]
-            if len(rot) > 1:
-                s = rot.index(min(rot))
-                rot = rot[s:] + rot[:s]
-            rows.append((v, self.color[v], rot))
-        return (self.shape.k, self.shape.n, tuple(rows))
+        """The graph as a value, each rotation started at its least
+        neighbour; equality and hashing compare it."""
+        if self._canonical is None:
+            rows = []
+            for v in self.vertices():
+                rot = self.rot[v]
+                if len(rot) > 1:
+                    s = rot.index(min(rot))
+                    rot = rot[s:] + rot[:s]
+                rows.append((v, self.color[v], rot))
+            self._canonical = (self.shape.k, self.shape.n, tuple(rows))
+        return self._canonical
 
     def __eq__(self, other):
         return isinstance(other, PlabicGraph) and self.canonical_form() == other.canonical_form()
@@ -718,9 +726,16 @@ def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random)
     Grassmannian over a large prime field: three (n-k) x n matrices drawn
     from ``rng`` one after the other, each row by row, and their six minors
     from one expansion plan."""
-    p = _SQUARE_PRIME
+    p, n, rows = _SQUARE_PRIME, shape.n, shape.rows
     cols = [pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)]
-    mats = [[[rng.randrange(p) for _ in range(shape.n)] for _ in range(shape.rows)] for _ in range(3)]
+    # randrange(p)'s own draws: 61 random bits, drawn again while >= p
+    draw, entries = rng.getrandbits, []
+    while len(entries) < 3 * rows * n:
+        x = draw(61)
+        if x < p:
+            entries.append(x)
+    matrix_rows = [entries[j : j + n] for j in range(0, 3 * rows * n, n)]
+    mats = [matrix_rows[j : j + rows] for j in range(0, 3 * rows, rows)]
     for p_nu, p_nu2, a, c, b, d in laplace_minors(mats, cols, p):
         if p_nu * p_nu2 % p != (a * c + b * d) % p:
             raise AssertionError(
@@ -741,7 +756,12 @@ def _internal_square(
     return None
 
 
-def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = None) -> SquareMoveResult:
+def square_move(
+    G: PlabicGraph,
+    nu: Partition,
+    rng: Optional[random.Random] = None,
+    known: Optional[dict[PlabicGraph, PlabicGraph]] = None,
+) -> SquareMoveResult:
     """Apply the square move at the face labelled ``nu`` of G, which must
     be in normal form (``ValueError`` otherwise), and return the moved
     graph in normal form.
@@ -751,11 +771,13 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
     that the square has trivalent corners, the corner colours are
     exchanged, bipartiteness is restored with degree-2 buffers on the four
     outer legs, and the tables are normalized (``_normal_tables``) before
-    the one moved graph is built and validated.  The new label is
-    recomputed from scratch via trips and double-checked against the
-    exchange relation p_nu p_nu' = p_a p_c + p_b p_d at random points over
-    a prime field, drawn from ``rng`` or, when it is None, from a fixed
-    seed.
+    the one moved graph is built and validated.  When ``known`` holds a
+    graph equal to it, that graph is returned in its place, with the
+    labelling traced when it was first built; otherwise the moved graph is
+    traced from scratch.  Either way the labels must differ from G's in
+    nu alone, and the new label is double-checked against the exchange
+    relation p_nu p_nu' = p_a p_c + p_b p_d at random points over a prime
+    field, drawn from ``rng`` or, when it is None, from a fixed seed.
     """
     _require_normal(G)
     labeling = face_labels(G)
@@ -802,6 +824,8 @@ def square_move(G: PlabicGraph, nu: Partition, rng: Optional[random.Random] = No
         rot[leg][rot[leg].index(v)] = buf
 
     moved = PlabicGraph(G.shape, *_normal_tables(G.shape.n, color, rot))
+    if known is not None:
+        moved = known.get(moved, moved)
 
     new_labeling = face_labels(moved)
     old_set = set(labeling.face_of_partition)

@@ -6,7 +6,10 @@ vectors, bend rows, hull facets, interlacing rows); only a rational
 weight b, or a row given from outside, is a Fraction.  Vertex enumeration
 is a fraction-free double description of the homogenised cone: its
 primitive integer extreme rays give the vertices, and emptiness and
-unboundedness are read off them exactly.  Its result, a ``Vertices`` tuple
+unboundedness are read off them exactly.  A cold start begins from the
+simplicial cone of the independent rows, which one fraction-free
+Gauss-Jordan pass finds, and adds the dependent rows one at a time.  Its
+result, a ``Vertices`` tuple
 of Fraction points, also carries the integer form read off the final rays:
 the common denominator L, the integer vertices L*v and each vertex's
 tight-row mask.  A ``QPolytope`` keeps one integer form, shared by every
@@ -226,11 +229,19 @@ def as_fractions(points: Iterable[Sequence[int]], den: int) -> list[Vec]:
 
 
 def _integer_rows(ineqs: Iterable[Ineq]) -> list[tuple[tuple[int, ...], int]]:
-    """Each row a.v + b >= 0 as the primitive integer row on its ray."""
-    _, scaled = clear_denominators((*a, b) for a, b in ineqs)
+    """Each row a.v + b >= 0 as the primitive integer row on its ray.  A
+    builder's row, int coefficients a with an int or Fraction weight b, is
+    scaled by b's denominator alone; a row with a Fraction coefficient,
+    given from outside, is cleared of denominators."""
     rows = []
-    for row in scaled:
-        g = gcd(*row)
+    for a, b in ineqs:
+        if not all(type(x) is int for x in a):
+            row = clear_denominators([(*a, b)])[1][0]
+        elif (q := b.denominator) == 1:
+            row = (*a, b.numerator)
+        else:
+            row = [x * q for x in a] + [b.numerator]
+        g = gcd(*row)  # 0 for a zero row
         if g > 1:
             row = [x // g for x in row]
         rows.append((tuple(row[:-1]), row[-1]))
@@ -262,7 +273,10 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
     form: the vertices over their common denominator and their tight sets
     as masks over H's rows.
 
-    With ``start``, a polytope whose rows are the first rows of ``H``, the
+    A cold start begins from the simplicial cone of the rows independent
+    of the rows before them, found in one fraction-free Gauss-Jordan pass
+    (``_start_cone``), and adds only the other rows one at a time.  With
+    ``start``, a polytope whose rows are the first rows of ``H``, the
     description continues from there: the cone of ``start``'s rows is
     pointed, its extreme rays are its vertices as primitive rays through
     (1, v), with their masks over the start rows as their tight sets, so
@@ -270,69 +284,46 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
     not a prefix of ``H``'s.
     """
     d = H.dim
-    # The cone cut out so far is span(lines) + cone(rays).  A row that is
-    # nonzero on a line turns that line, oriented into the row's half-space,
-    # into a ray, and moves the other lines and rays along it onto the row's
-    # hyperplane.  After the first row every line lies in x0 = 0.
     if start is None:
         rows = [(1,) + (0,) * d] + [(b,) + a for a, b in _integer_rows(H.ineqs)]
-        lines = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
-        rays: list[tuple[tuple[int, ...], int]] = []
-        first = 0
+        rays, rank, lines, todo = _start_cone(rows)
     else:
         m = len(start.hrep.ineqs)
         if start.hrep.coords != H.coords or H.ineqs[:m] != start.hrep.ineqs:
             raise ValueError("the start polytope's rows are not the first rows of H")
-        rows = [(b,) + a for a, b in _integer_rows(H.ineqs[m:])]
         L, verts = start.integer_vertices
-        lines = []
         # start row i is row i + 1 here, after x0 >= 0, which no vertex is on
         rays = [(_primitive((L, *v)), mask << 1) for v, mask in zip(verts, start.vertex_masks)]
-        first = m + 1
-    added = (1 << first) - 1  # bitmask of the rows added so far
-    for i, row in enumerate(rows, first):
+        rank, lines = d + 1, False
+        todo = list(enumerate(((b,) + a for a, b in _integer_rows(H.ineqs[m:])), m + 1))
+    # the cone is span(lines) + cone(rays), with every row so far 0 on the
+    # lines, so each row left is a double description step on the rays of
+    # a pointed cone of dimension ``rank``
+    for i, row in todo:
         bit = 1 << i
-        # the row over its nonzero entries only; two zero terms make the
-        # getter return a tuple for every row
-        support = [j for j, x in enumerate(row) if x]
-        coef = [row[j] for j in support] + [0, 0]
-        get = itemgetter(*support, 0, 0)
-        vals = [sum(map(mul, coef, get(y))) for y, _ in rays]
-        lvals = [sum(map(mul, coef, get(v))) for v in lines]
-        k = next((k for k, s in enumerate(lvals) if s), None)
-        if k is not None:
-            line, s = lines.pop(k), lvals.pop(k)
-            if s < 0:
-                line, s = tuple(-x for x in line), -s
-            # a vector the row is 0 on stays as it is: it is primitive and s > 0
-            lines = [_combine(s, v, t, line) if t else v for v, t in zip(lines, lvals)]
-            rays = [(_combine(s, y, t, line) if t else y, m | bit) for (y, m), t in zip(rays, vals)]
-            rays.append((line, added))
-        else:
-            rank = d + 1 - len(lines)
-            masks = [m for _, m in rays]
-            nxt = [(y, m | bit if t == 0 else m) for (y, m), t in zip(rays, vals) if t >= 0]
-            neg = [w for w, t in enumerate(vals) if t < 0]
-            for u, su in enumerate(vals):
-                if su <= 0:
+        vals = _values(row, [y for y, _ in rays])
+        masks = [m for _, m in rays]
+        nxt = [(y, m | bit if t == 0 else m) for (y, m), t in zip(rays, vals) if t >= 0]
+        neg = [w for w, t in enumerate(vals) if t < 0]
+        for u, su in enumerate(vals):
+            if su <= 0:
+                continue
+            yu, mu = rays[u]
+            for w in neg:
+                common = mu & masks[w]
+                if common.bit_count() < rank - 2:
                     continue
-                yu, mu = rays[u]
-                for w in neg:
-                    common = mu & masks[w]
-                    if common.bit_count() < rank - 2:
-                        continue
-                    # combinatorial adjacency: no third ray's tight set
-                    # holds common, beside those of u and w
-                    held = 0
-                    for m in masks:
-                        if common & m == common:
-                            held += 1
-                            if held == 3:
-                                break
-                    else:
-                        nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
-            rays = nxt
-        added |= bit
+                # combinatorial adjacency: no third ray's tight set holds
+                # common, beside those of u and w
+                held = 0
+                for m in masks:
+                    if common & m == common:
+                        held += 1
+                        if held == 3:
+                            break
+                else:
+                    nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
+        rays = nxt
         if not any(y[0] for y, _ in rays):
             return Vertices.of((), 1, [], [], H.ineqs)
 
@@ -347,6 +338,71 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
     )
     ints = [p for p, _ in pairs]
     return Vertices.of(as_fractions(ints, L), L, ints, [m for _, m in pairs], H.ineqs)
+
+
+def _start_cone(rows: Sequence[tuple[int, ...]]) -> tuple[list, int, bool, list]:
+    """The start of a cold double description of the cone of ``rows``
+    (row 0 is x0 >= 0): the rays of the simplicial cone of the independent
+    rows with their tight masks, the rank, whether the cone holds a line,
+    and the dependent rows as (index, row) pairs, in order.
+
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) over the rows, in
+    order, on the unit vectors.  A row nonzero on a vector v that is not
+    yet a pivot is independent of the rows before it; v becomes its pivot,
+    and every other vector w becomes (p*w - s*v) / prev, p and s the row's
+    values on v and w and prev the previous pivot, an exact division.  In
+    the end each independent row is 0 on every vector but its own pivot,
+    where all of them take the last pivot's value: the pivot vectors,
+    oriented by its sign, are the rays, and the other vectors span the
+    lineality space.  A vector the row is 0 on only scales by p / prev, so
+    it is kept as it is, with the pivot ``at[t]`` it was last computed at:
+    it stands for vecs[t] * prev / at[t].
+    """
+    dim = len(rows[0])
+    vecs = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    at = [1] * dim
+    free = list(range(dim))  # the vectors that are not pivots: the lines
+    pivots: list[tuple[int, int]] = []  # (vector, row)
+    dependent = []
+    prev = 1
+    for i, row in enumerate(rows):
+        if free:
+            vals = _values(row, vecs)
+            k = next((k for k in free if vals[k]), None)
+        if not free or k is None:
+            dependent.append((i, row))
+            continue
+        top, sk, ak = vecs[k], vals[k], at[k]
+        p = sk * prev // ak
+        for t, s in enumerate(vals):
+            if s and t != k:
+                # (p*w - s*v) / prev with w = vecs[t] * prev / at[t], v = top
+                # * prev / ak, and the row's values on them scaled likewise
+                q = ak * at[t]
+                vecs[t] = [(sk * x - s * y) * prev // q for x, y in zip(vecs[t], top)]
+                at[t] = p
+        if ak != prev:
+            vecs[k] = [x * prev // ak for x in top]
+        at[k] = p
+        free.remove(k)
+        pivots.append((k, i))
+        prev = p
+    tight = sum(1 << i for _, i in pivots)
+    # each pivot row's value on its stored pivot vector has the sign of at[k]
+    rays = [
+        (_primitive(vecs[k] if at[k] > 0 else [-x for x in vecs[k]]), tight ^ 1 << i) for k, i in pivots
+    ]
+    return rays, len(pivots), bool(free), dependent
+
+
+def _values(row: Sequence[int], vecs: Iterable[Sequence[int]]) -> list[int]:
+    """The row's value on each vector, summed over the row's nonzero
+    entries only; two zero terms make the getter return a tuple for every
+    row."""
+    support = [j for j, x in enumerate(row) if x]
+    coef = [row[j] for j in support] + [0, 0]
+    get = itemgetter(*support, 0, 0)
+    return [sum(map(mul, coef, get(y))) for y in vecs]
 
 
 def qpolytope(H: HPolytope) -> QPolytope:

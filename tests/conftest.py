@@ -34,8 +34,8 @@ def census36_graphs():
     moved = []
     real = census_module.square_move
 
-    def recording(G, nu, rng=None):
-        res = real(G, nu, rng)
+    def recording(G, nu, rng=None, known=None):
+        res = real(G, nu, rng, known)
         moved.append(res.graph)
         return res
 

@@ -369,8 +369,8 @@ def _census_moves(shape, deep=False):
     moves = []
     real = census_module.square_move
 
-    def recording(G, nu, rng=None):
-        res = real(G, nu, rng)
+    def recording(G, nu, rng=None, known=None):
+        res = real(G, nu, rng, known)
         moves.append((G, nu, res))
         return res
 

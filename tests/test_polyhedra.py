@@ -172,35 +172,57 @@ def test_zero_dimensional_region_is_a_point_or_empty(bs, expected):
     assert enumerate_vertices(HPolytope((), tuple(((), b) for b in bs))) == expected
 
 
-def bounded_integer_systems():
-    """(d, rows): up to 10 random integer rows plus the box -3 <= x_i <= 3."""
+def integer_systems():
+    """(d, rows, free): up to 10 random integer rows, up to two zero rows
+    (a = 0, b in -1..1) at random places, then the box -3 <= x_i <= 3 on
+    every coordinate i not in ``free``.  No row moves a coordinate in
+    ``free``, so with one the rows do not span and the region is empty or
+    holds a line; d = 0 gives systems of zero-dimensional space."""
 
-    def with_box(d):
-        row = st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-6, 6))
-        box = [
-            (tuple(s * int(i == j) for j in range(d)), 3)
-            for i in range(d)
-            for s in (1, -1)
-        ]
-        return st.lists(row, max_size=10).map(lambda rows: (d, rows + box))
+    def build(d, free, rows, zeros):
+        rows = [(tuple(0 if i in free else x for i, x in enumerate(a)), b) for a, b in rows]
+        for at, b in zeros:
+            rows.insert(at % (len(rows) + 1), ((0,) * d, b))
+        box = [(tuple(s * int(i == j) for j in range(d)), 3) for i in range(d) if i not in free for s in (1, -1)]
+        return d, rows + box, free
 
-    return st.integers(1, 4).flatmap(with_box)
+    def of_dim(d):
+        return st.builds(
+            build,
+            st.just(d),
+            st.frozensets(st.integers(0, d - 1), max_size=1) if d else st.just(frozenset()),
+            st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-6, 6)), max_size=10),
+            st.lists(st.tuples(st.integers(0, 10), st.integers(-1, 1)), max_size=2),
+        )
+
+    return st.integers(0, 4).flatmap(of_dim)
 
 
-@settings(max_examples=40, deadline=None)
-@given(bounded_integer_systems())
+@settings(max_examples=60, deadline=None)
+@given(integer_systems())
 def test_vertices_match_subset_oracle(system):
-    d, rows = system
+    d, rows, free = system
     H = HPolytope(
         axis_coords(d), tuple((tuple(F(x) for x in a), F(b)) for a, b in rows)
     )
+    if free:
+        # empty exactly when the region cut by the box on the free
+        # coordinates too has no vertex; otherwise it holds a line
+        box = [(tuple(s * int(i == j) for j in range(d)), 3) for i in free for s in (1, -1)]
+        if oracles.vertices_by_subsets(rows + box, d):
+            with pytest.raises(UnboundedError):
+                enumerate_vertices(H)
+        else:
+            assert enumerate_vertices(H) == ()
+        return
     got = enumerate_vertices(H)
     assert list(got) == sorted(got)
     assert list(got) == oracles.vertices_by_subsets(rows, d)
-    for v in got:
+    for v, mask in zip(got, got.masks):
         assert oracles.contains(H.ineqs, v)
-        tight = [a for a, b in rows if sum(x * y for x, y in zip(a, v)) + b == 0]
-        assert oracles.rank(tight) == d
+        tight = [i for i, (a, b) in enumerate(rows) if sum(x * y for x, y in zip(a, v)) + b == 0]
+        assert mask == sum(1 << i for i in tight)
+        assert oracles.rank([rows[i][0] for i in tight]) == d
 
 
 def bounded_rational_systems():
@@ -245,14 +267,27 @@ def draw_cuts(data, P):
     return cuts
 
 
+def point_systems():
+    """(0, rows): up to four rows 0 + b >= 0 of zero-dimensional space,
+    whose region is the point () or empty."""
+    offset = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.lists(offset, max_size=4).map(lambda bs: (0, [((), b) for b in bs]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(bounded_rational_systems(), st.data())
+@given(bounded_rational_systems() | point_systems(), st.data())
 def test_continued_enumeration_equals_a_cold_start(system, data):
-    # P itself may be empty or flat
+    # P itself may be empty, flat or a point of zero-dimensional space, and
+    # a zero row may come among the cuts
     d, rows = system
     P = qpolytope(HPolytope(axis_coords(d), tuple(rows)))
-    H = P.hrep.with_ineqs(draw_cuts(data, P))
-    assert enumerate_vertices(H, P) == enumerate_vertices(H)
+    cuts = draw_cuts(data, P)
+    if data.draw(st.booleans()):
+        b = data.draw(st.sampled_from((F(-1), F(0), F(1))))
+        cuts.insert(data.draw(st.integers(0, len(cuts))), ((F(0),) * d, b))
+    H = P.hrep.with_ineqs(cuts)
+    continued, cold = enumerate_vertices(H, P), enumerate_vertices(H)
+    assert continued == cold and continued.masks == cold.masks
 
 
 def assert_carries_its_integer_form(H, V):
