@@ -334,8 +334,8 @@ def relabel_polytope(
         (tuple(a[s] for s in perm), b) for a, b in P.hrep.ineqs
     )
     # lex order on the vertices is lex order on their integer images; the
-    # result carries those and the masks, which hold since the rows keep
-    # their order
+    # result carries those, the masks, which hold since the rows keep their
+    # order, and the integer rows permuted alike
     L, ints = P.integer_vertices
     keys = [tuple(v[s] for s in perm) for v in ints]
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -346,5 +346,6 @@ def relabel_polytope(
         [keys[t] for t in order],
         [masks[t] for t in order],
         ineqs,
+        [(tuple(a[s] for s in perm), b) for a, b in P.integer_rows],
     )
     return QPolytope(HPolytope(new_coords, ineqs), verts)

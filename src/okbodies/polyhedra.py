@@ -9,33 +9,35 @@ primitive integer extreme rays give the vertices, and emptiness and
 unboundedness are read off them exactly.  A cold start begins from the
 simplicial cone of the independent rows, which one fraction-free
 Gauss-Jordan pass finds, and adds the dependent rows one at a time.  Its
-result, a ``Vertices`` tuple
-of Fraction points, also carries the integer form read off the final rays:
+result, a ``Vertices`` tuple of Fraction points, also carries the integer
+form: the rows as primitive integer rows and, read off the final rays,
 the common denominator L, the integer vertices L*v and each vertex's
 tight-row mask.  A ``QPolytope`` keeps one integer form, shared by every
 kernel that reads it: its rows as primitive integer rows, L with the
-integer vertices, each vertex's tight-row mask and, transposed, each row's
-tight-vertex mask.  A polytope built on an enumeration of its own rows
-starts with the carried form; one built from outside clears its vertices
-to integers (``clear_denominators``) and evaluates its rows on them, on
-first use.  A system whose first rows are those of a polytope already
-enumerated continues from that polytope's integer vertices and masks and
-adds only the remaining rows, and ``hull_of_points`` takes integer points
-over a denominator, so the transport step goes from rays to rays.  The
-vertices are turned into Fractions once, on exit, by ``as_fractions``,
-which builds one Fraction per distinct value.  A bounded polytope is the
-hull of its vertices, so ``same_vertex_set`` is the one polytope equality.
+integer vertices, and each vertex's tight-row mask.  A polytope built on
+an enumeration of its own rows starts with the carried form; one built
+from outside clears its vertices to integers (``clear_denominators``) and
+evaluates its rows on them, on first use.  A system whose first rows are
+those of a polytope already enumerated continues from that polytope's
+integer form and adds only the remaining rows, and ``hull_of_points``
+takes integer points over a denominator, so the transport step goes from
+rays to rays.  The vertices are turned into Fractions once, on exit, by
+``as_fractions``, which builds one Fraction per distinct value.  A
+bounded polytope is the hull of its vertices, so ``same_vertex_set`` is
+the one polytope equality.
 Volumes come from a pulling triangulation on vertex bitmasks that pulls
-the vertices lying on the most rows first, and that closes a chain of
-apices at the first simplex face it meets with one square elimination.
-Lattice points come from a box sweep that fixes the coordinates on the
-most rows first and bounds each to an integer interval before it
-branches, from the rows that coordinate moves alone: a row the coordinate
-leaves alone keeps the slack its previous coordinate was chosen within.
-Ranks and determinants, here and in the rest
-of the package, come from one fraction-free integer elimination (Bareiss,
-``_eliminate``), shared by ``rank_det`` and ``volume``; the mod-p checks
-take many maximal minors of integer matrices of one shape from one Laplace
+the vertices lying on the most rows first, tells a flat polytope by a row
+tight at every vertex, and closes a chain of apices at the first simplex
+face it meets with one square elimination.  Lattice points come from a
+box sweep that fixes the coordinates on the most rows first and bounds
+each to an integer interval before it branches, from the rows that
+coordinate moves alone: a row the coordinate leaves alone keeps the slack
+its previous coordinate was chosen within.  Ranks and determinants, here
+and in the rest of the package, come from one fraction-free integer
+elimination (Bareiss, ``_eliminate``), run by ``rank_det`` and at each
+cell of ``volume``, whose chains of apices take its steps inline and
+only scale a row that is 0 in the pivot column; the mod-p checks take
+many maximal minors of integer matrices of one shape from one Laplace
 expansion plan on column bitmasks (``laplace_minors``).
 The Gelfand-Tsetlin polytope and its pattern-counting oracle live here
 too, with the unimodular integer map F that carries the rectangles-cluster
@@ -99,18 +101,20 @@ class Vertices(tuple):
     lex order, carrying the enumeration's integer form: the common
     denominator ``den`` of the vertices, the integer vertices ``ints``
     (``den`` times each vertex, in the same order), for each vertex the
-    bitmask ``masks`` of the rows it is tight on (bit i for row i), and the
-    rows ``rows`` they were enumerated from."""
+    bitmask ``masks`` of the rows it is tight on (bit i for row i), the
+    rows ``rows`` they were enumerated from, and those rows as the
+    primitive integer rows ``integer_rows``."""
 
     den: int
     ints: list[tuple[int, ...]]
     masks: list[int]
     rows: tuple[Ineq, ...]
+    integer_rows: list[tuple[tuple[int, ...], int]]
 
     @classmethod
-    def of(cls, points: Iterable[Vec], den: int, ints: list, masks: list[int], rows: tuple) -> "Vertices":
+    def of(cls, points: Iterable[Vec], den: int, ints: list, masks: list, rows: tuple, irows: list) -> "Vertices":
         out = cls(points)
-        out.den, out.ints, out.masks, out.rows = den, ints, masks, rows
+        out.den, out.ints, out.masks, out.rows, out.integer_rows = den, ints, masks, rows, irows
         return out
 
 
@@ -119,7 +123,7 @@ class QPolytope:
     """H-representation plus its computed vertex set, and the integer form
     of both, each part built on first use.  The vertices must be those of
     ``hrep``; vertices enumerated from ``hrep``'s own rows hand their
-    integer vertices and masks over at construction."""
+    integer rows, integer vertices and masks over at construction."""
 
     hrep: HPolytope
     vertices: tuple[Vec, ...]
@@ -128,7 +132,7 @@ class QPolytope:
     def __post_init__(self):
         V = self.vertices
         if isinstance(V, Vertices) and V.rows is self.hrep.ineqs:
-            self.__dict__.update(integer_vertices=(V.den, V.ints), vertex_masks=V.masks)
+            self.__dict__.update(integer_rows=V.integer_rows, integer_vertices=(V.den, V.ints), vertex_masks=V.masks)
 
     @property
     def coords(self):
@@ -163,16 +167,6 @@ class QPolytope:
                 if not s:
                     masks[t] |= 1 << i
         return masks
-
-    @cached_property
-    def incidence(self) -> list[int]:
-        """For each row, the bitmask of the vertices it is tight on (bit t
-        for vertex t): the vertex masks transposed."""
-        out = [0] * len(self.hrep.ineqs)
-        for t, mask in enumerate(self.vertex_masks):
-            for i in bit_list(mask):
-                out[i] |= 1 << t
-        return out
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -269,9 +263,9 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
     Rays with x0 > 0 are the vertices.  Without such a ray the region is
     empty and the result is empty.  With one, a ray with x0 = 0 or a line
     in the cone is a recession direction and raises UnboundedError.  The
-    result is a ``Vertices`` tuple that carries the final rays' integer
-    form: the vertices over their common denominator and their tight sets
-    as masks over H's rows.
+    result is a ``Vertices`` tuple that carries the integer form: H's rows
+    as primitive integer rows and, from the final rays, the vertices over
+    their common denominator and their tight sets as masks over H's rows.
 
     A cold start begins from the simplicial cone of the rows independent
     of the rows before them, found in one fraction-free Gauss-Jordan pass
@@ -285,8 +279,8 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
     """
     d = H.dim
     if start is None:
-        rows = [(1,) + (0,) * d] + [(b,) + a for a, b in _integer_rows(H.ineqs)]
-        rays, rank, lines, todo = _start_cone(rows)
+        irows = _integer_rows(H.ineqs)
+        rays, rank, lines, todo = _start_cone([(1,) + (0,) * d] + [(b,) + a for a, b in irows])
     else:
         m = len(start.hrep.ineqs)
         if start.hrep.coords != H.coords or H.ineqs[:m] != start.hrep.ineqs:
@@ -295,7 +289,8 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
         # start row i is row i + 1 here, after x0 >= 0, which no vertex is on
         rays = [(_primitive((L, *v)), mask << 1) for v, mask in zip(verts, start.vertex_masks)]
         rank, lines = d + 1, False
-        todo = list(enumerate(((b,) + a for a, b in _integer_rows(H.ineqs[m:])), m + 1))
+        irows = start.integer_rows + _integer_rows(H.ineqs[m:])
+        todo = [(i + 1, (b,) + a) for i, (a, b) in enumerate(irows[m:], m)]
     # the cone is span(lines) + cone(rays), with every row so far 0 on the
     # lines, so each row left is a double description step on the rays of
     # a pointed cone of dimension ``rank``
@@ -325,7 +320,7 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
                     nxt.append((_combine(su, rays[w][0], vals[w], yu), common | bit))
         rays = nxt
         if not any(y[0] for y, _ in rays):
-            return Vertices.of((), 1, [], [], H.ineqs)
+            return Vertices.of((), 1, [], [], H.ineqs, irows)
 
     verts = [(y, m) for y, m in rays if y[0]]
     if lines or len(verts) < len(rays):
@@ -337,7 +332,7 @@ def enumerate_vertices(H: HPolytope, start: Optional[QPolytope] = None) -> Verti
         (y[1:] if y[0] == L else tuple([x * (L // y[0]) for x in y[1:]]), m >> 1) for y, m in verts
     )
     ints = [p for p, _ in pairs]
-    return Vertices.of(as_fractions(ints, L), L, ints, [m for _, m in pairs], H.ineqs)
+    return Vertices.of(as_fractions(ints, L), L, ints, [m for _, m in pairs], H.ineqs, irows)
 
 
 def _start_cone(rows: Sequence[tuple[int, ...]]) -> tuple[list, int, bool, list]:
@@ -644,6 +639,11 @@ def lattice_points(P: QPolytope, r: int = 1) -> tuple[tuple[int, ...], ...]:
 def volume(P: QPolytope) -> Fraction:
     """Exact Lebesgue volume; 0 (with a warning) for lower-dimensional P.
 
+    P is full-dimensional exactly when it has more than d vertices and no
+    row with a nonzero a is tight at all of them (Schrijver 1986, 8.2):
+    such a row is an implicit equality, and without one the mean of points
+    that are strict on each row is strict on all, so the incidence decides.
+
     A pulling triangulation (Bueeler, Enge & Fukuda 2000) on the vertices
     scaled to integers by their common denominator L.  The vertices are
     pulled in decreasing order of the number of rows they lie on, ties in
@@ -660,22 +660,19 @@ def volume(P: QPolytope) -> Fraction:
     """
     d = P.hrep.dim
     L, verts = P.integer_vertices
-    on_row = [bit_list(on) for on in P.incidence]
-    count = [0] * len(verts)
-    for on in on_row:
-        for t in on:
-            count[t] += 1
-    order = sorted(range(len(verts)), key=lambda t: (-count[t], verts[t]))
-    verts = [verts[t] for t in order]
-    diffs = [[x - y for x, y in zip(v, verts[0])] for v in verts] if verts else []
-    # the rank of the d x n transpose: d pivots eliminate d rows, not n
-    if len(verts) <= d or rank_det(list(zip(*diffs)))[0] < d:
+    masks = P.vertex_masks
+    order = sorted(range(len(verts)), key=lambda t: (-masks[t].bit_count(), verts[t]))
+    # each row's tight vertices, bit s for the s-th vertex pulled
+    tight = [0] * len(P.hrep.ineqs)
+    for s, t in enumerate(order):
+        for i in bit_list(masks[t]):
+            tight[i] |= 1 << s
+    full = (1 << len(verts)) - 1
+    if len(verts) <= d or any(on == full and any(a) for (a, _), on in zip(P.hrep.ineqs, tight)):
         warnings.warn("polytope is not full-dimensional; volume is 0")
         return Fraction(0)
-    rank = {t: s for s, t in enumerate(order)}
-    tight = [sum(1 << rank[t] for t in on) for on in on_row]
-    rest = {t: row for t, row in enumerate(diffs) if t}
-    total = _cone((1 << len(verts)) - 1, rest, 1, 0, d, tight, {})
+    rest = {s: [x - y for x, y in zip(verts[t], verts[order[0]])] for s, t in enumerate(order) if s}
+    total = _cone(full, rest, 1, 0, d, tight, {})
     return Fraction(total, L**d * factorial(d))
 
 
@@ -686,35 +683,49 @@ def _cone(face: int, reduced: dict, pivot: int, depth: int, d: int, tight: list[
     (pivot columns dropped, d - depth left); ``bases`` caches each face's
     facets that miss its apex.
 
-    A face with at most d - depth + 1 vertices is one cell, the simplex on
-    them, and needs no facets: the chain's elimination continued on its
-    reduced rows (``_eliminate`` from ``pivot``) ends on the cell's
-    determinant up to sign.  Too few vertices or a zero determinant is a
-    degenerate cell, which a pulling triangulation never makes.
+    Entering a facet, its apex's row eliminates the facet's other rows in
+    its first nonzero column; a row 0 there only scales by the new pivot
+    over ``pivot``, and stays as it is when the two are equal.  A face with
+    at most d - depth + 1 vertices is one cell, the simplex on them: the
+    chain's elimination finished on its rows (``_eliminate`` from
+    ``pivot``; one row of one entry is that entry) ends on its determinant
+    up to sign.  Too few vertices or a zero determinant is a degenerate
+    cell, which a pulling triangulation never makes.
     """
     if len(reduced) <= d - depth:
-        rank, det = _eliminate(list(reduced.values()), pivot)
-        if rank < d - depth:
+        rows = list(reduced.values())
+        rank, det = (1, rows[0][0]) if len(rows) == d - depth == 1 else _eliminate(rows, pivot)
+        if rank < d - depth or not det:
             raise AssertionError("triangulation produced a degenerate cell")
         return abs(det)
     if face not in bases:
         # facets by decreasing size, so a non-maximal mask meets a kept superset
         kept: list[int] = []
         for g in sorted({face & m for m in tight} - {0, face}, key=int.bit_count, reverse=True):
-            if not any(g & h == g for h in kept):
+            for h in kept:
+                if g & h == g:
+                    break
+            else:
                 kept.append(g)
         bases[face] = [g for g in kept if not g & face & -face]
     total = 0
     for f in bases[face]:
         top = reduced[a := (f & -f).bit_length() - 1]
-        c = next((c for c, x in enumerate(top) if x), None)
-        if c is None:
+        for c, p in enumerate(top):
+            if p:
+                break
+        else:
             raise AssertionError("triangulation produced a degenerate cell")
-        sub = {t: _bareiss_step(row, top, c, top[c], pivot)
-               for t, row in reduced.items() if f >> t & 1 and t != a}
-        for row in sub.values():
-            del row[c]  # now zero
-        total += _cone(f, sub, top[c], depth + 1, d, tight, bases)
+        sub = {}
+        for t, row in reduced.items():
+            if f >> t & 1 and t != a:
+                if s := row[c]:
+                    row = [(p * x - s * y) // pivot for x, y in zip(row, top)]
+                else:
+                    row = [p * x // pivot for x in row] if p != pivot else row.copy()
+                del row[c]  # now 0
+                sub[t] = row
+        total += _cone(f, sub, p, depth + 1, d, tight, bases)
     return total
 
 

@@ -477,9 +477,9 @@ def test_transport_walk_enumerates_30_systems(monkeypatch):
     G, P = rectangles_start(GridShape(3, 6))
     calls = count_enumerations(monkeypatch)
     # every polytope of the walk comes with its enumeration's integer form,
-    # and every row of the walk is built as an integer row, so nothing is
-    # cleared of denominators
-    runs = count_property_runs(monkeypatch, polyhedra_module.QPolytope, ("integer_vertices", "incidence"))
+    # its rows included, and every row of the walk is built as an integer
+    # row, so nothing is cleared of denominators
+    runs = count_property_runs(monkeypatch, polyhedra_module.QPolytope, ("integer_rows", "integer_vertices"))
     real_clear = polyhedra_module.clear_denominators
 
     def clear_counting(points):
@@ -491,6 +491,15 @@ def test_transport_walk_enumerates_30_systems(monkeypatch):
     assert len(calls) == 30
     assert sum(len(H.ineqs) for H, _ in calls) == 470
     assert sum(len(V) for _, V in calls) == 531
+    assert runs == {}
+
+
+def test_census_polytopes_carry_their_integer_rows(monkeypatch):
+    # the lattice sweep of each class reads the integer rows that the
+    # class's enumeration converted, and converts none again
+    runs = count_property_runs(monkeypatch, polyhedra_module.QPolytope, ("integer_rows",))
+    rep = census(GridShape(3, 6))
+    assert rep.class_count == 34
     assert runs == {}
 
 
@@ -1068,6 +1077,14 @@ def test_deep_g37_dilations_hold_the_pattern_counts():
     for r, count in ((2, 490), (3, 4116)):
         assert gt_pattern_count(shape, r) == count
         assert [c.key_str for c in rep.classes if len(lattice_points(c.polytope, r)) != count] == []
+
+
+@pytest.mark.deep
+def test_deep_g37_volumes_equal_the_closed_form():
+    shape = GridShape(3, 7)
+    rep = census(shape, deep=True)
+    assert rep.class_count == 259
+    assert [c.key_str for c in rep.classes if volume(c.polytope) != volume_formula(shape)] == []
 
 
 @pytest.mark.deep

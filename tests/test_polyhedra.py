@@ -291,9 +291,9 @@ def test_continued_enumeration_equals_a_cold_start(system, data):
 
 
 def assert_carries_its_integer_form(H, V):
-    """V, the vertices enumerated from H, carries the integer vertices over
-    their least common denominator and each vertex's tight rows, as the
-    Fraction vertices and rows give them."""
+    """V, the vertices enumerated from H, carries H's primitive integer
+    rows, the integer vertices over their least common denominator and
+    each vertex's tight rows, as the Fraction vertices and rows give them."""
     L, ints = clear_denominators(V)
     assert (V.den, V.ints, V.rows) == (L, list(map(tuple, ints)), H.ineqs)
     assert V.masks == [
@@ -303,7 +303,7 @@ def assert_carries_its_integer_form(H, V):
     # a polytope built on them starts with that form
     P = QPolytope(H, V)
     assert P.integer_vertices == (V.den, V.ints) and P.vertex_masks == V.masks
-    assert P.incidence == QPolytope(H, tuple(V)).incidence
+    assert P.integer_rows == V.integer_rows == QPolytope(H, tuple(V)).integer_rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,6 +469,26 @@ def test_degenerate_volume_warns():
         assert volume(P) == 0
 
 
+def test_volume_of_a_flat_hexagon_warns():
+    # x1 + x2 + x3 = 1 as two opposite rows, inside the box 0 <= x_i <= 2/3:
+    # six vertices, more than the dimension, and no coordinate fixed
+    ineqs = [((F(1), F(1), F(1)), F(-1)), ((F(-1), F(-1), F(-1)), F(1))]
+    for i in range(3):
+        e = tuple(F(int(j == i)) for j in range(3))
+        ineqs += [(e, F(0)), (tuple(-x for x in e), F(2, 3))]
+    P = qpolytope(HPolytope(axis_coords(3), tuple(ineqs)))
+    assert len(P.vertices) == 6
+    with pytest.warns(UserWarning):
+        assert volume(P) == 0
+
+
+def test_volume_ignores_a_zero_row():
+    # 0.x + 0 >= 0 is tight at every vertex but is no equality
+    for P in (cube(3), cross_polytope(3)):
+        Q = qpolytope(P.hrep.with_ineqs([((F(0),) * 3, F(0))]))
+        assert volume(Q) == volume(P) > 0
+
+
 def test_volume_of_a_point_is_one():
     P = qpolytope(HPolytope((), (((), F(1)),)))
     assert P.vertices == ((),)
@@ -495,6 +515,31 @@ def test_volume_matches_the_pulling_oracle(pts):
     assume(oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) == d)
     P = hull_of_points(axis_coords(d), pts)
     assert volume(P) == oracles.volume_by_pulling(P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_point_clouds(), st.data())
+def test_volume_of_a_hull_lifted_onto_a_hyperplane_is_zero(pts, data):
+    # the hull in Q^d, put on the hyperplane x_j = c.x + e of Q^(d+1) by two
+    # opposite rows, is flat however many vertices it has
+    d = len(pts[0])
+    assume(oracles.rank([[x - y for x, y in zip(p, pts[0])] for p in pts]) == d)
+    P = hull_of_points(axis_coords(d), pts)
+    coef = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    c = data.draw(st.lists(coef, min_size=d, max_size=d))
+    e = data.draw(coef)
+    j = data.draw(st.integers(0, d))
+
+    def lift(a, x_j):
+        return tuple(a[:j]) + (x_j,) + tuple(a[j:])
+
+    plane = (lift([-x for x in c], F(1)), -e)
+    ineqs = [(lift(a, F(0)), b) for a, b in P.hrep.ineqs]
+    ineqs += [plane, (tuple(-x for x in plane[0]), e)]
+    Q = qpolytope(HPolytope(axis_coords(d + 1), tuple(ineqs)))
+    assert len(Q.vertices) == len(P.vertices)
+    with pytest.warns(UserWarning):
+        assert volume(Q) == 0
 
 
 @settings(max_examples=40, deadline=None)
