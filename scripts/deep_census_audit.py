@@ -2,8 +2,9 @@
 vertex enumeration used to produce it.
 
 First, the boundary rotation permutes the classes; integrality is a
-rotation invariant because rotating the weight slot only translates the
-polytope by an integer vector.  The audit computes the orbit structure,
+rotation invariant because rotation carries each class's polytope onto
+the rotated class's by a unimodular linear map followed by a translation
+by an integer vector (``okbodies.mirror.rotated_vertices``).  The audit computes the orbit structure,
 checks that the class set is closed, that no orbit mixes verdicts, and
 reports the divisibility constraint this imposes on the counts.
 
@@ -27,17 +28,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from okbodies.census import CensusReport
+from okbodies.census import CensusReport, rotate_key
 from okbodies.mirror import gamma_polytope, gamma_system, marsh_scott_expansion, standard_r_vec
-from okbodies.partitions import cyclic_shift, label_sort_key
-
-
-def rotate_key(key, shape):
-    # the empty label is implicit in every chart, so the rotation moves a
-    # frozen label onto it and the empty label onto another frozen one
-    img = {cyclic_shift(p, shape) for p in key} | {cyclic_shift((), shape)}
-    img.discard(())
-    return tuple(sorted(img, key=label_sort_key))
+from okbodies.partitions import cyclic_shift_table
 
 
 def slack_tableau(rows):
@@ -245,6 +238,7 @@ def main(argv=None) -> int:
     with open(args.census_json) as fh:
         report = CensusReport.from_json(json.load(fh))
     shape = report.shape
+    rho = cyclic_shift_table(shape)
     keys = {c.key: c for c in report.classes}
     print(
         f"({shape.k},{shape.n}): {report.class_count} classes, "
@@ -252,7 +246,7 @@ def main(argv=None) -> int:
     )
 
     # ---- rotation orbits
-    not_closed = [k for k in keys if rotate_key(k, shape) not in keys]
+    not_closed = [k for k in keys if rotate_key(k, rho) not in keys]
     print(f"closure under rotation: {'ok' if not not_closed else f'{len(not_closed)} MISSING'}")
     seen = set()
     hist = {}
@@ -262,10 +256,10 @@ def main(argv=None) -> int:
         if k in seen:
             continue
         orb = [k]
-        cur = rotate_key(k, shape)
+        cur = rotate_key(k, rho)
         while cur != k:
             orb.append(cur)
-            cur = rotate_key(cur, shape)
+            cur = rotate_key(cur, rho)
         seen.update(orb)
         hist[len(orb)] = hist.get(len(orb), 0) + 1
         flags = {keys[o].integral for o in orb}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
 from .mirror import (
@@ -24,12 +24,14 @@ from .mirror import (
     gamma_qpolytope,
     marsh_scott_expansion,
     rectangles_superpotential,
+    rotated_vertices,
     standard_r_vec,
 )
 from .partitions import (
     GridShape,
     Partition,
     all_partitions,
+    cyclic_shift_table,
     label_sort_key,
     parse_partition,
     partition_str,
@@ -240,6 +242,14 @@ def class_key(labels: Sequence[Partition]) -> tuple[Partition, ...]:
     return tuple(sorted((lab for lab in labels if lab), key=label_sort_key))
 
 
+def rotate_key(key: Sequence[Partition], rho: Mapping[Partition, Partition]) -> tuple[Partition, ...]:
+    """The key of the class that boundary rotation, given as the table
+    ``rho`` (``cyclic_shift_table``), takes the class keyed ``key`` to.
+    The empty label is on every chart and in no key: ρ moves one frozen
+    label onto it and it onto another frozen label."""
+    return class_key([rho[p] for p in (*key, ())])
+
+
 def _pipeline(shape: GridShape, expansion: SuperpotentialExpansion) -> dict:
     P = gamma_qpolytope(expansion, standard_r_vec(shape, 1))
     return {"vertices": P.vertices, "lattice": lattice_points(P, 1), "polytope": P}
@@ -435,7 +445,9 @@ def verify_core(
     per-class lattice data, and the non-integrality probes.
 
     The ``full`` suite adds the transport of valuations and lattice points
-    along every search-tree move and degree-two scans.
+    along every search-tree move, degree-two scans, and every class's volume
+    against the closed form, triangulating one class per rotation orbit and
+    certifying the others by the rotation map (``_check_volumes``).
     """
     t0 = time.time()
     checks: list[CheckResult] = []
@@ -527,10 +539,42 @@ def verify_core(
         if chart0 is not None:
             scan2 = degree_r_valuation_scan(chart0, 2, _record_polytope(root))
             check("rectangles-degree-two-scan-is-onto", scan2.contained and not scan2.missing)
-            vol_ok = all(volume(_record_polytope(c)) == volume_formula(shape) for c in report.classes)
-            check("volume-formula-per-class", vol_ok)
+            check("volume-formula-per-class", *_check_volumes(shape, report))
 
     return VerifyReport(shape, suite, checks, time.time() - t0)
+
+
+def _check_volumes(shape: GridShape, report: CensusReport) -> tuple[bool, str]:
+    """Every class's volume against the closed form, with one pulling
+    triangulation per rotation orbit.
+
+    The first class of each orbit in report order is triangulated.  The
+    walk from it goes on to the rotated class while that class's integer
+    vertices are exactly this one's carried by ``rotated_vertices``, an
+    affine map with |det| = 1, so the rotated class has the same volume.
+    The walk ends at a class already settled, at a rotated key that names
+    no class, or at a failed certificate; a class it leaves unsettled is
+    triangulated when the loop reaches it."""
+    want = volume_formula(shape)
+    rho = cyclic_shift_table(shape)
+    settled = set()
+    triangulated = 0
+    for c in report.classes:
+        if c.key in settled:
+            continue
+        P = _record_polytope(c)
+        triangulated += 1
+        if volume(P) != want:
+            return False, f"class {c.key_str}"
+        settled.add(c.key)
+        while (nxt := report._by_key.get(rotate_key(c.key, rho))) is not None and nxt.key not in settled:
+            Q = _record_polytope(nxt)
+            L, ints = Q.integer_vertices
+            if L != P.integer_vertices[0] or set(ints) != set(rotated_vertices(P, rho, nxt.chart)):
+                break
+            settled.add(nxt.key)
+            c, P = nxt, Q
+    return True, f"{triangulated} triangulated, {len(settled) - triangulated} by rotation"
 
 
 def _check_transport(shape: GridShape, report: CensusReport) -> tuple[bool, str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
 from .partitions import GridShape, Partition, boundary_target_set, frozen_mu, label_sort_key, partition_str
@@ -206,7 +206,13 @@ def trop_system_to_json(system: TropSystem) -> dict:
 
 def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
     """Shift relating the polytope of a general r-vector to the dilation
-    by the total weight: minus the r-weighted sum of frozen valuations."""
+    by the total weight: minus the r-weighted sum of frozen valuations.
+
+    Boundary rotation moves the weight one slot, so for a class c and its
+    rotation ρc the degree-one polytopes satisfy Γ_ρc = R_c(Γ_c) + t, with
+    R_c the unimodular map of ``rotated_vertices`` and t = τ(e_{n-k}) -
+    τ(e_{n-k+1}), τ this vector on ρc's chart and e_j the unit r-vector at
+    slot j."""
     out = [Fraction(0)] * len(chart.labels)
     for j in range(1, chart.shape.n + 1):
         r = Fraction(r_vec[j - 1])
@@ -215,6 +221,35 @@ def translation_vector(r_vec: Sequence, chart: NetworkChart) -> Vec:
         e_j = maxdiag_valuation(frozen_mu(j, chart.shape), chart.labels)
         out = [x - r * v for x, v in zip(out, e_j)]
     return tuple(out)
+
+
+def rotated_vertices(
+    P: QPolytope, rho: Mapping[Partition, Partition], chart: NetworkChart
+) -> list[tuple[int, ...]]:
+    """The integer vertices of a class c's polytope P carried to the rotated
+    class ρc, whose chart is ``chart``: R_c(v) + L·t for each integer vertex
+    v of P over its denominator L, in the order of P's vertices.
+
+    ``rho`` is the boundary rotation as a table (``cyclic_shift_table``).
+    With z the label of c that ρ takes to the empty one, R_c sends x to x'
+    with x'_ρλ = x_λ - x_z for λ ≠ z and x'_ρ∅ = -x_z; it is integral
+    with |det| = 1.  t is the translation of ``translation_vector``'s
+    rotation identity, integral since the valuations are, and is scaled to
+    an integer vector once, so every image is integer arithmetic."""
+    L, ints = P.integer_vertices
+    old = {rho[lam]: s for s, lam in enumerate(P.coords)}
+    if {*old, rho[()]} - {()} != set(chart.labels):
+        raise ValueError("chart is not the chart of the rotated class")
+    n, rows = chart.shape.n, chart.shape.rows
+    tau = [translation_vector([int(j == i) for j in range(1, n + 1)], chart) for i in (rows, rows + 1)]
+    # the slot of v each new coordinate reads, len(v) standing for a 0 at ρ∅
+    pairs = [(old.get(lab, len(P.coords)), L * int(a - b)) for lab, a, b in zip(chart.labels, *tau)]
+    z = old[()]
+    out = []
+    for v in ints:
+        w, vz = (*v, 0), v[z]
+        out.append(tuple(w[s] + o - vz for s, o in pairs))
+    return out
 
 
 # ---------------------------------------------------------------------------

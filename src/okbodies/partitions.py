@@ -183,6 +183,11 @@ def cyclic_shift(mu: Partition, shape: GridShape) -> Partition:
     return word_to_partition(w[1:] + w[:1], shape)
 
 
+def cyclic_shift_table(shape: GridShape) -> dict[Partition, Partition]:
+    """``cyclic_shift`` on every partition of the box, as a table."""
+    return {mu: cyclic_shift(mu, shape) for mu in all_partitions(shape)}
+
+
 def cyclic_shift_iter(mu: Partition, shape: GridShape, times: int) -> Partition:
     times %= shape.n
     for _ in range(times):

@@ -1,9 +1,10 @@
-"""The half-integral vertex sweep of scripts/deep_census_audit.py, which
-re-derives every class's fractional vertices from its facets alone, on the
-bodies of the 3x3 grid."""
+"""The two certificates of scripts/deep_census_audit.py on the bodies of the
+3x3 grid: the rotation orbit analysis, and the half-integral vertex sweep,
+which re-derives every class's fractional vertices from its facets alone."""
 
 import ast
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,3 +99,15 @@ def test_lattice_sweep_handles_empty_and_point_boxes():
     # a row with no variable decides alone
     assert audit.lattice_sweep([((0,), Fraction(-1))], [0], [3]) == []
     assert audit.lattice_sweep([((0, 1), Fraction(0))], [0, 0], [1, 1]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_orbit_analysis_reads_the_rotation_orbits(tmp_path, capsys):
+    path = tmp_path / "g36.json"
+    path.write_text(json.dumps(census(G36).to_json()))
+    assert audit.main([str(path), "--skip-sweep"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "closure under rotation: ok",
+        "orbit sizes: {2: 2, 3: 2, 6: 4}, fixed classes: 0, mixed orbits: 0",
+        "fractional orbits: [2] (sum 2)",
+        "audit: PASS",
+    ]

@@ -745,18 +745,27 @@ def test_verify_core_on_a_report_read_back_from_json(census35):
 
 
 def test_verify_checks_every_volume_of_a_report_read_back_from_json(census35, monkeypatch):
-    # the volume check must not pass vacuously on records without a polytope
-    rep = CensusReport.from_json(census35.to_json())
+    # the volume check must not pass vacuously on records without a polytope:
+    # every class is triangulated or certified by rotation, and with every
+    # certificate failing every class is triangulated
     real = census_module.volume
-    measured = []
+    for certify, triangulated, rotated in ((True, 1, 4), (False, 5, 0)):
+        rep = CensusReport.from_json(census35.to_json())
+        measured = []
 
-    def counting(P):
-        measured.append(real(P))
-        return measured[-1]
+        def counting(P):
+            measured.append(real(P))
+            return measured[-1]
 
-    monkeypatch.setattr(census_module, "volume", counting)
-    assert verify_core(GridShape(3, 5), suite="full", report=rep).ok
-    assert measured == [volume_formula(GridShape(3, 5))] * rep.class_count == [F(1, 144)] * 5
+        monkeypatch.setattr(census_module, "volume", counting)
+        if not certify:
+            monkeypatch.setattr(census_module, "rotated_vertices", lambda P, rho, chart: [])
+        out = verify_core(GridShape(3, 5), suite="full", report=rep)
+        assert out.ok
+        assert measured == [volume_formula(GridShape(3, 5))] * triangulated == [F(1, 144)] * triangulated
+        detail = next(c.detail for c in out.checks if c.name == "volume-formula-per-class")
+        assert detail == f"{triangulated} triangulated, {rotated} by rotation"
+        assert triangulated + rotated == rep.class_count == 5
 
 
 def test_record_chart_is_cached_and_matches_its_key(census35):

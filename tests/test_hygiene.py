@@ -22,7 +22,6 @@ PAPER_FACING = frozenset(
         "charts.puiseux_witness",  # Puiseux witnesses
         "charts.PuiseuxWitness.valuation",
         "charts.highest_valuation",  # the highest-term valuation
-        "mirror.translation_vector",  # the translation identity
     }
 )
 
