@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -447,12 +447,16 @@ def verify_core(
     The ``full`` suite adds the transport of valuations and lattice points
     along every search-tree move, degree-two scans, and every class's volume
     against the closed form, triangulating one class per rotation orbit and
-    certifying the others by the rotation map (``_check_volumes``).
+    certifying the others by the rotation map (``_check_volumes``).  A
+    ``report`` of another shape is refused with ``ValueError``.
     """
     t0 = time.time()
     checks: list[CheckResult] = []
     if report is None:
         report = census(shape, deep=deep, seed=seed)
+    elif report.shape != shape:
+        theirs = report.shape
+        raise ValueError(f"a census of ({theirs.k},{theirs.n}) cannot verify ({shape.k},{shape.n})")
     clock = [time.perf_counter()]
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -508,30 +512,29 @@ def verify_core(
     check("degree-one-scan-is-onto", scan_ok, scan_detail)
 
     if report.nonintegral_count:
-        probe_hits = 0
-        single_ok = True
-        for c in report.classes:
-            if c.integral or c.chart is None:
-                continue
-            if len(c.nonintegral_vertices) != 1:
-                single_ok = False
-                continue
-            w = c.nonintegral_vertices[0]
-            doubled = tuple(int(2 * x) for x in w)
-            scan = degree_r_valuation_scan(c.chart, 2, _record_polytope(c))
-            if scan.missing == {doubled}:
-                probe_hits += 1
-        check(
-            "nonintegral-vertex-unique",
-            single_ok,
-            "each non-integral class should expose exactly one fractional vertex",
-        )
+        fractional = [c for c in report.classes if not c.integral and c.chart is not None]
+        if (k, n) == (3, 6):
+            # a pin, like the golden table on (3,5): on (3,7) a
+            # non-integral class has up to three fractional vertices
+            check(
+                "nonintegral-vertex-unique",
+                all(len(c.nonintegral_vertices) == 1 for c in fractional),
+                "each non-integral class should expose exactly one fractional vertex",
+            )
+        # every fractional vertex w is half-integral, and the degree-two
+        # scan misses exactly the points 2w
+        probe_hits, sizes = 0, Counter()
+        for c in fractional:
+            sizes[len(c.nonintegral_vertices)] += 1
+            if all((2 * x).denominator == 1 for w in c.nonintegral_vertices for x in w):
+                doubled = {tuple(int(2 * x) for x in w) for w in c.nonintegral_vertices}
+                probe_hits += degree_r_valuation_scan(c.chart, 2, _record_polytope(c)).missing == doubled
         check(
             "degree-two-scan-misses-only-the-doubled-vertex",
             probe_hits == report.nonintegral_count,
-            f"{probe_hits}/{report.nonintegral_count} classes",
+            f"{probe_hits}/{report.nonintegral_count} classes; fractional vertices per class "
+            + " ".join(f"{size}:{sizes[size]}" for size in sorted(sizes)),
         )
-        checks[-1].seconds = 0.0  # one loop decides both checks; the first is billed for it
 
     if suite == "full":
         transport_ok, transport_detail = _check_transport(shape, report)

@@ -25,11 +25,10 @@ from .partitions import (
     Partition,
     SkewShape,
     all_partitions,
-    cyclic_shift_iter,
+    cyclic_shift,
     diag0,
     max_diag,
     partition_str,
-    partition_to_west_steps,
     south_mask_tables,
 )
 from .plabic import (
@@ -171,7 +170,7 @@ def highest_valuation(lam: Partition, shape: GridShape, labels: Iterable[Partiti
     """Closed form for the highest-term valuation:
     mu -> Diag0(mu) - MaxDiag(lam \\ shift^{n-k}(mu))."""
     return tuple(
-        diag0(mu) - max_diag(SkewShape(lam, cyclic_shift_iter(mu, shape, shape.rows)))
+        diag0(mu) - max_diag(SkewShape(lam, cyclic_shift(mu, shape, shape.rows)))
         for mu in labels
     )
 
@@ -237,7 +236,8 @@ def _dual_grid_pluecker(shape: GridShape, contents: dict[tuple[int, int], int], 
     """Sum over vertex-disjoint flows on the k x (n-k) grid, west steps of
     mu as the column set.  Paths are stored as their crossing heights."""
     k, cols, n = shape.k, shape.rows, shape.n
-    west = partition_to_west_steps(mu, shape)
+    south = south_mask_tables(shape)[1][mu]
+    west = {j for j in range(1, n + 1) if not south >> (j - 1) & 1}
     srcs = sorted((i for i in range(1, k + 1) if i not in west), reverse=True)
     sinks = sorted(j for j in west if j > k)
     pairs = list(zip(srcs, sinks))

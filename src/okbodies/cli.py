@@ -40,9 +40,10 @@ from .partitions import (
     label_sort_key,
     parse_partition,
     partition_str,
+    rectangles,
 )
 from .plabic import build_rectangles
-from .polyhedra import gamma_coords, lattice_points, qpolytope
+from .polyhedra import lattice_points, qpolytope
 
 
 def _resolve_class(report: CensusReport, key: str) -> ClassRecord:
@@ -146,7 +147,7 @@ def _cmd_valuations(args) -> int:
     shape = GridShape(k=args.k, n=args.n)
     chart = _class_chart(shape, args.cls, args.deep, args.seed)
     if chart is None:
-        labels = gamma_coords(shape)
+        labels = rectangles(shape)
         rows = {lam: maxdiag_valuation(lam, labels) for lam in all_partitions(shape)}
     else:
         labels = chart.labels

@@ -22,7 +22,15 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .charts import NetworkChart, maxdiag_valuation
-from .partitions import GridShape, Partition, boundary_target_set, frozen_mu, label_sort_key, partition_str
+from .partitions import (
+    GridShape,
+    Partition,
+    boundary_target_set,
+    frozen_mu,
+    label_sort_key,
+    partition_str,
+    rectangles,
+)
 from .plabic import BLACK, Quiver, boundary_matchings
 from .polyhedra import (
     HPolytope,
@@ -32,7 +40,6 @@ from .polyhedra import (
     bit_list,
     enumerate_vertices,
     frac_str,
-    gamma_coords,
     hull_of_points,
     qpolytope,
 )
@@ -60,7 +67,7 @@ def rectangles_superpotential(shape: GridShape) -> SuperpotentialExpansion:
     rectangles (zero rows or columns) stand for the normalized base
     coordinate and simply drop out of the exponent vectors.
     """
-    labels = gamma_coords(shape)
+    labels = rectangles(shape)
     index = {lab: t for t, lab in enumerate(labels)}
     rows, k, n = shape.rows, shape.k, shape.n
 

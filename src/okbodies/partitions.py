@@ -1,14 +1,17 @@
-"""Partitions in a rectangle, border paths, and diagonal statistics.
+"""Partitions in a rectangle, the border-path dictionary, and diagonal
+statistics.
 
 Throughout, a partition is a tuple of weakly decreasing positive integers
 (the empty tuple for the empty partition) drawn inside the (n-k) x k
 rectangle attached to Gr(n-k, C^n).  The border path of such a partition,
 walked from the northeast corner of the rectangle to the southwest corner
-in n unit steps, identifies partitions with (n-k)-element subsets of
-{1, ..., n} (the south steps) and simultaneously with k-element subsets
-(the west steps).  Both directions of that dictionary live here, together
-with the diagonal statistics MaxDiag and Diag0 and the cyclic shift on
-border words.
+in n unit steps, takes n-k south steps and k west steps; its south steps
+identify partitions with (n-k)-element subsets of {1, ..., n}.  That
+dictionary has one definition, ``south_mask_tables``: per shape, every
+partition keyed by its south steps as an n-bit mask, and the inverse
+table.  The cyclic shift and the boundary rectangles ``frozen_mu`` are
+read off those tables; the diagonal statistics MaxDiag and Diag0 live
+here too.
 """
 
 from __future__ import annotations
@@ -46,13 +49,9 @@ class GridShape:
         return self.n - self.k
 
     @property
-    def cols(self) -> int:
-        return self.k
-
-    @property
     def num_boxes(self) -> int:
         """Area of the box, usually called N."""
-        return self.rows * self.cols
+        return self.rows * self.k
 
     def residue(self, x: int) -> int:
         """Representative of x in 1..n."""
@@ -69,15 +68,6 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"parts must weakly decrease, got {lam}")
     return lam
-
-
-def fits(lam: Partition, shape: GridShape) -> bool:
-    return len(lam) <= shape.rows and (not lam or lam[0] <= shape.cols)
-
-
-def _require_fits(lam: Partition, shape: GridShape) -> None:
-    if not fits(lam, shape):
-        raise ValueError(f"partition {lam} does not fit in {shape.rows} x {shape.cols}")
 
 
 def partition_str(lam: Partition) -> str:
@@ -98,101 +88,41 @@ def label_sort_key(lam: Partition) -> tuple[int, Partition]:
 
 
 # ---------------------------------------------------------------------------
-# border path dictionaries
+# the border-path dictionary
 # ---------------------------------------------------------------------------
-
-def south_steps_to_partition(J: Iterable[int], shape: GridShape) -> Partition:
-    """Partition whose border path has south steps exactly J.
-
-    The border path starts at the northeast corner of the (n-k) x k box and
-    ends at the southwest corner; its steps are numbered 1..n in walking
-    order.  The i-th south step at position j leaves k + i - j west steps
-    after it, which is the i-th part.
-
-    Parameters
-    ----------
-    J : iterable of int
-        An (n-k)-element subset of 1..n.
-    shape : GridShape
-
-    Raises
-    ------
-    ValueError
-        If J is not an (n-k)-subset of 1..n.
-    """
-    steps = sorted(set(J))
-    if len(steps) != shape.rows or any(not 1 <= j <= shape.n for j in steps):
-        raise ValueError(f"J={steps} is not an {shape.rows}-subset of 1..{shape.n}")
-    # strictly increasing steps in 1..n give weakly decreasing parts
-    # between k and 0, so only the trailing zeros need to go
-    return tuple(p for p in (shape.k + i + 1 - j for i, j in enumerate(steps)) if p)
-
-
-def partition_to_south_steps(lam: Partition, shape: GridShape) -> frozenset[int]:
-    """Inverse of :func:`south_steps_to_partition`."""
-    _require_fits(lam, shape)
-    padded = tuple(lam) + (0,) * (shape.rows - len(lam))
-    return frozenset(shape.k + i + 1 - p for i, p in enumerate(padded))
-
-
-def west_steps_to_partition(J: Iterable[int], shape: GridShape) -> Partition:
-    """Partition whose border path has west steps exactly J (a k-subset)."""
-    west = set(J)
-    if len(west) != shape.k or any(not 1 <= j <= shape.n for j in west):
-        raise ValueError(f"J={sorted(west)} is not a {shape.k}-subset of 1..{shape.n}")
-    return south_steps_to_partition(set(range(1, shape.n + 1)) - west, shape)
-
 
 @cache
 def south_mask_tables(shape: GridShape) -> tuple[Mapping[int, Partition], Mapping[Partition, int]]:
     """Every partition in the box keyed by its south steps as an n-bit mask,
     bit j - 1 for step j, and the inverse table, both in the order of
-    ``all_partitions``; built once per shape and shared read-only."""
-    masks = {
-        lam: sum(1 << (j - 1) for j in partition_to_south_steps(lam, shape))
-        for lam in all_partitions(shape)
-    }
+    ``all_partitions``; built once per shape and shared read-only.
+
+    The border path starts at the northeast corner of the box, ends at the
+    southwest corner, and numbers its steps 1..n in walking order.  With
+    the parts padded to n - k and i counted from 1, part p is on south
+    step k + i - p: the walk has taken i - 1 south steps and k - p west
+    steps before it.  The west steps are the complement bits.
+    """
+    masks = {}
+    for lam in all_partitions(shape):
+        padded = lam + (0,) * (shape.rows - len(lam))
+        masks[lam] = sum(1 << (shape.k + i - p - 1) for i, p in enumerate(padded, start=1))
     return MappingProxyType({m: lam for lam, m in masks.items()}), MappingProxyType(masks)
 
 
-def partition_to_west_steps(lam: Partition, shape: GridShape) -> frozenset[int]:
-    return frozenset(range(1, shape.n + 1)) - partition_to_south_steps(lam, shape)
-
-
-def border_word(lam: Partition, shape: GridShape) -> tuple[int, ...]:
-    """Border path of lam as a 0/1 word read from southwest to northeast.
-
-    Entry t (1-based) is 1 exactly when step n + 1 - t of the walk from the
-    northeast corner is a south step, so 1s mark vertical steps of the word.
-    """
-    south = partition_to_south_steps(lam, shape)
-    return tuple(1 if (shape.n - t) in south else 0 for t in range(shape.n))
-
-
-def word_to_partition(word: Iterable[int], shape: GridShape) -> Partition:
-    w = tuple(word)
-    if len(w) != shape.n or any(c not in (0, 1) for c in w):
-        raise ValueError(f"word {w} is not a 0/1 word of length {shape.n}")
-    south = {shape.n - t for t in range(shape.n) if w[t] == 1}
-    return south_steps_to_partition(south, shape)
-
-
-def cyclic_shift(mu: Partition, shape: GridShape) -> Partition:
-    """One step of the cyclic shift: rotate the border word left by one."""
-    w = border_word(mu, shape)
-    return word_to_partition(w[1:] + w[:1], shape)
+def cyclic_shift(mu: Partition, shape: GridShape, times: int = 1) -> Partition:
+    """The cyclic shift applied ``times`` times (taken mod n): the south
+    mask rotated left by ``times`` bits within n bits, so that south step
+    j goes to step j + 1, cyclically."""
+    lam_of, mask_of = south_mask_tables(shape)
+    n, t = shape.n, times % shape.n
+    m = mask_of[mu]
+    return lam_of[(m << t | m >> (n - t)) & ((1 << n) - 1)]
 
 
 def cyclic_shift_table(shape: GridShape) -> dict[Partition, Partition]:
     """``cyclic_shift`` on every partition of the box, as a table."""
     return {mu: cyclic_shift(mu, shape) for mu in all_partitions(shape)}
-
-
-def cyclic_shift_iter(mu: Partition, shape: GridShape, times: int) -> Partition:
-    times %= shape.n
-    for _ in range(times):
-        mu = cyclic_shift(mu, shape)
-    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +172,8 @@ def frozen_mu(i: int, shape: GridShape) -> Partition:
     (n-k) x (n-i) rectangle; i is taken mod n, so i = 0 and i = n both give
     the empty partition.
     """
-    west = {shape.residue(i + j) for j in range(1, shape.k + 1)}
-    return west_steps_to_partition(west, shape)
+    west = sum(1 << (shape.residue(i + j) - 1) for j in range(1, shape.k + 1))
+    return south_mask_tables(shape)[0][west ^ ((1 << shape.n) - 1)]
 
 
 def boundary_target_set(i: int, shape: GridShape) -> frozenset[int]:
@@ -268,12 +198,13 @@ def all_partitions(shape: GridShape) -> list[Partition]:
     out: list[Partition] = [()]
     level: list[Partition] = [()]
     for _ in range(shape.rows):
-        level = [lam + (p,) for lam in level for p in range(1, (lam[-1] if lam else shape.cols) + 1)]
+        level = [lam + (p,) for lam in level for p in range(1, (lam[-1] if lam else shape.k) + 1)]
         out.extend(level)
     return sorted(out, key=label_sort_key)
 
 
-def rectangles(shape: GridShape) -> list[Partition]:
-    """All nonempty rectangles r x c in the box, canonical order."""
-    recs = [(c,) * r for r in range(1, shape.rows + 1) for c in range(1, shape.cols + 1)]
-    return sorted(recs, key=label_sort_key)
+def rectangles(shape: GridShape) -> tuple[Partition, ...]:
+    """All nonempty rectangles r x c in the box, in canonical order: the
+    coordinates of the rectangles cluster."""
+    recs = [(c,) * r for r in range(1, shape.rows + 1) for c in range(1, shape.k + 1)]
+    return tuple(sorted(recs, key=label_sort_key))

@@ -708,16 +708,12 @@ class SquareMoveResult:
 _SQUARE_PRIME = (1 << 61) - 1  # Mersenne, plenty of room for Schwartz-Zippel
 
 
-def pluecker_columns(lam: Partition, shape: GridShape) -> int:
-    """The 0-based matrix columns of lam's south steps as a bitmask: P_lam
-    is the maximal minor on them."""
-    return south_mask_tables(shape)[1][lam]
-
-
 def pluecker_mod_p(A: Sequence[Sequence[int]], labels: Sequence[Partition], shape: GridShape, p: int) -> dict:
     """The Pluecker coordinates p_lam, lam in ``labels``, of the (n-k) x n
-    integer matrix ``A`` over F_p."""
-    (minors,) = laplace_minors([A], [pluecker_columns(lam, shape) for lam in labels], p)
+    integer matrix ``A`` over F_p: p_lam is the maximal minor on the
+    0-based columns of lam's south mask."""
+    mask_of = south_mask_tables(shape)[1]
+    (minors,) = laplace_minors([A], [mask_of[lam] for lam in labels], p)
     return dict(zip(labels, minors))
 
 
@@ -727,7 +723,8 @@ def _check_exchange(shape: GridShape, nu, nu2, diag1, diag2, rng: random.Random)
     from ``rng`` one after the other, each row by row, and their six minors
     from one expansion plan."""
     p, n, rows = _SQUARE_PRIME, shape.n, shape.rows
-    cols = [pluecker_columns(lam, shape) for lam in (nu, nu2, *diag1, *diag2)]
+    mask_of = south_mask_tables(shape)[1]
+    cols = [mask_of[lam] for lam in (nu, nu2, *diag1, *diag2)]
     # randrange(p)'s own draws: 61 random bits, drawn again while >= p
     draw, entries = rng.getrandbits, []
     while len(entries) < 3 * rows * n:

@@ -55,13 +55,7 @@ from math import factorial, gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .partitions import (
-    GridShape,
-    Partition,
-    label_sort_key,
-    partition_str,
-    rectangles,
-)
+from .partitions import GridShape, Partition, partition_str, rectangles
 
 Vec = tuple[Fraction, ...]
 # a, b with a.v + b >= 0: ints from the package's builders, a Fraction b for
@@ -749,11 +743,6 @@ def same_vertex_set(P: QPolytope, Q: QPolytope) -> bool:
 # Gelfand-Tsetlin
 # ---------------------------------------------------------------------------
 
-def gamma_coords(shape: GridShape) -> tuple[Partition, ...]:
-    """Canonical coordinate order for rectangle-cluster polytopes."""
-    return tuple(sorted(rectangles(shape), key=label_sort_key))
-
-
 def _rect(i: int, j: int) -> Partition:
     return (j,) * i
 
@@ -762,7 +751,7 @@ def gt_polytope(shape: GridShape, r) -> HPolytope:
     """Interlacing-pattern polytope in the f-coordinates indexed by
     rectangles; exactly one integer row per superpotential summand, with
     the dilation r on the row of the full rectangle."""
-    coords = gamma_coords(shape)
+    coords = rectangles(shape)
     idx = {c: t for t, c in enumerate(coords)}
     rows_, cols_ = shape.rows, shape.k
 
@@ -783,7 +772,7 @@ def gt_polytope(shape: GridShape, r) -> HPolytope:
 def gt_transform_matrix(shape: GridShape) -> list[list[int]]:
     """The unimodular map F: f_{i x j} = v_{i x j} - v_{(i-1) x (j-1)}, as
     an integer matrix over the canonical coordinates."""
-    coords = gamma_coords(shape)
+    coords = rectangles(shape)
     idx = {c: t for t, c in enumerate(coords)}
     F = [[int(s == t) for s in range(len(coords))] for t in range(len(coords))]
     for c in coords:

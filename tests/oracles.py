@@ -45,6 +45,44 @@ def walk_border(J, k, n):
     return tuple(p for p in parts if p > 0)
 
 
+def border_steps(lam, k, n):
+    """South steps of the border path of lam, walked from the northeast
+    corner: the walk goes south when the next row's part reaches its
+    column, and west otherwise."""
+    parts = list(lam) + [0] * (n - k - len(lam))
+    row, col, south = 0, k, set()
+    for step in range(1, n + 1):
+        if row < n - k and parts[row] == col:
+            south.add(step)
+            row += 1
+        else:
+            col -= 1
+    assert row == n - k and col == 0
+    return frozenset(south)
+
+
+def walk_west(west, k, n):
+    """The partition whose border path has west steps exactly ``west``."""
+    return walk_border(set(range(1, n + 1)) - set(west), k, n)
+
+
+def rotate_border_word(lam, k, n, times):
+    """The cyclic shift by rotating lam's border word: the 0/1 word read
+    from the southwest corner to the northeast one, 1 for a south step,
+    turned left ``times`` times and read back as a partition."""
+    south = border_steps(lam, k, n)
+    word = [1 if n - t in south else 0 for t in range(n)]
+    for _ in range(times):
+        word = word[1:] + word[:1]
+    return walk_border({n - t for t in range(n) if word[t]}, k, n)
+
+
+def boundary_rectangle(i, k, n):
+    """The i-th boundary rectangle from its west steps {i+1, ..., i+k},
+    taken mod n."""
+    return walk_west({(i + j - 1) % n + 1 for j in range(1, k + 1)}, k, n)
+
+
 def diag_count(outer, inner, d):
     """Number of boxes of outer minus inner on the diagonal c - r = d."""
     total = 0

@@ -368,9 +368,29 @@ def test_verify_core_g36(census36):
     rep = verify_core(GridShape(3, 6), suite="core", report=census36)
     assert rep.ok, rep.render()
     by_name = {c.name: c for c in rep.checks}
-    # one loop decides both non-integrality checks and is billed to the first
-    assert by_name["degree-two-scan-misses-only-the-doubled-vertex"].seconds == 0
-    assert by_name["nonintegral-vertex-unique"].seconds > 0
+    assert "nonintegral-vertex-unique" in by_name  # pinned on (3,6)
+    # the degree-two check is billed its own scans
+    two = by_name["degree-two-scan-misses-only-the-doubled-vertex"]
+    assert two.seconds > 0
+    assert two.detail == "2/2 classes; fractional vertices per class 1:2"
+
+
+def test_verify_refuses_a_report_of_another_shape(census35):
+    with pytest.raises(ValueError, match=r"census of \(3,5\) cannot verify \(3,6\)"):
+        verify_core(GridShape(3, 6), suite="full", report=census35)
+
+
+@pytest.mark.parametrize("extra", [F(1, 2), F(1, 3)])
+def test_degree_two_check_fails_on_a_fractional_vertex_off_its_scan(census36, extra):
+    # a second fractional vertex on a (3,6) class: a half-integral one is
+    # no point the scan misses, a third-integral one no half-integral vertex
+    c = census36.record(parse_key(G1_KEY))
+    tampered = dataclasses.replace(c, vertices=c.vertices + ((extra,) * len(c.key),))
+    classes = tuple(tampered if r is c else r for r in census36.classes)
+    rep = verify_core(GridShape(3, 6), report=dataclasses.replace(census36, classes=classes))
+    failed = [check.name for check in rep.checks if not check.ok]
+    assert failed == ["nonintegral-vertex-unique", "degree-two-scan-misses-only-the-doubled-vertex"]
+    assert rep.checks[-1].detail == "1/2 classes; fractional vertices per class 1:1 2:1"
 
 
 def patch_every_binding(monkeypatch, real, replacement) -> set[str]:
@@ -1094,6 +1114,18 @@ def test_deep_g37_volumes_equal_the_closed_form():
     rep = census(shape, deep=True)
     assert rep.class_count == 259
     assert [c.key_str for c in rep.classes if volume(c.polytope) != volume_formula(shape)] == []
+
+
+@pytest.mark.deep
+def test_deep_verify_g37_passes_every_check():
+    rep = verify_core(GridShape(3, 7), suite="full", report=census(GridShape(3, 7), deep=True))
+    assert rep.ok, rep.render()
+    by_name = {c.name: c for c in rep.checks}
+    # uniqueness is pinned on (3,6) only: here a class has up to three
+    assert "nonintegral-vertex-unique" not in by_name
+    assert by_name["degree-two-scan-misses-only-the-doubled-vertex"].detail == (
+        "42/42 classes; fractional vertices per class 1:14 2:7 3:21"
+    )
 
 
 @pytest.mark.deep

@@ -34,8 +34,6 @@ from okbodies.partitions import (
     all_partitions,
     frozen_mu,
     max_diag,
-    partition_to_south_steps,
-    south_steps_to_partition,
 )
 from okbodies.plabic import build_rectangles, normalize, quiver_of, square_move
 
@@ -83,7 +81,7 @@ def enumerate_flows(chart, lam):
     rules out any other pairing.
     """
     shape = chart.shape
-    J = set(partition_to_south_steps(lam, shape))
+    J = oracles.border_steps(lam, shape.k, shape.n)
     srcs = sorted((i for i in range(1, shape.rows + 1) if i not in J), reverse=True)
     sinks = sorted(j for j in J if j > shape.rows)
     assert len(srcs) == len(sinks)
@@ -131,7 +129,7 @@ def flow_polynomials_by_columns(chart):
     V = chart.labels
     table = {}
     for lam in all_partitions(chart.shape):
-        cols = sorted(j - 1 for j in partition_to_south_steps(lam, chart.shape))
+        cols = sorted(j - 1 for j in oracles.border_steps(lam, chart.shape.k, chart.shape.n))
         prev = {(): LaurentPoly.one(V)}
         for r in range(len(cols)):
             cur = {}
@@ -215,7 +213,7 @@ def test_three_term_relations_mod_p():
         d = c.shape.rows
 
         def P(J, vals):
-            lam = south_steps_to_partition(frozenset(J), c.shape)
+            lam = oracles.walk_border(J, k, n)
             return c.plueckers[lam].eval_mod_p(vals, PRIME)
 
         for _ in range(5):
@@ -256,7 +254,7 @@ TABLE_COLUMNS = ((3, 3), (2, 2), (1, 1), (3,), (2,), (1,))
 def test_valuation_table_g35_golden():
     c = rec_chart(3, 5)
     for J, row in VALUATION_TABLE.items():
-        lam = south_steps_to_partition(frozenset(J), c.shape)
+        lam = oracles.walk_border(J, 3, 5)
         v = dict(zip(c.labels, val_min(c, lam)))
         assert tuple(v[mu] for mu in TABLE_COLUMNS) == row
 
@@ -282,7 +280,7 @@ def test_valuations_match_closed_forms_after_square_moves():
 
 def test_val_max_differs_by_unit_vector_at_24():
     c = rec_chart(3, 5)
-    lam = south_steps_to_partition(frozenset({2, 4}), c.shape)
+    lam = oracles.walk_border({2, 4}, 3, 5)
     lo, hi = val_min(c, lam), val_max(c, lam)
     diff = tuple(h - l for h, l in zip(hi, lo))
     assert diff == tuple(1 if mu == (2,) else 0 for mu in c.labels)

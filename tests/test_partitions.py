@@ -8,25 +8,26 @@ from okbodies.partitions import (
     GridShape,
     SkewShape,
     all_partitions,
-    border_word,
     boundary_target_set,
     cyclic_shift,
-    cyclic_shift_iter,
     diag0,
     frozen_mu,
     label_sort_key,
     max_diag,
     parse_partition,
     partition_str,
-    partition_to_south_steps,
-    partition_to_west_steps,
     rectangles,
-    south_steps_to_partition,
-    west_steps_to_partition,
-    word_to_partition,
+    south_mask_tables,
 )
 
-from oracles import max_diag_bruteforce, walk_border
+from oracles import (
+    border_steps,
+    boundary_rectangle,
+    max_diag_bruteforce,
+    rotate_border_word,
+    walk_border,
+    walk_west,
+)
 
 G35 = GridShape(3, 5)
 
@@ -36,16 +37,18 @@ def mu_box(i, shape):
     west steps {i+1, ..., i+k-1} together with {i+k+1}, cyclically."""
     west = {shape.residue(i + j) for j in range(1, shape.k)}
     west.add(shape.residue(i + shape.k + 1))
-    return west_steps_to_partition(west, shape)
+    return walk_west(west, shape.k, shape.n)
 
 
 # --- frozen examples ------------------------------------------------------
 
 def test_south_steps_examples():
-    assert south_steps_to_partition({1, 2}, G35) == (3, 3)
-    assert south_steps_to_partition({4, 5}, G35) == ()
-    assert south_steps_to_partition({1, 3}, G35) == (3, 2)
-    assert south_steps_to_partition({2, 3}, G35) == (2, 2)
+    # keyed by the south steps as a mask, bit j - 1 for step j
+    lam_of, _ = south_mask_tables(G35)
+    assert lam_of[0b00011] == (3, 3)
+    assert lam_of[0b11000] == ()
+    assert lam_of[0b00101] == (3, 2)
+    assert lam_of[0b00110] == (2, 2)
 
 
 def test_max_diag_example():
@@ -57,9 +60,13 @@ def test_max_diag_example():
 def test_border_word_and_shift_example():
     shape = GridShape(6, 10)
     mu = (6, 4, 4, 2)
-    assert border_word(mu, shape) == (0, 0, 1, 0, 0, 1, 1, 0, 0, 1)
+    # the border word (0, 0, 1, 0, 0, 1, 1, 0, 0, 1), read from the
+    # southwest corner, is the south mask read from its top bit down
+    _, mask_of = south_mask_tables(shape)
+    assert mask_of[mu] == 0b0010011001
     assert diag0(mu) == 3
     assert cyclic_shift(mu, shape) == (5, 3, 3, 1)
+    assert mask_of[(5, 3, 3, 1)] == 0b0100110010
 
 
 def test_frozen_mu_g35():
@@ -123,20 +130,36 @@ def small_shapes(max_n=9):
 
 @pytest.mark.parametrize("shape", small_shapes(), ids=str)
 def test_bijections_exhaustive(shape):
-    for J in combinations(range(1, shape.n + 1), shape.rows):
-        lam = south_steps_to_partition(J, shape)
+    lam_of, mask_of = south_mask_tables(shape)
+    subsets = list(combinations(range(1, shape.n + 1), shape.rows))
+    # one entry per subset each way, in the order of all_partitions
+    assert len(lam_of) == len(mask_of) == len(subsets)
+    assert list(mask_of) == all_partitions(shape)
+    for J in subsets:
+        mask = sum(1 << (j - 1) for j in J)
+        lam = lam_of[mask]
         assert lam == walk_border(J, shape.k, shape.n)
-        assert partition_to_south_steps(lam, shape) == frozenset(J)
-        west = partition_to_west_steps(lam, shape)
-        assert west == frozenset(range(1, shape.n + 1)) - frozenset(J)
-        assert west_steps_to_partition(west, shape) == lam
-        assert word_to_partition(border_word(lam, shape), shape) == lam
+        assert mask_of[lam] == mask
+        assert border_steps(lam, shape.k, shape.n) == frozenset(J)
 
 
 @pytest.mark.parametrize("shape", small_shapes(7), ids=str)
 def test_cyclic_shift_order_n(shape):
     for lam in all_partitions(shape):
-        assert cyclic_shift_iter(lam, shape, shape.n) == lam
+        assert cyclic_shift(lam, shape, shape.n) == lam
+
+
+@pytest.mark.parametrize("shape", small_shapes(), ids=str)
+def test_cyclic_shift_is_the_border_word_rotation(shape):
+    for lam in all_partitions(shape):
+        for times in range(shape.n + 1):
+            assert cyclic_shift(lam, shape, times) == rotate_border_word(lam, shape.k, shape.n, times)
+
+
+@pytest.mark.parametrize("shape", small_shapes(), ids=str)
+def test_frozen_mu_is_read_off_its_west_steps(shape):
+    for i in range(shape.n + 1):
+        assert frozen_mu(i, shape) == boundary_rectangle(i, shape.k, shape.n)
 
 
 @given(

@@ -315,19 +315,19 @@ def test_square_move_refuses_boundary_faces_and_hexagons(rec36):
 
 def test_exchange_check_reads_each_label_once_per_move(rec36, monkeypatch):
     # six labels take part in the exchange relation; their column sets are
-    # looked up once per move, not once per random matrix
-    real = plabic.pluecker_columns
-    looked_up = []
+    # read once per move, for one expansion over the three random matrices
+    real = plabic.laplace_minors
+    calls = []
 
-    def counting(lam, shape):
-        looked_up.append(lam)
-        return real(lam, shape)
+    def counting(mats, cols, p):
+        calls.append((len(mats), len(cols)))
+        return real(mats, cols, p)
 
-    monkeypatch.setattr(plabic, "pluecker_columns", counting)
+    monkeypatch.setattr(plabic, "laplace_minors", counting)
     faces = movable_faces(rec36)
     for nu in faces:
         square_move(rec36, nu, random.Random(7))
-    assert len(looked_up) == 6 * len(faces)
+    assert calls == [(3, 6)] * len(faces)
 
 
 def test_exchange_check_rejects_a_wrong_label(rec35, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from okbodies.partitions import GridShape
+from okbodies.partitions import GridShape, rectangles
 from okbodies.polyhedra import (
     HPolytope,
     QPolytope,
@@ -22,7 +22,6 @@ from okbodies.polyhedra import (
     _eliminate,
     clear_denominators,
     enumerate_vertices,
-    gamma_coords,
     gt_pattern_count,
     gt_polytope,
     gt_transform_matrix,
@@ -783,7 +782,7 @@ def test_volume_formula_values():
 
 
 def test_gamma_coords_are_rectangles_in_canonical_order():
-    assert gamma_coords(GridShape(k=3, n=5)) == (
+    assert rectangles(GridShape(k=3, n=5)) == (
         (1,),
         (1, 1),
         (2,),
